@@ -113,18 +113,29 @@ def legendre_checks(n: int) -> LegendreChecks:
 def digit_sum_range(limit: int, b: int = 2) -> np.ndarray:
     """Array of digit_sum(n, b) for n = 0 .. limit-1 (int64).
 
-    Repeated divmod passes over the whole range; limit must fit comfortably
-    in int64.
+    Built by block recursion on the leading digit: once out[:b^k] holds
+    s_b(0 .. b^k - 1), the block out[j b^k : (j+1) b^k] is out[:b^k] + j for
+    each digit j = 1 .. b-1, and the last block is clipped at limit.  That
+    is the definition of s_b, not a closed form, at a cost of O(limit)
+    int64 adds and O(log_b limit) numpy calls.
     """
     if limit < 1:
         raise ValueError("digit_sum_range requires limit >= 1")
     if b < 2:
         raise ValueError("digit_sum_range requires base >= 2")
-    work = np.arange(limit, dtype=np.int64)
     out = np.zeros(limit, dtype=np.int64)
-    while work.any():
-        out += work % b
-        work //= b
+    block = 1
+    while block < limit:
+        # leading digits j = 1 .. rows-1 have whole blocks below limit
+        rows = min(b, limit // block)
+        digits = np.arange(1, rows, dtype=np.int64)[:, None]
+        np.add(out[:block], digits, out=out[block : rows * block].reshape(rows - 1, block))
+        # digit j = rows, if it is one, starts below limit and is clipped there
+        start = rows * block
+        tail = min(b * block, limit) - start
+        if tail > 0:
+            np.add(out[:tail], rows, out=out[start : start + tail])
+        block *= b
     return out
 
 

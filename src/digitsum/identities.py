@@ -705,8 +705,11 @@ def direct_digit_zeta(b: int, alpha: float, z: float, limit: int) -> tuple[float
     if alpha <= 1:
         raise ValueError("direct oracle needs alpha > 1 for a convergent tail")
     s = digit_sum_range(limit, b).astype(np.float64)
-    n = np.arange(limit, dtype=np.float64)
-    partial = float(np.dot(s[1:], (n[1:] + z) ** -alpha))
+    # weights in one buffer, in place: at 10^7 terms every temporary is 80 MB
+    w = np.arange(1, limit, dtype=np.float64)
+    w += z
+    np.power(w, -alpha, out=w)
+    partial = float(np.dot(s[1:], w))
     edge = float(limit) + z
     low = edge ** (1.0 - alpha) / (alpha - 1.0)
     log_term = math.log(limit) / math.log(b) + 1.0 + 1.0 / ((alpha - 1.0) * math.log(b))
@@ -717,8 +720,12 @@ def direct_digit_zeta(b: int, alpha: float, z: float, limit: int) -> tuple[float
 def direct_j_infinity(b: int, x: float, limit: int) -> tuple[float, float]:
     """Partial sum of s_b(n)/((x+n)(x+n+1)) with mid-tail model."""
     s = digit_sum_range(limit, b).astype(np.float64)
-    n = np.arange(limit, dtype=np.float64)
-    partial = float(np.dot(s[1:], 1.0 / ((x + n[1:]) * (x + n[1:] + 1.0))))
+    w = np.arange(1, limit, dtype=np.float64)
+    w += x
+    d = w + 1.0
+    d *= w
+    np.divide(1.0, d, out=d)
+    partial = float(np.dot(s[1:], d))
     edge = float(limit) + x
     low = 1.0 / edge
     high = (b - 1.0) * (math.log(limit) / math.log(b) + 1.0 + 1.0 / math.log(b)) / edge
@@ -729,8 +736,12 @@ def direct_product_log(b: int, z: float, limit: int) -> tuple[float, float]:
     """Partial log-product sum_{n<limit} s_b(n) log((z+n)(n+1)/(n(z+n+1)))."""
     s = digit_sum_range(limit, b).astype(np.float64)
     n = np.arange(1, limit, dtype=np.float64)
-    terms = np.log1p(z / (n * (z + n + 1.0)))
-    partial = float(np.dot(s[1:], terms))
+    w = n + z
+    w += 1.0
+    w *= n
+    np.divide(z, w, out=w)
+    np.log1p(w, out=w)
+    partial = float(np.dot(s[1:], w))
     edge = float(limit)
     low = z / (edge + abs(z) + 1.0)
     high = (

@@ -152,10 +152,29 @@ class TestLegendreChecks:
 
 class TestRangeScans:
     def test_digit_sum_range_matches_scalar(self):
-        for b in (2, 3, 10):
-            block = digit_sum_range(2000, b)
-            assert [int(v) for v in block[:64]] == [digit_sum(n, b) for n in range(64)]
-            assert int(block[1999]) == digit_sum(1999, b)
+        """Every entry, at limits on both sides of each block edge b^k."""
+        for b in range(2, 17):
+            for limit in (1, 2, b - 1, b, b + 1, b**2 - 1, b**2, b**2 + 1, b**3 + 7, 12345):
+                block = digit_sum_range(limit, b)
+                assert block.dtype == np.int64
+                assert block.flags.c_contiguous
+                assert block.tolist() == [digit_sum(n, b) for n in range(limit)], (b, limit)
+
+    @pytest.mark.parametrize("b", [2, 3])
+    def test_digit_sum_range_matches_divmod_loop(self, b):
+        limit = 10**6
+        # reference: one divmod pass per digit position over the whole range
+        work = np.arange(limit, dtype=np.int64)
+        want = np.zeros(limit, dtype=np.int64)
+        while work.any():
+            want += work % b
+            work //= b
+        assert digit_sum_range(limit, b).tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("limit, b", [(0, 2), (-3, 2), (10, 1), (10, 0)])
+    def test_digit_sum_range_rejects_bad_arguments(self, limit, b):
+        with pytest.raises(ValueError):
+            digit_sum_range(limit, b)
 
     def test_valuation2_range_matches_scalar(self):
         v = valuation2_range(4097)

@@ -482,3 +482,33 @@ class TestDirectOracles:
     def test_digit_zeta_oracle_rejects_divergent_order(self):
         with pytest.raises(ValueError):
             direct_digit_zeta(2, 1.0, 0.0, 1000)
+
+    @pytest.mark.parametrize("b, shift", [(2, 0.0), (2, 1.0), (3, 0.5), (10, 1.7)])
+    def test_oracles_match_reference_expressions_bitwise(self, monkeypatch, b, shift):
+        """The in-place weight buffers give the same doubles as the plain expressions."""
+        limit = 1_000_000
+        z = 0.9 - shift  # both signs, for direct_product_log's two tail models
+        s = digit_sum_range(limit, b).astype(np.float64)
+        n = np.arange(limit, dtype=np.float64)
+        n1 = np.arange(1, limit, dtype=np.float64)
+        cases = [
+            (
+                direct_digit_zeta,
+                (b, 2.5, shift, limit),
+                plain_digit_sum_partial(b, 2.5, shift, limit),
+            ),
+            (
+                direct_j_infinity,
+                (b, shift, limit),
+                np.dot(s[1:], 1.0 / ((shift + n[1:]) * (shift + n[1:] + 1.0))),
+            ),
+            (direct_product_log, (b, z, limit), np.dot(s[1:], np.log1p(z / (n1 * (z + n1 + 1.0))))),
+        ]
+        got = [oracle(*args) for oracle, args, _ in cases]
+        # with an all-zero digit-sum array each oracle returns its tail model alone
+        monkeypatch.setattr(
+            identities, "digit_sum_range", lambda lim, base: np.zeros(lim, dtype=np.int64)
+        )
+        for (oracle, args, partial), value in zip(cases, got):
+            tail_mid, tail_half = oracle(*args)
+            assert value == (float(partial) + tail_mid, tail_half), oracle.__name__
