@@ -88,7 +88,7 @@ def eval_cmd(identity_id: str, params: tuple[str, ...]) -> None:
     default=None,
     help="JSON file mapping parameter names to value lists (single suite only).",
 )
-@click.option("--tol", type=float, default=None, help="Override the pass threshold on rel_err.")
+@click.option("--tol", type=float, default=None, help="Also require rel_err <= TOL.")
 @click.option(
     "--format",
     "fmt",
@@ -97,14 +97,13 @@ def eval_cmd(identity_id: str, params: tuple[str, ...]) -> None:
     show_default=True,
 )
 @click.option("--out", type=click.Path(dir_okay=False), default=None, help="Write the report here instead of stdout.")
-@click.option("--workers", default=1, show_default=True, help="Grid points evaluated concurrently.")
-def verify(suite, grid_path, tol, fmt, out, workers) -> None:
+def verify(suite, grid_path, tol, fmt, out) -> None:
     """Run an identity suite (or all of them) and emit the report."""
     tolerances = {"rel": tol} if tol is not None else None
     if suite == "all":
         if grid_path is not None:
             raise click.ClickException("--grid applies to a single suite, not 'all'")
-        run = run_all(workers=workers, tolerances=tolerances)
+        run = run_all(tolerances=tolerances)
     else:
         if suite not in identity_ids():
             raise click.ClickException(f"unknown identity {suite!r}")
@@ -115,7 +114,7 @@ def verify(suite, grid_path, tol, fmt, out, workers) -> None:
             if not isinstance(ranges, dict):
                 raise click.ClickException("grid file must be a JSON object")
         try:
-            run = run_suite(GridSpec(suite, ranges, tolerances), workers=workers)
+            run = run_suite(GridSpec(suite, ranges, tolerances))
         except ValueError as err:
             raise click.ClickException(str(err))
     blob = emit_report(run, fmt)

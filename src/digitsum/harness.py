@@ -10,8 +10,7 @@ import itertools
 import json
 import math
 import time
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from typing import Callable, Optional
 
@@ -24,7 +23,7 @@ from .identities import (
     IdentityReport,
     binary_corollary_closed,
     build_report,
-    digit_zeta_2_detail,
+    digit_zeta_2,
     direct_digit_zeta,
     direct_j_infinity,
     direct_product_log,
@@ -64,7 +63,7 @@ _ORACLE_TERMS = 200_000
 class GridSpec:
     identity_id: str
     ranges: dict = field(default_factory=dict)  # param name -> list of values
-    tolerances: Optional[dict] = None  # {"rel": x} overrides pass criteria
+    tolerances: Optional[dict] = None  # {"rel": x} also requires rel_err <= x
 
     def __post_init__(self) -> None:
         for name, values in self.ranges.items():
@@ -204,18 +203,17 @@ def _run_thm29_infinite(params, ctx):
 
 def _run_cor30(params, ctx):
     b, z = params["b"], params["z"]
-    detail = digit_zeta_2_detail(b, z, ctx)
-    abs_tol = max(1e-4, 10.0 * detail.oracle_tail_bound)
+    mid, half = direct_digit_zeta(b, 2.0, z, _ORACLE_TERMS)
     return [
         build_report(
             "cor30",
             params,
-            detail.value,
-            detail.oracle_value,
+            digit_zeta_2(b, z, ctx),
+            mid,
             rel_tol=0.0,
-            abs_tol=abs_tol,
+            abs_tol=max(1e-4, 10.0 * half),
             terms=_ORACLE_TERMS,
-            tail_bound=detail.oracle_tail_bound,
+            tail_bound=half,
         )
     ]
 
@@ -534,16 +532,7 @@ def _grid_points(entry: _Entry, overrides: dict) -> list[dict]:
 
 
 def _apply_tolerance(report: IdentityReport, rel: float) -> IdentityReport:
-    return IdentityReport(
-        identity_id=report.identity_id,
-        params=report.params,
-        lhs=report.lhs,
-        rhs=report.rhs,
-        abs_err=report.abs_err,
-        rel_err=report.rel_err,
-        truncation=report.truncation,
-        passed=report.rel_err <= rel,
-    )
+    return replace(report, passed=report.passed and report.rel_err <= rel)
 
 
 def _summarize(reports: list, wall_time: float) -> RunReport:
@@ -557,23 +546,14 @@ def _summarize(reports: list, wall_time: float) -> RunReport:
     )
 
 
-def run_suite(
-    grid: GridSpec,
-    ctx: PrecisionContext = DEFAULT_CTX,
-    workers: int = 1,
-) -> RunReport:
+def run_suite(grid: GridSpec, ctx: PrecisionContext = DEFAULT_CTX) -> RunReport:
     """Evaluate one identity over its grid; report order is the grid order."""
     if grid.identity_id not in _REGISTRY:
         raise ValueError(f"unknown identity {grid.identity_id!r}")
     entry = _REGISTRY[grid.identity_id]
     points = _grid_points(entry, grid.ranges)
     start = time.perf_counter()
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            chunks = list(pool.map(lambda pt: entry.runner(pt, ctx), points))
-    else:
-        chunks = [entry.runner(pt, ctx) for pt in points]
-    reports = [report for chunk in chunks for report in chunk]
+    reports = [report for point in points for report in entry.runner(point, ctx)]
     if grid.tolerances and "rel" in grid.tolerances:
         reports = [_apply_tolerance(r, grid.tolerances["rel"]) for r in reports]
     return _summarize(reports, time.perf_counter() - start)
@@ -581,14 +561,13 @@ def run_suite(
 
 def run_all(
     ctx: PrecisionContext = DEFAULT_CTX,
-    workers: int = 1,
     tolerances: Optional[dict] = None,
 ) -> RunReport:
     """Every registered identity on its compiled-in default grid."""
     start = time.perf_counter()
     reports = []
     for identity_id in _REGISTRY:
-        suite = run_suite(GridSpec(identity_id, {}, tolerances), ctx, workers)
+        suite = run_suite(GridSpec(identity_id, {}, tolerances), ctx)
         reports.extend(suite.reports)
     return _summarize(reports, time.perf_counter() - start)
 

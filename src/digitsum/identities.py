@@ -12,8 +12,7 @@ two routes stay independent end to end.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Optional
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -31,7 +30,6 @@ from .specfun import (
     elliptic_K,
     hurwitz_zeta,
     log_gamma,
-    polygamma,
     riemann_zeta,
     stirling_beta,
 )
@@ -39,8 +37,6 @@ from .specfun import (
 __all__ = [
     "FiniteSumParams",
     "IdentityReport",
-    "IdentityMismatchError",
-    "DigitZeta2Result",
     "build_report",
     "finite_zeta_diff_direct",
     "finite_zeta_diff_closed",
@@ -55,7 +51,6 @@ __all__ = [
     "finite_barnes_closed",
     "infinite_barnes",
     "digit_zeta_2",
-    "digit_zeta_2_detail",
     "direct_digit_zeta",
     "direct_j_infinity",
     "direct_product_log",
@@ -99,15 +94,6 @@ class IdentityReport:
     rel_err: float
     truncation: dict  # {"terms": int, "tail_bound": float}
     passed: bool
-
-
-class IdentityMismatchError(RuntimeError):
-    """Neither closed-form assembly matched the direct oracle."""
-
-    def __init__(self, message: str, candidates: dict, oracle: float):
-        super().__init__(message)
-        self.candidates = candidates
-        self.oracle = oracle
 
 
 def build_report(
@@ -537,90 +523,8 @@ def infinite_barnes(
 
 
 # ---------------------------------------------------------------------------
-# Order-2 case: dual assembly selected by oracle
+# Order-2 case
 # ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class DigitZeta2Result:
-    value: float
-    branch: str  # "regularized" or "printed"
-    regularized_value: float
-    printed_value: float
-    printed_diverged: bool
-    oracle_value: float
-    oracle_tail_bound: float
-
-
-def _printed_order2_assembly(
-    b: int, z: float, ctx: PrecisionContext, max_levels: int = 48
-) -> tuple[float, bool]:
-    """Literal textbook-style assembly of the order-2 sum.
-
-    Per level: -1 - psi(z) + b^(-2l) sum_{m>=0} (psi'(m b^l + z) - 1/(m b^l + z)).
-    The level terms approach -1 - psi(z) instead of 0, so for generic z the
-    series diverges; terms are monitored and the partial value is returned
-    with a divergence flag rather than silently summed forever.
-    """
-    psi_z = digamma(z, ctx)
-    trigamma_z = polygamma(1, z, ctx)
-    total = -psi_z + (1.0 - z) * trigamma_z
-    prev = math.inf
-    stall = 0
-    for l in range(1, max_levels + 1):
-        step = float(b) ** l
-        inner = trigamma_z - 1.0 / z  # m = 0 term
-        inner += _zeta2_minus_inverse_tail(z, step, 1, ctx)
-        term = -1.0 - psi_z + inner / step**2
-        total += (1 - b) * term
-        size = abs(term)
-        if size <= ctx.rel_tol * max(abs(total), 1.0):
-            return total, False
-        if size >= 0.9 * prev:
-            stall += 1
-            if stall >= 3:
-                return total, True
-        else:
-            stall = 0
-        prev = size
-    return total, True
-
-
-def _zeta2_minus_inverse_tail(
-    z0: float, step: float, m_from: int, ctx: PrecisionContext
-) -> float:
-    """sum_{m>=m_from} [zeta(2, z0 + m step) - 1/(z0 + m step)].
-
-    Direct terms until z0 + m step clears the asymptotic threshold, then the
-    closed Euler-Maclaurin remainder through zeta(2,u) - 1/u = 1/(2u^2) +
-    sum_j B_2j u^(-1-2j), each power summed exactly as a Hurwitz value.
-    """
-    from .specfun import _bernoulli_float  # shared table, internal on purpose
-
-    bern = _bernoulli_float()
-    half = ctx.em_order // 2
-    total = 0.0
-    m = m_from
-    M = max(m_from, math.ceil((ctx.shift_threshold - z0) / step))
-    while True:
-        while m < M:
-            arg = z0 + m * step
-            total += hurwitz_zeta(2.0, arg, ctx) - 1.0 / arg
-            m += 1
-        v = z0 / step + M
-        tail = 0.5 / (step * step) * hurwitz_zeta(2.0, v, ctx)
-        for j in range(1, half + 1):
-            tail += bern[2 * j] * step ** (-1 - 2 * j) * hurwitz_zeta(2.0 * j + 1.0, v, ctx)
-        omitted = abs(bern[2 * half + 2]) * step ** (-3 - 2 * half) * hurwitz_zeta(
-            2.0 * half + 3.0, v, ctx
-        )
-        if ctx.tail_safety * omitted <= ctx.rel_tol * max(abs(total + tail), 1e-6):
-            return total + tail
-        M *= 2
-        if M > ctx.max_terms:
-            raise TruncationBudgetError(
-                "order-2 inner sum exhausted max_terms", m, abs(tail)
-            )
 
 
 def _regularized_order2_assembly(
@@ -630,7 +534,9 @@ def _regularized_order2_assembly(
 
     FP(z+1, 1, 1) + (1-b) sum_{l>=1} FP(z+b^l, 1, b^l), the term-by-term
     alpha -> 2 limit of the closed infinite_barnes form (the simple poles
-    cancel because (1-b) sum b^-l = -1).
+    cancel because (1-b) sum b^-l = -1).  A literal per-level transcription
+    of the printed formula is not usable: its level terms tend to -1 - psi(z)
+    instead of 0, so that series diverges.
     """
     total = barnes_psi2_2(z + 1.0, 1.0, 1.0, ctx)
     l = 1
@@ -650,44 +556,13 @@ def _regularized_order2_assembly(
             )
 
 
-def digit_zeta_2_detail(
-    b: int, z: float, ctx: PrecisionContext = DEFAULT_CTX
-) -> DigitZeta2Result:
-    """Evaluate both order-2 assemblies and select by direct-sum oracle."""
+def digit_zeta_2(b: int, z: float, ctx: PrecisionContext = DEFAULT_CTX) -> float:
+    """sum_{n>=1} s_b(n)/(n+z)^2 from the regularized Barnes assembly."""
     if b < 2:
         raise ValueError("base must be >= 2")
     if not z > 0:
         raise ValueError("z must be positive")
-    regularized = _regularized_order2_assembly(b, z, ctx)
-    printed, diverged = _printed_order2_assembly(b, z, ctx)
-    oracle, tail_bound = direct_digit_zeta(b, 2.0, z, 200_000)
-    select_tol = max(1e-2, 50.0 * tail_bound)
-    reg_ok = abs(regularized - oracle) <= select_tol
-    printed_ok = (not diverged) and abs(printed - oracle) <= select_tol
-    if reg_ok:
-        value, branch = regularized, "regularized"
-    elif printed_ok:
-        value, branch = printed, "printed"
-    else:
-        raise IdentityMismatchError(
-            "no order-2 assembly matches the direct oracle",
-            {"regularized": regularized, "printed": printed},
-            oracle,
-        )
-    return DigitZeta2Result(
-        value=value,
-        branch=branch,
-        regularized_value=regularized,
-        printed_value=printed,
-        printed_diverged=diverged,
-        oracle_value=oracle,
-        oracle_tail_bound=tail_bound,
-    )
-
-
-def digit_zeta_2(b: int, z: float, ctx: PrecisionContext = DEFAULT_CTX) -> float:
-    """sum_{n>=1} s_b(n)/(n+z)^2, oracle-selected closed assembly."""
-    return digit_zeta_2_detail(b, z, ctx).value
+    return _regularized_order2_assembly(b, z, ctx)
 
 
 # ---------------------------------------------------------------------------

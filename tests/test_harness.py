@@ -4,6 +4,7 @@ import math
 import pytest
 from click.testing import CliRunner
 
+from digitsum import altsum
 from digitsum.cli import main
 from digitsum.harness import (
     GridSpec,
@@ -186,12 +187,14 @@ class TestEmitReport:
         assert first == second
 
     def test_thread_count_does_not_change_bytes(self):
+        # run_suite has a single serial execution path; two runs of a larger grid
+        # must still give the same bytes
         grid = GridSpec(
             "thm2.1", {"b": [2, 3], "p": [1, 2, 3], "alpha": [0.5, 2.0], "z": [0.0, 1.0]}
         )
-        serial = emit_report(run_suite(grid, workers=1), "json")
-        threaded = emit_report(run_suite(grid, workers=4), "json")
-        assert serial == threaded
+        first = emit_report(run_suite(grid), "json")
+        second = emit_report(run_suite(grid), "json")
+        assert first == second
 
     def test_csv_layout(self):
         lines = emit_report(self.small_run(), "csv").decode().splitlines()
@@ -252,6 +255,18 @@ class TestCli:
     def test_verify_nonzero_exit_on_failure(self):
         result = self.invoke("verify", "--suite", "jinfty", "--tol", "1e-30")
         assert result.exit_code == 1
+
+    def test_verify_tol_cannot_pass_a_failing_suite(self, monkeypatch):
+        # exact mismatches carry rel_err = 1.0, so a rel-only rule would pass them
+        real = altsum.alternating_sum_via_weights
+        monkeypatch.setattr(
+            altsum, "alternating_sum_via_weights", lambda f, x, N: real(f, x, N) + 1
+        )
+        for extra in ([], ["--tol", "1.0"]):
+            result = self.invoke("verify", "--suite", "as1", *extra)
+            assert result.exit_code == 1, extra
+            data, _ = json.JSONDecoder().raw_decode(result.output)
+            assert data["summary"] == {"pass": 0, "fail": 8}, extra
 
     def test_verify_grid_file(self, tmp_path):
         grid = tmp_path / "grid.json"

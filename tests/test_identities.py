@@ -11,13 +11,11 @@ from hypothesis import strategies as st
 
 from digitsum import identities
 from digitsum.digitseq import digit_sum, digit_sum_range
+from digitsum.harness import GridSpec, run_suite
 from digitsum.identities import (
-    DigitZeta2Result,
     FiniteSumParams,
-    IdentityMismatchError,
     binary_corollary_closed,
     digit_zeta_2,
-    digit_zeta_2_detail,
     direct_digit_zeta,
     direct_j_infinity,
     direct_product_log,
@@ -423,15 +421,13 @@ class TestInfiniteBarnes:
 
 
 class TestDigitZeta2:
-    """Order-2 plain-kernel sum with oracle-selected assembly."""
+    """Order-2 plain-kernel sum from the regularized Barnes assembly."""
 
-    def test_detail_selects_regularized_branch(self):
-        detail = digit_zeta_2_detail(2, 1.0)
-        assert isinstance(detail, DigitZeta2Result)
-        assert detail.branch == "regularized"
-        assert detail.printed_diverged
-        assert detail.oracle_tail_bound > 0.0
-        assert abs(detail.value - detail.oracle_value) < 1e-4
+    def test_cor30_suite_passes_on_closed_value(self):
+        run = run_suite(GridSpec("cor30", {}))
+        assert run.summary == {"pass": 6, "fail": 0}
+        for report in run.reports:
+            assert report.lhs == digit_zeta_2(report.params["b"], report.params["z"])
 
     def test_value_bracketed_by_direct_partial(self):
         mid, half = direct_digit_zeta(2, 2.0, 1.0, 1_000_000)
@@ -442,21 +438,17 @@ class TestDigitZeta2:
         rhs = infinite_zeta_diff(3, 2.0, 0.5)
         assert rel_err(lhs, rhs) < 1e-10
 
-    def test_mismatching_assemblies_raise(self, monkeypatch):
+    def test_wrong_closed_form_fails_cor30(self, monkeypatch):
         monkeypatch.setattr(
             identities, "_regularized_order2_assembly", lambda b, z, ctx: 1e6
         )
-        monkeypatch.setattr(
-            identities, "_printed_order2_assembly", lambda b, z, ctx: (1e6, True)
-        )
-        with pytest.raises(IdentityMismatchError) as excinfo:
-            digit_zeta_2_detail(2, 1.0)
-        assert set(excinfo.value.candidates) == {"regularized", "printed"}
-        assert excinfo.value.oracle == pytest.approx(0.988, abs=0.05)
+        run = run_suite(GridSpec("cor30", {}))
+        assert run.summary == {"pass": 0, "fail": 6}
 
     def test_rejects_nonpositive_shift(self):
-        with pytest.raises(ValueError):
-            digit_zeta_2(2, 0.0)
+        for b, z in ((2, 0.0), (2, -0.5), (1, 1.0)):
+            with pytest.raises(ValueError):
+                digit_zeta_2(b, z)
 
 
 class TestDirectOracles:
