@@ -33,7 +33,17 @@ def _parse_value(text: str):
         return text
 
 
-@click.group()
+class _Main(click.Group):
+    """Command group that shows a ValueError from any command as `Error: ...`, exit 1."""
+
+    def invoke(self, ctx: click.Context):
+        try:
+            return super().invoke(ctx)
+        except ValueError as err:
+            raise click.ClickException(str(err)) from err
+
+
+@click.group(cls=_Main)
 def main() -> None:
     """Evaluate and verify closed forms for digit-sum weighted sums."""
 
@@ -113,10 +123,7 @@ def verify(suite, grid_path, tol, fmt, out) -> None:
                 ranges = json.load(handle)
             if not isinstance(ranges, dict):
                 raise click.ClickException("grid file must be a JSON object")
-        try:
-            run = run_suite(GridSpec(suite, ranges, tolerances))
-        except ValueError as err:
-            raise click.ClickException(str(err))
+        run = run_suite(GridSpec(suite, ranges, tolerances))
     blob = emit_report(run, fmt)
     if out is None:
         click.get_binary_stream("stdout").write(blob)

@@ -73,6 +73,8 @@ class GridSpec:
             unknown = set(self.tolerances) - {"rel"}
             if unknown:
                 raise ValueError(f"unknown tolerance keys: {sorted(unknown)}")
+            if "rel" in self.tolerances and not self.tolerances["rel"] >= 0:
+                raise ValueError("tolerance 'rel' must be a non-negative number")
 
 
 @dataclass(frozen=True)

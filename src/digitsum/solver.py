@@ -3,9 +3,12 @@ series solution over dyadic blocks, exact finite-window solution, and the
 digit-sum-weighted sums both unlock."""
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Callable, Optional
+
+import numpy as np
 
 from .digitseq import digit_count, digit_sum
 from .identities import IdentityReport, j_infinity
@@ -29,7 +32,9 @@ class SequenceFn:
 
     decay promises |g(n)| <= C * n^-beta with beta > 1; partial_sum, when
     supplied, returns sum_{t=a}^{c-1} g(t) in closed form so whole blocks
-    cost O(1).
+    cost O(1). The decay solver calls it elementwise on float64 arrays a, c
+    holding the exact block bounds (each rounded once to float64), so it
+    must be written in numpy-compatible arithmetic.
     """
 
     eval: Callable
@@ -94,32 +99,69 @@ def solve_implicit(
         return total
     if g.decay is None:
         raise ValueError("g needs support_bound or decay for the series solution")
+    return float(_solve_series(b, g, np.array([n]), policy, ctx)[0])
+
+
+def _level_bounds(scale: int, ns: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """float64 of the exact integers scale*n and scale*(n+1), each rounded once."""
+    if scale * (int(ns.max()) + 1) < 2**63:  # the int64 products cannot wrap
+        lo = ns * scale
+        return lo.astype(np.float64), (lo + scale).astype(np.float64)
+    exact = [scale * n for n in ns.tolist()]
+    return (
+        np.array([float(v) for v in exact]),
+        np.array([float(v + scale) for v in exact]),
+    )
+
+
+def _solve_series(
+    b: int,
+    g: SequenceFn,
+    ns: np.ndarray,
+    policy: TruncationPolicy,
+    ctx: PrecisionContext,
+) -> np.ndarray:
+    """The decay series of solve_implicit for every start point in ns at once.
+
+    Level k adds the block [b^k n, b^k (n+1)) to each point still active; a
+    point leaves at the first level whose tail bound meets the tolerance, so
+    its value does not depend on which other points share the call.
+    """
     c, beta = g.decay
     ratio = float(b) ** (1.0 - beta)
     tol = policy.term_tol if policy.term_tol is not None else ctx.rel_tol
-    scale_floor = c * float(n) ** (-beta)
-    total = 0.0
+    # python floats, not np.power, whose last bit can differ from libm pow
+    scale_floor = np.array([c * float(n) ** (-beta) for n in ns.tolist()], dtype=np.float64)
+    totals = np.zeros(len(ns))
+    active = np.arange(len(ns))
     spent = 0
     for k in range(policy.k_max + 1):
-        lo = b**k * n
-        hi = b**k * (n + 1)
+        if active.size == 0:
+            return totals
+        scale = b**k
         if g.partial_sum is None:
-            spent += hi - lo
+            spent += scale
             if spent > ctx.max_terms:
                 raise TruncationBudgetError(
                     f"direct block summation needs more than {ctx.max_terms} terms",
                     spent,
-                    c * float(n) ** (-beta) * ratio**k / (1.0 - ratio),
+                    float(scale_floor[active[0]]) * ratio**k / (1.0 - ratio),
                 )
-        total = total + g.block(lo, hi)
-        tail = c * float(n) ** (-beta) * ratio ** (k + 1) / (1.0 - ratio)
-        if ctx.tail_safety * tail <= tol * max(abs(total), scale_floor):
-            return total
-    raise TruncationBudgetError(
-        f"decay bound not met within k_max={policy.k_max} levels",
-        spent,
-        c * float(n) ** (-beta) * ratio ** (policy.k_max + 1) / (1.0 - ratio),
-    )
+            block = [g.block(scale * n, scale * (n + 1)) for n in ns[active].tolist()]
+        else:
+            block = g.partial_sum(*_level_bounds(scale, ns[active]))
+        totals[active] = totals[active] + block
+        tail = scale_floor[active] * ratio ** (k + 1) / (1.0 - ratio)
+        size = np.maximum(np.abs(totals[active]), scale_floor[active])
+        done = ctx.tail_safety * tail <= tol * size
+        active = active[~done]
+    if active.size:
+        raise TruncationBudgetError(
+            f"decay bound not met within k_max={policy.k_max} levels",
+            spent,
+            float(scale_floor[active[0]]) * ratio ** (policy.k_max + 1) / (1.0 - ratio),
+        )
+    return totals
 
 
 def weighted_digit_sum(
@@ -147,9 +189,14 @@ def weighted_digit_sum(
         raise ValueError("g needs support_bound or decay for the series solution")
 
     def outer_partial(count: int, start: int, acc):
-        for n in range(start, count):
-            for j in range(1, b):
-                acc = acc + j * solve_implicit(b, g, b * n + j, policy, ctx)
+        # one series call per round over the start points b*n + j, n-major;
+        # acc adds them one at a time in that order, since a pairwise np.sum
+        # would round differently and change the reported value
+        ns = np.arange(start, count, dtype=np.int64)
+        ms = (b * ns[:, None] + np.arange(1, b, dtype=np.int64)).ravel()
+        values = _solve_series(b, g, ms, policy, ctx).tolist()
+        for j, value in zip(itertools.cycle(range(1, b)), values):
+            acc = acc + j * value
         return acc
 
     # the outer tail behaves like a power series in 1/M, so two rounds of

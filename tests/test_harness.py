@@ -76,6 +76,11 @@ class TestGridSpec:
         with pytest.raises(ValueError):
             GridSpec("thm2.1", {}, {"abs": 1e-6})
 
+    @pytest.mark.parametrize("rel", [-1.0, math.nan])
+    def test_rejects_negative_or_nan_tolerance(self, rel):
+        with pytest.raises(ValueError):
+            GridSpec("thm2.1", {}, {"rel": rel})
+
 
 class TestRunSuite:
     def test_finite_difference_grid_all_pass(self):
@@ -267,6 +272,31 @@ class TestCli:
             assert result.exit_code == 1, extra
             data, _ = json.JSONDecoder().raw_decode(result.output)
             assert data["summary"] == {"pass": 0, "fail": 8}, extra
+
+    @pytest.mark.parametrize("suite", ["as1", "all"])
+    @pytest.mark.parametrize("tol", ["-1", "nan"])
+    def test_verify_rejects_bad_tolerance(self, suite, tol):
+        result = self.invoke("verify", "--suite", suite, "--tol", tol)
+        assert isinstance(result.exception, SystemExit)
+        assert result.exit_code == 1
+        assert "Error:" in result.output and "pass" not in result.output
+
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["seq", "--base", "1"],
+            ["eval", "thm6.6", "-p", "b=1"],
+            ["eval", "thm6.2", "-p", "n=0"],
+            ["weights", "--N", "-1"],
+            ["gf", "--p", "0", "--z", "0.5"],
+            ["cumulants", "--N", "3", "--orders", "3"],
+        ],
+    )
+    def test_domain_errors_are_reported_not_raised(self, args):
+        result = self.invoke(*args)
+        assert isinstance(result.exception, SystemExit)
+        assert result.exit_code == 1
+        assert "Error:" in result.output
 
     def test_verify_grid_file(self, tmp_path):
         grid = tmp_path / "grid.json"

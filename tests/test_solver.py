@@ -47,6 +47,37 @@ def geometric(z):
     )
 
 
+def scalar_series(b, g, n, policy=TruncationPolicy(), ctx=PrecisionContext()):
+    # the one-point level loop the batched solver must reproduce bit for bit
+    c, beta = g.decay
+    ratio = float(b) ** (1.0 - beta)
+    tol = policy.term_tol if policy.term_tol is not None else ctx.rel_tol
+    scale_floor = c * float(n) ** (-beta)
+    total = 0.0
+    for k in range(policy.k_max + 1):
+        total = total + g.partial_sum(b**k * n, b**k * (n + 1))
+        tail = c * float(n) ** (-beta) * ratio ** (k + 1) / (1.0 - ratio)
+        if ctx.tail_safety * tail <= tol * max(abs(total), scale_floor):
+            return total
+    raise AssertionError("reference loop ran out of levels")
+
+
+def scalar_weighted_sum(b, g, outer_terms=1500):
+    def outer_partial(count, start, acc):
+        for n in range(start, count):
+            for j in range(1, b):
+                acc = acc + j * scalar_series(b, g, b * n + j)
+        return acc
+
+    m0 = outer_terms
+    s1 = outer_partial(m0, 0, 0.0)
+    s2 = outer_partial(2 * m0, m0, s1)
+    s4 = outer_partial(4 * m0, 2 * m0, s2)
+    a1 = 2.0 * s2 - s1
+    a2 = 2.0 * s4 - s2
+    return (4.0 * a2 - a1) / 3.0
+
+
 class TestSequenceFn:
     def test_rejects_bad_decay(self):
         with pytest.raises(ValueError):
@@ -124,6 +155,43 @@ class TestSolveImplicit:
             solve_implicit(1, g, 1)
         with pytest.raises(ValueError):
             solve_implicit(2, g, 0)
+
+
+class TestBatchedSeries:
+    # the batched level loop hands partial_sum float64 arrays; the reference
+    # hands it python ints, as the one-point loop did
+
+    @pytest.mark.parametrize("b", [2, 3, 10])
+    def test_weighted_sum_bitwise_equals_scalar_loop(self, b):
+        # 1/a - 1/c uses only correctly rounded operations, so no ulp may move
+        got = weighted_digit_sum(b, reciprocal_product())
+        assert got.hex() == scalar_weighted_sum(b, reciprocal_product()).hex()
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 7, 10, 11, 100, 12345])
+    def test_power_partial_sum_matches_scalar_loop(self, n):
+        # ** on arrays is np.power, which may differ from libm pow by an ulp
+        got = solve_implicit(2, telescoping_pair(), n)
+        assert got == pytest.approx(scalar_series(2, telescoping_pair(), n), rel=4e-16)
+
+    def test_geometric_weighted_sum_matches_scalar_loop(self):
+        got = weighted_digit_sum(2, geometric(0.5))
+        assert got == pytest.approx(scalar_weighted_sum(2, geometric(0.5)), rel=4e-16)
+
+    @pytest.mark.parametrize("b, n", [(2, 2**40 + 1), (3, 3**25 + 1)])
+    def test_level_bounds_past_int64(self, b, n):
+        # b^k (n+1) passes 2^63 before the tail test stops these points
+        got = solve_implicit(b, reciprocal_product(), n)
+        assert got != 0.0
+        assert got.hex() == scalar_series(b, reciprocal_product(), n).hex()
+
+    def test_level_budget_raises_from_weighted_sum(self):
+        with pytest.raises(TruncationBudgetError):
+            weighted_digit_sum(2, reciprocal_product(), TruncationPolicy(k_max=2))
+
+    def test_term_budget_raises_from_weighted_sum(self):
+        g = SequenceFn(eval=lambda n: float(n) ** -2.0, decay=(1.0, 2.0))
+        with pytest.raises(TruncationBudgetError, match="more than 1000 terms"):
+            weighted_digit_sum(2, g, ctx=PrecisionContext(max_terms=1000))
 
 
 class TestFixedPoint:
