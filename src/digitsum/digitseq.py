@@ -10,6 +10,7 @@ meant for the bulk scans in the verification harness.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -23,6 +24,7 @@ __all__ = [
     "LegendreChecks",
     "legendre_checks",
     "digit_sum_range",
+    "digit_weighted_sum",
     "valuation2_range",
 ]
 
@@ -137,6 +139,56 @@ def digit_sum_range(limit: int, b: int = 2) -> np.ndarray:
             np.add(out[:tail], rows, out=out[start : start + tail])
         block *= b
     return out
+
+
+# A weighted-sum block holds at most this many terms: enough to spread numpy's
+# per-call cost over many terms, few enough that the block buffers stay in
+# cache instead of paging in limit-length arrays.
+_BLOCK_CAP = 2**16
+
+
+def _block_length(b: int) -> int:
+    """B = the largest power of b that is <= _BLOCK_CAP, and at least b."""
+    block = b
+    while block * b <= _BLOCK_CAP:
+        block *= b
+    return block
+
+
+def digit_weighted_sum(
+    limit: int, b: int, fill: Callable[[np.ndarray, np.ndarray], None]
+) -> float:
+    """sum_{1 <= n < limit} s_b(n) w(n), one block of B = b^k terms at a time.
+
+    ``fill(n, out)`` writes w(n) into ``out`` for a float64 array ``n`` of
+    consecutive integers; both arrays have the same length, at most B.  The
+    digit sums come from the block identity s_b(cB + m) = s_b(c) + s_b(m)
+    for m < B: s_b(m) is built once, s_b(c) once per block index, so no
+    array of length ``limit`` is ever formed.  Each block adds one
+    ``np.dot`` to a Python float; n and s are exact in float64 (n < 2^53),
+    so each term is the double the whole-range expression gives, and only
+    the order of summation differs.
+    """
+    if limit < 1:
+        raise ValueError("digit_weighted_sum requires limit >= 1")
+    if b < 2:
+        raise ValueError("digit_weighted_sum requires base >= 2")
+    block = _block_length(b)
+    size = min(block, limit)  # below one block, buffers of length limit do
+    low = digit_sum_range(size, b).astype(np.float64)
+    high = digit_sum_range(-(-limit // block), b).tolist()
+    m = np.arange(size, dtype=np.float64)
+    n, w, s = np.empty(size), np.empty(size), np.empty(size)
+    total = 0.0
+    for c, s_high in enumerate(high):
+        start = c * block
+        first = 1 if c == 0 else 0  # the sum starts at n = 1, where w may first be finite
+        stop = min(size, limit - start)
+        np.add(m[first:stop], start, out=n[first:stop])
+        fill(n[first:stop], w[first:stop])
+        np.add(low[first:stop], s_high, out=s[first:stop])
+        total += float(np.dot(s[first:stop], w[first:stop]))
+    return total
 
 
 def valuation2_range(limit: int) -> np.ndarray:

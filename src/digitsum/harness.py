@@ -17,7 +17,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from . import altsum, lambert, solver
-from .digitseq import digit_sum_range, valuation2_range
+from .digitseq import digit_sum_range, digit_weighted_sum, valuation2_range
 from .identities import (
     FiniteSumParams,
     IdentityReport,
@@ -91,11 +91,10 @@ class RunReport:
 
 
 def _plain_finite_direct(b: int, p: int, alpha: float, z: float) -> float:
-    top = b**p
-    s = digit_sum_range(top, b).astype(np.float64)
-    n = np.arange(top, dtype=np.float64)
-    values = s[1:] * (n[1:] + z) ** -alpha
-    return float(values[::-1].sum())
+    def fill(n, out):
+        out[...] = (n + z) ** -alpha
+
+    return digit_weighted_sum(b**p, b, fill)
 
 
 def _putnam_sequence() -> SequenceFn:

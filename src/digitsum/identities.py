@@ -16,7 +16,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .digitseq import digit_sum, digit_sum_range
+# digit_sum_range is no longer used here but stays importable: the tracer test
+# in perfbench/tests checks that it is wrapped under this module's name too
+from .digitseq import digit_sum, digit_sum_range, digit_weighted_sum  # noqa: F401
 from .specfun import (
     DEFAULT_CTX,
     BarnesParams,
@@ -130,17 +132,12 @@ def build_report(
 
 def finite_zeta_diff_direct(params: FiniteSumParams) -> float:
     """sum_{n=1}^{b^p - 1} s_b(n) [(z+n)^-a - (z+n+1)^-a], term by term."""
-    b, p, alpha, z = params.b, params.p, params.alpha, params.z
-    top = b**p
-    if top <= 512:
-        total = 0.0
-        for n in range(1, top):
-            total += digit_sum(n, b) * ((z + n) ** -alpha - (z + n + 1) ** -alpha)
-        return total
-    s = digit_sum_range(top, b).astype(np.float64)
-    n = np.arange(top, dtype=np.float64)
-    weights = (z + n[1:]) ** -alpha - (z + n[1:] + 1.0) ** -alpha
-    return float(np.dot(s[1:], weights))
+    alpha, z = params.alpha, params.z
+
+    def fill(n, out):
+        out[...] = (z + n) ** -alpha - (z + n + 1.0) ** -alpha
+
+    return digit_weighted_sum(params.b**params.p, params.b, fill)
 
 
 def finite_zeta_diff_closed(
@@ -570,6 +567,12 @@ def digit_zeta_2(b: int, z: float, ctx: PrecisionContext = DEFAULT_CTX) -> float
 # ---------------------------------------------------------------------------
 
 
+def _check_oracle_shift(shift: float) -> None:
+    # n + shift > 0 for every n >= 1, so every weight below is finite
+    if not (math.isfinite(shift) and shift > -1.0):
+        raise ValueError("direct oracle needs a finite shift > -1")
+
+
 def direct_digit_zeta(b: int, alpha: float, z: float, limit: int) -> tuple[float, float]:
     """Partial sum of s_b(n)/(n+z)^alpha to n < limit, with mid-tail model.
 
@@ -577,14 +580,15 @@ def direct_digit_zeta(b: int, alpha: float, z: float, limit: int) -> tuple[float
     bound and the digit-count ceiling (b-1)(log_b t + 1); the estimate adds
     the bracket midpoint and half the bracket width is the uncertainty.
     """
-    if alpha <= 1:
-        raise ValueError("direct oracle needs alpha > 1 for a convergent tail")
-    s = digit_sum_range(limit, b).astype(np.float64)
-    # weights in one buffer, in place: at 10^7 terms every temporary is 80 MB
-    w = np.arange(1, limit, dtype=np.float64)
-    w += z
-    np.power(w, -alpha, out=w)
-    partial = float(np.dot(s[1:], w))
+    if not (math.isfinite(alpha) and alpha > 1):
+        raise ValueError("direct oracle needs a finite alpha > 1 for a convergent tail")
+    _check_oracle_shift(z)
+
+    def fill(n, out):
+        np.add(n, z, out=out)
+        np.power(out, -alpha, out=out)
+
+    partial = digit_weighted_sum(limit, b, fill)
     edge = float(limit) + z
     low = edge ** (1.0 - alpha) / (alpha - 1.0)
     log_term = math.log(limit) / math.log(b) + 1.0 + 1.0 / ((alpha - 1.0) * math.log(b))
@@ -594,13 +598,14 @@ def direct_digit_zeta(b: int, alpha: float, z: float, limit: int) -> tuple[float
 
 def direct_j_infinity(b: int, x: float, limit: int) -> tuple[float, float]:
     """Partial sum of s_b(n)/((x+n)(x+n+1)) with mid-tail model."""
-    s = digit_sum_range(limit, b).astype(np.float64)
-    w = np.arange(1, limit, dtype=np.float64)
-    w += x
-    d = w + 1.0
-    d *= w
-    np.divide(1.0, d, out=d)
-    partial = float(np.dot(s[1:], d))
+    _check_oracle_shift(x)
+
+    def fill(n, out):
+        np.add(n, x, out=out)
+        out *= out + 1.0
+        np.divide(1.0, out, out=out)
+
+    partial = digit_weighted_sum(limit, b, fill)
     edge = float(limit) + x
     low = 1.0 / edge
     high = (b - 1.0) * (math.log(limit) / math.log(b) + 1.0 + 1.0 / math.log(b)) / edge
@@ -609,14 +614,16 @@ def direct_j_infinity(b: int, x: float, limit: int) -> tuple[float, float]:
 
 def direct_product_log(b: int, z: float, limit: int) -> tuple[float, float]:
     """Partial log-product sum_{n<limit} s_b(n) log((z+n)(n+1)/(n(z+n+1)))."""
-    s = digit_sum_range(limit, b).astype(np.float64)
-    n = np.arange(1, limit, dtype=np.float64)
-    w = n + z
-    w += 1.0
-    w *= n
-    np.divide(z, w, out=w)
-    np.log1p(w, out=w)
-    partial = float(np.dot(s[1:], w))
+    _check_oracle_shift(z)
+
+    def fill(n, out):
+        np.add(n, z, out=out)
+        out += 1.0
+        out *= n
+        np.divide(z, out, out=out)
+        np.log1p(out, out=out)
+
+    partial = digit_weighted_sum(limit, b, fill)
     edge = float(limit)
     low = z / (edge + abs(z) + 1.0)
     high = (

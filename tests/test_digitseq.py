@@ -2,15 +2,19 @@
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from digitsum.digitseq import (
+    _block_length,
     digit_count,
     digit_sum,
     digit_sum_range,
+    digit_weighted_sum,
     delta_digit_sum,
     legendre_checks,
     power2_indicator,
@@ -189,3 +193,58 @@ class TestRangeScans:
         s = digit_sum_range(limit + 1, 2)
         n = np.arange(limit + 1, dtype=np.int64)
         assert np.array_equal(s, n - cum)
+
+
+def _fill_ones(n, out):
+    out[...] = 1.0
+
+
+def _fill_n(n, out):
+    out[...] = n
+
+
+class TestDigitWeightedSum:
+    """The blocked kernel against whole-range digit sums."""
+
+    @pytest.mark.parametrize("b", [*range(2, 17), 70001])
+    def test_integer_weights_are_exact(self, b):
+        """w = 1 and w = n: every partial sum is an integer below 2^53, so exact."""
+        block = _block_length(b)
+        for limit in (1, 2, block - 1, block, block + 1, 2 * block + 7, 12345, 10**6):
+            s = digit_sum_range(limit, b)
+            n = np.arange(limit, dtype=np.int64)
+            assert digit_weighted_sum(limit, b, _fill_ones) == int(s.sum()), (b, limit)
+            # b = 70001 at 10^6: sum s(n) n is about 1.7e16 > 2^53, past exact doubles
+            if b != 70001 or limit < 10**6:
+                assert digit_weighted_sum(limit, b, _fill_n) == int(np.dot(s, n)), (b, limit)
+
+    def test_block_length(self):
+        assert [_block_length(b) for b in (2, 3, 10, 16, 256, 257, 70001)] == [
+            2**16, 3**10, 10**4, 16**4, 256**2, 257, 70001
+        ]
+
+    @pytest.mark.parametrize("b", [2, 3, 10, 70001])
+    def test_float_weights_within_float64_bound(self, b):
+        limit = 10**6
+
+        def fill(n, out):
+            np.add(n, 0.5, out=out)
+            np.power(out, -2.5, out=out)
+
+        terms = digit_sum_range(limit, b)[1:] * np.arange(1.5, limit, dtype=np.float64) ** -2.5
+        exact = math.fsum(terms.tolist())
+        block = _block_length(b)
+        bound = (block + -(-limit // block)) * 2.0**-52 * math.fsum(np.abs(terms).tolist())
+        assert abs(digit_weighted_sum(limit, b, fill) - exact) <= bound
+
+    def test_skips_zero(self):
+        # w(0) = inf would poison the sum if n = 0 were filled
+        def fill(n, out):
+            np.divide(1.0, n, out=out)
+
+        assert digit_weighted_sum(2, 2, fill) == 1.0
+
+    @pytest.mark.parametrize("limit, b", [(0, 2), (-3, 2), (10, 1), (10, 0)])
+    def test_rejects_bad_arguments(self, limit, b):
+        with pytest.raises(ValueError):
+            digit_weighted_sum(limit, b, _fill_ones)

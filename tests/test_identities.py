@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from digitsum import identities
-from digitsum.digitseq import digit_sum, digit_sum_range
+from digitsum.digitseq import _block_length, digit_sum, digit_sum_range, digit_weighted_sum
 from digitsum.harness import GridSpec, run_suite
 from digitsum.identities import (
     FiniteSumParams,
@@ -45,11 +45,10 @@ def rel_err(got: float, want: float) -> float:
     return abs(got - want) / max(abs(want), 1e-300)
 
 
-def plain_digit_sum_partial(b: int, alpha: float, z: float, limit: int) -> float:
-    # brute-force sum of s_b(n)/(n+z)^alpha over 1 <= n < limit
-    s = digit_sum_range(limit, b).astype(np.float64)
-    n = np.arange(limit, dtype=np.float64)
-    return float(np.dot(s[1:], (n[1:] + z) ** -alpha))
+def blocked_sum_bound(terms: np.ndarray, limit: int, b: int) -> float:
+    # float64 error bound of digit_weighted_sum against the exact sum of its terms
+    block = _block_length(b)
+    return (block + -(-limit // block)) * 2.0**-52 * math.fsum(np.abs(terms).tolist())
 
 
 class TestFiniteSumParams:
@@ -475,32 +474,57 @@ class TestDirectOracles:
         with pytest.raises(ValueError):
             direct_digit_zeta(2, 1.0, 0.0, 1000)
 
+    @pytest.mark.parametrize(
+        "oracle, args",
+        [
+            (direct_j_infinity, (2, -1.5, 1000)),
+            (direct_j_infinity, (2, -1.0, 1000)),
+            (direct_j_infinity, (2, math.nan, 1000)),
+            (direct_j_infinity, (2, 1.0, 0)),
+            (direct_j_infinity, (1, 1.0, 1000)),
+            (direct_digit_zeta, (2, 2.0, math.nan, 1000)),
+            (direct_digit_zeta, (2, 2.0, -1.0, 1000)),
+            (direct_digit_zeta, (2, 2.0, math.inf, 1000)),
+            (direct_digit_zeta, (2, math.nan, 1.0, 1000)),
+            (direct_digit_zeta, (2, math.inf, 1.0, 1000)),
+            (direct_digit_zeta, (2, 2.0, 1.0, 0)),
+            (direct_digit_zeta, (1, 2.0, 1.0, 1000)),
+            (direct_product_log, (2, -1.5, 1000)),
+            (direct_product_log, (2, -math.inf, 1000)),
+            (direct_product_log, (2, 0.5, 0)),
+            (direct_product_log, (0, 0.5, 1000)),
+        ],
+    )
+    def test_oracles_reject_points_outside_their_domain(self, oracle, args):
+        # a shift <= -1 puts a pole or a log of a negative number on some n >= 1
+        with pytest.raises(ValueError):
+            oracle(*args)
+
     @pytest.mark.parametrize("b, shift", [(2, 0.0), (2, 1.0), (3, 0.5), (10, 1.7)])
     def test_oracles_match_reference_expressions_bitwise(self, monkeypatch, b, shift):
-        """The in-place weight buffers give the same doubles as the plain expressions."""
+        """Partial sums match fsum of the plain per-term products; tail models exactly."""
         limit = 1_000_000
         z = 0.9 - shift  # both signs, for direct_product_log's two tail models
-        s = digit_sum_range(limit, b).astype(np.float64)
-        n = np.arange(limit, dtype=np.float64)
-        n1 = np.arange(1, limit, dtype=np.float64)
+        s = digit_sum_range(limit, b).astype(np.float64)[1:]
+        n = np.arange(1, limit, dtype=np.float64)
         cases = [
-            (
-                direct_digit_zeta,
-                (b, 2.5, shift, limit),
-                plain_digit_sum_partial(b, 2.5, shift, limit),
-            ),
-            (
-                direct_j_infinity,
-                (b, shift, limit),
-                np.dot(s[1:], 1.0 / ((shift + n[1:]) * (shift + n[1:] + 1.0))),
-            ),
-            (direct_product_log, (b, z, limit), np.dot(s[1:], np.log1p(z / (n1 * (z + n1 + 1.0))))),
+            (direct_digit_zeta, (b, 2.5, shift, limit), s * (n + shift) ** -2.5),
+            (direct_j_infinity, (b, shift, limit), s * (1.0 / ((shift + n) * (shift + n + 1.0)))),
+            (direct_product_log, (b, z, limit), s * np.log1p(z / (n * (z + n + 1.0)))),
         ]
+        partials = []
+
+        def recording(lim, base, fill):
+            partials.append(digit_weighted_sum(lim, base, fill))
+            return partials[-1]
+
+        monkeypatch.setattr(identities, "digit_weighted_sum", recording)
         got = [oracle(*args) for oracle, args, _ in cases]
-        # with an all-zero digit-sum array each oracle returns its tail model alone
-        monkeypatch.setattr(
-            identities, "digit_sum_range", lambda lim, base: np.zeros(lim, dtype=np.int64)
-        )
-        for (oracle, args, partial), value in zip(cases, got):
+        # with a zero partial sum each oracle returns its tail model alone
+        monkeypatch.setattr(identities, "digit_weighted_sum", lambda lim, base, fill: 0.0)
+        for (oracle, args, terms), value, partial in zip(cases, got, partials):
             tail_mid, tail_half = oracle(*args)
-            assert value == (float(partial) + tail_mid, tail_half), oracle.__name__
+            assert value == (partial + tail_mid, tail_half), oracle.__name__
+            # blocked summation order: float64 bound fixed by the block count
+            exact = math.fsum(terms.tolist())
+            assert abs(partial - exact) <= blocked_sum_bound(terms, limit, b), oracle.__name__
