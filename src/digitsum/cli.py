@@ -98,7 +98,13 @@ def eval_cmd(identity_id: str, params: tuple[str, ...]) -> None:
     default=None,
     help="JSON file mapping parameter names to value lists (single suite only).",
 )
-@click.option("--tol", type=float, default=None, help="Also require rel_err <= TOL.")
+@click.option(
+    "--tol",
+    type=float,
+    default=None,
+    help="Also require rel_err <= TOL at every point. It adds a condition to each "
+    "point's own criterion, so it can fail a passing point but never pass a failing one.",
+)
 @click.option(
     "--format",
     "fmt",
@@ -109,11 +115,10 @@ def eval_cmd(identity_id: str, params: tuple[str, ...]) -> None:
 @click.option("--out", type=click.Path(dir_okay=False), default=None, help="Write the report here instead of stdout.")
 def verify(suite, grid_path, tol, fmt, out) -> None:
     """Run an identity suite (or all of them) and emit the report."""
-    tolerances = {"rel": tol} if tol is not None else None
     if suite == "all":
         if grid_path is not None:
             raise click.ClickException("--grid applies to a single suite, not 'all'")
-        run = run_all(tolerances=tolerances)
+        run = run_all(tol=tol)
     else:
         if suite not in identity_ids():
             raise click.ClickException(f"unknown identity {suite!r}")
@@ -123,7 +128,7 @@ def verify(suite, grid_path, tol, fmt, out) -> None:
                 ranges = json.load(handle)
             if not isinstance(ranges, dict):
                 raise click.ClickException("grid file must be a JSON object")
-        run = run_suite(GridSpec(suite, ranges, tolerances))
+        run = run_suite(GridSpec(suite, ranges, tol))
     blob = emit_report(run, fmt)
     if out is None:
         click.get_binary_stream("stdout").write(blob)

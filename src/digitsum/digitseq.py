@@ -1,15 +1,13 @@
 """Digit-sum sequences and 2-adic companions.
 
 Integer-exact building blocks: base-b digit sums, digit counts, 2-adic
-valuations, the Thue-Morse sign, and the classical factorial-valuation
-identities that tie them together.  Everything here works on arbitrary-size
+valuations and the Thue-Morse sign.  Everything here works on arbitrary-size
 Python integers; the vectorized range helpers use numpy int64 and are only
 meant for the bulk scans in the verification harness.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -21,8 +19,6 @@ __all__ = [
     "delta_digit_sum",
     "thue_morse_sign",
     "power2_indicator",
-    "LegendreChecks",
-    "legendre_checks",
     "digit_sum_range",
     "digit_weighted_sum",
     "valuation2_range",
@@ -82,29 +78,6 @@ def power2_indicator(n: int) -> int:
     if n < 1:
         raise ValueError("power2_indicator requires n >= 1")
     return 1 if n & (n - 1) == 0 else 0
-
-
-@dataclass(frozen=True)
-class LegendreChecks:
-    """Outcome of the two factorial-valuation identities at a single n."""
-
-    n: int
-    lhs_valuation_identity: bool  # delta_digit_sum(n-1, 2) + valuation2(n) == 1
-    lhs_factorial_identity: bool  # valuation2(n!) + digit_sum(n, 2) == n
-
-
-def legendre_checks(n: int) -> LegendreChecks:
-    """Check the valuation difference identity and Legendre's formula at n.
-
-    valuation2(n!) is accumulated as sum(valuation2(k) for k <= n), not via
-    n - digit_sum(n, 2), so the second check is non-circular.
-    """
-    if n < 1:
-        raise ValueError("legendre_checks requires n >= 1")
-    val_identity = delta_digit_sum(n - 1, 2) + valuation2(n) == 1
-    v_factorial = sum(valuation2(k) for k in range(1, n + 1))
-    fact_identity = v_factorial + digit_sum(n, 2) == n
-    return LegendreChecks(n, val_identity, fact_identity)
 
 
 # ---------------------------------------------------------------------------

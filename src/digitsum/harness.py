@@ -19,6 +19,7 @@ import numpy as np
 from . import altsum, lambert, solver
 from .digitseq import digit_sum_range, digit_weighted_sum, valuation2_range
 from .identities import (
+    Criterion,
     FiniteSumParams,
     IdentityReport,
     binary_corollary_closed,
@@ -27,6 +28,7 @@ from .identities import (
     direct_digit_zeta,
     direct_j_infinity,
     direct_product_log,
+    exact_report,
     finite_barnes_closed,
     finite_zeta_diff_closed,
     finite_zeta_diff_direct,
@@ -63,18 +65,14 @@ _ORACLE_TERMS = 200_000
 class GridSpec:
     identity_id: str
     ranges: dict = field(default_factory=dict)  # param name -> list of values
-    tolerances: Optional[dict] = None  # {"rel": x} also requires rel_err <= x
+    tol: Optional[float] = None  # also require rel_err <= tol at every point
 
     def __post_init__(self) -> None:
         for name, values in self.ranges.items():
             if not isinstance(values, (list, tuple)):
                 raise ValueError(f"range for {name!r} must be a list")
-        if self.tolerances is not None:
-            unknown = set(self.tolerances) - {"rel"}
-            if unknown:
-                raise ValueError(f"unknown tolerance keys: {sorted(unknown)}")
-            if "rel" in self.tolerances and not self.tolerances["rel"] >= 0:
-                raise ValueError("tolerance 'rel' must be a non-negative number")
+        if self.tol is not None and not self.tol >= 0:
+            raise ValueError("tol must be a non-negative number")
 
 
 @dataclass(frozen=True)
@@ -243,19 +241,6 @@ def _run_thm41(params, ctx):
     ]
 
 
-def _exact_report(identity_id, params, matched: bool, lhs, rhs, terms: int):
-    return IdentityReport(
-        identity_id=identity_id,
-        params=params,
-        lhs=lhs,
-        rhs=rhs,
-        abs_err=0.0 if matched else abs(float(lhs) - float(rhs)),
-        rel_err=0.0 if matched else 1.0,
-        truncation={"terms": terms, "tail_bound": 0.0},
-        passed=matched,
-    )
-
-
 def _run_lambert_finite(params, ctx):
     b, p = params["b"], params["p"]
     coeffs = finite_gf_coefficients(b, p)
@@ -264,7 +249,7 @@ def _run_lambert_finite(params, ctx):
         c == int(w) for c, w in zip(coeffs, want)
     )
     return [
-        _exact_report(
+        exact_report(
             "lambert-finite", params, matched, int(sum(coeffs)), int(want.sum()), b**p
         )
     ]
@@ -278,7 +263,7 @@ def _run_rankwise(params, ctx):
     )
     total = sum(sum(row) for row in rows)
     want = int(digit_sum_range(b**p, b).sum())
-    return [_exact_report("rankwise", params, matched and total == want, total, want, b**p)]
+    return [exact_report("rankwise", params, matched and total == want, total, want, b**p)]
 
 
 def _run_thm_2adic(params, ctx):
@@ -288,13 +273,13 @@ def _run_thm_2adic(params, ctx):
     increments_ok = bool(np.array_equal((s[1:] - s[:-1]) + nu[1:], np.ones(n_max, dtype=nu.dtype)))
     factorial_ok = bool(np.array_equal(np.cumsum(nu[1:]) + s[1:], np.arange(1, n_max + 1)))
     matched = increments_ok and factorial_ok
-    return [_exact_report("thm-2adic", params, matched, int(matched) * n_max, n_max, n_max)]
+    return [exact_report("thm-2adic", params, matched, int(matched) * n_max, n_max, n_max)]
 
 
 def _run_mobius_inverse(params, ctx):
     n_max = params["n_max"]
     hits = sum(1 for n in range(1, n_max + 1) if lambert.mobius_inverse_check(n))
-    return [_exact_report("mobius-inverse", params, hits == n_max, hits, n_max, n_max)]
+    return [exact_report("mobius-inverse", params, hits == n_max, hits, n_max, n_max)]
 
 
 def _run_partition_conv(params, ctx):
@@ -320,8 +305,6 @@ def _run_thm51(params, ctx):
         ),
         plain,
     )
-    ok = abs(direct - product) <= 1e-9 * plain and abs(direct - weighted) <= 1e-9 * heavy
-    rel = abs(direct - weighted) / heavy
     return [
         IdentityReport(
             identity_id="thm5.1",
@@ -329,9 +312,9 @@ def _run_thm51(params, ctx):
             lhs=direct,
             rhs=weighted,
             abs_err=abs(direct - weighted),
-            rel_err=rel,
+            rel_err=max(abs(direct - product) / plain, abs(direct - weighted) / heavy),
             truncation={"terms": 2**N, "tail_bound": 0.0},
-            passed=ok,
+            criterion=Criterion(1e-9),
         )
     ]
 
@@ -340,7 +323,7 @@ def _run_as1(params, ctx):
     N = params["N"]
     got = altsum.alternating_sum_via_weights(lambda t: t**N, Fraction(0), N)
     want = (-1) ** N * 2 ** (N * (N - 1) // 2) * math.factorial(N)
-    return [_exact_report("as1", params, got == want, got, want, 2**N)]
+    return [exact_report("as1", params, got == want, got, want, 2**N)]
 
 
 def _run_as2(params, ctx):
@@ -353,14 +336,14 @@ def _run_as2(params, ctx):
         * 2 ** (N * (N - 1) // 2)
         * (x + Fraction(2**N - 1, 2))
     )
-    return [_exact_report("as2", params, got == want, got, want, 2**N)]
+    return [exact_report("as2", params, got == want, got, want, 2**N)]
 
 
 def _run_prouhet(params, ctx):
     N = params["N"]
     annihilated = altsum.polynomial_annihilation_check([1] * N, N)
     survivor = not altsum.polynomial_annihilation_check([0] * N + [1], N)
-    return [_exact_report("prouhet", params, annihilated and survivor, 0, 0, 2**N)]
+    return [exact_report("prouhet", params, annihilated and survivor, 0, 0, 2**N)]
 
 
 def _run_weights(params, ctx):
@@ -369,7 +352,7 @@ def _run_weights(params, ctx):
     oracle = altsum.alpha_weights_oracle(N)
     matched = table.alpha == oracle.alpha
     total = 2 ** (N * (N + 1) // 2)
-    return [_exact_report("weights", params, matched, sum(table.alpha), total, len(table.alpha))]
+    return [exact_report("weights", params, matched, sum(table.alpha), total, len(table.alpha))]
 
 
 def _run_zn_cumulants(params, ctx):
@@ -386,20 +369,18 @@ def _run_mgf_consistency(params, ctx):
     pmf = altsum.zn_pmf(N)
     transform = sum(float(m) * math.exp(z * k) for k, m in enumerate(pmf.mass))
     scale = max(abs(by_level), abs(by_scale), abs(transform))
-    ok = (
-        abs(by_level - by_scale) <= 1e-12 * scale
-        and abs(by_level - transform) <= 5e-12 * scale
-    )
+    # the worse of the two comparisons decides
+    worst = max(abs(by_level - by_scale), abs(by_level - transform))
     return [
         IdentityReport(
             identity_id="mgf-consistency",
             params=params,
             lhs=by_level,
             rhs=transform,
-            abs_err=abs(by_level - transform),
-            rel_err=abs(by_level - transform) / scale,
+            abs_err=worst,
+            rel_err=worst / scale,
             truncation={"terms": len(pmf.mass), "tail_bound": 0.0},
-            passed=ok,
+            criterion=Criterion(1e-12),
         )
     ]
 
@@ -435,7 +416,7 @@ def _run_thm68(params, ctx):
     lhs = solver.finite_weighted_sum(p, g)
     s = digit_sum_range(2**p, 2)
     rhs = sum(int(s[n]) * g(n) for n in range(1, 2**p))
-    return [_exact_report("thm6.8", params, lhs == rhs, lhs, rhs, 2**p)]
+    return [exact_report("thm6.8", params, lhs == rhs, lhs, rhs, 2**p)]
 
 
 def _run_base_relation(params, ctx):
@@ -532,10 +513,6 @@ def _grid_points(entry: _Entry, overrides: dict) -> list[dict]:
     return [dict(zip(names, combo)) for combo in itertools.product(*ranges)]
 
 
-def _apply_tolerance(report: IdentityReport, rel: float) -> IdentityReport:
-    return replace(report, passed=report.passed and report.rel_err <= rel)
-
-
 def _summarize(reports: list, wall_time: float) -> RunReport:
     passed = sum(1 for r in reports if r.passed)
     worst = max((r.rel_err for r in reports), default=0.0)
@@ -555,20 +532,19 @@ def run_suite(grid: GridSpec, ctx: PrecisionContext = DEFAULT_CTX) -> RunReport:
     points = _grid_points(entry, grid.ranges)
     start = time.perf_counter()
     reports = [report for point in points for report in entry.runner(point, ctx)]
-    if grid.tolerances and "rel" in grid.tolerances:
-        reports = [_apply_tolerance(r, grid.tolerances["rel"]) for r in reports]
+    if grid.tol is not None:
+        # no runner sets a cap, so this only adds a condition: it can fail a
+        # point but never pass one
+        reports = [replace(r, criterion=replace(r.criterion, cap=grid.tol)) for r in reports]
     return _summarize(reports, time.perf_counter() - start)
 
 
-def run_all(
-    ctx: PrecisionContext = DEFAULT_CTX,
-    tolerances: Optional[dict] = None,
-) -> RunReport:
+def run_all(ctx: PrecisionContext = DEFAULT_CTX, tol: Optional[float] = None) -> RunReport:
     """Every registered identity on its compiled-in default grid."""
     start = time.perf_counter()
     reports = []
     for identity_id in _REGISTRY:
-        suite = run_suite(GridSpec(identity_id, {}, tolerances), ctx)
+        suite = run_suite(GridSpec(identity_id, {}, tol), ctx)
         reports.extend(suite.reports)
     return _summarize(reports, time.perf_counter() - start)
 

@@ -38,8 +38,10 @@ from .specfun import (
 
 __all__ = [
     "FiniteSumParams",
+    "Criterion",
     "IdentityReport",
     "build_report",
+    "exact_report",
     "finite_zeta_diff_direct",
     "finite_zeta_diff_closed",
     "binary_corollary_closed",
@@ -85,8 +87,27 @@ class FiniteSumParams:
 
 
 @dataclass(frozen=True)
+class Criterion:
+    """The pass rule a report carries.
+
+    A point passes when rel_err <= rel, or when abs > 0 and abs_err <= abs,
+    and in either case rel_err <= cap.  Criterion(0.0) is an exact match.
+    The abs > 0 guard matters: an exact mismatch whose totals agree carries
+    abs_err = 0 and rel_err = 1, and must still fail.
+    """
+
+    rel: float
+    abs: float = 0.0
+    cap: float = math.inf
+
+    def admits(self, abs_err: float, rel_err: float) -> bool:
+        within = rel_err <= self.rel or (self.abs > 0.0 and abs_err <= self.abs)
+        return within and rel_err <= self.cap
+
+
+@dataclass(frozen=True)
 class IdentityReport:
-    """One closed-form-versus-oracle comparison."""
+    """One closed-form-versus-oracle comparison, judged by its criterion."""
 
     identity_id: str
     params: dict
@@ -95,7 +116,11 @@ class IdentityReport:
     abs_err: float
     rel_err: float
     truncation: dict  # {"terms": int, "tail_bound": float}
-    passed: bool
+    criterion: Criterion
+
+    @property
+    def passed(self) -> bool:
+        return self.criterion.admits(self.abs_err, self.rel_err)
 
 
 def build_report(
@@ -107,21 +132,34 @@ def build_report(
     abs_tol: float = 0.0,
     terms: int = 0,
     tail_bound: float = 0.0,
-    abs_floor: float = 1e-300,
 ) -> IdentityReport:
-    """Assemble a report; pass if either error budget is met."""
+    """Assemble a report that passes if either error budget is met."""
     abs_err = abs(lhs - rhs)
-    rel_err = abs_err / max(abs(rhs), abs_floor)
-    passed = rel_err <= rel_tol or (abs_tol > 0.0 and abs_err <= abs_tol)
     return IdentityReport(
         identity_id=identity_id,
         params=params,
         lhs=lhs,
         rhs=rhs,
         abs_err=abs_err,
-        rel_err=rel_err,
+        rel_err=abs_err / max(abs(rhs), 1e-300),
         truncation={"terms": terms, "tail_bound": tail_bound},
-        passed=passed,
+        criterion=Criterion(rel_tol, abs_tol),
+    )
+
+
+def exact_report(
+    identity_id: str, params: dict, matched: bool, lhs, rhs, terms: int
+) -> IdentityReport:
+    """Report an exact check: rel_err is 0 on a match and 1 otherwise."""
+    return IdentityReport(
+        identity_id=identity_id,
+        params=params,
+        lhs=lhs,
+        rhs=rhs,
+        abs_err=0.0 if matched else abs(float(lhs) - float(rhs)),
+        rel_err=0.0 if matched else 1.0,
+        truncation={"terms": terms, "tail_bound": 0.0},
+        criterion=Criterion(0.0),
     )
 
 
@@ -274,7 +312,7 @@ def j_recurrence_check(
         abs_err=abs(lhs - rhs),
         rel_err=rel_err,
         truncation={"terms": 3 * N + 2, "tail_bound": 0.0},
-        passed=rel_err <= rel_tol,
+        criterion=Criterion(rel_tol),
     )
 
 

@@ -11,12 +11,11 @@ from typing import Callable, Optional
 import numpy as np
 
 from .digitseq import digit_count, digit_sum
-from .identities import IdentityReport, j_infinity
+from .identities import Criterion, IdentityReport, exact_report, j_infinity
 from .specfun import DEFAULT_CTX, PrecisionContext, TruncationBudgetError, hurwitz_zeta
 
 __all__ = [
     "SequenceFn",
-    "TruncationPolicy",
     "solve_implicit",
     "weighted_digit_sum",
     "base_relation_check",
@@ -59,26 +58,13 @@ class SequenceFn:
         return total
 
 
-@dataclass(frozen=True)
-class TruncationPolicy:
-    k_max: int = 60
-    term_tol: Optional[float] = None  # falls back to the context rel_tol
-
-    def __post_init__(self) -> None:
-        if self.k_max < 0:
-            raise ValueError("k_max must be >= 0")
-        if self.term_tol is not None and not self.term_tol > 0:
-            raise ValueError("term_tol must be positive")
-
-
-_DEFAULT_POLICY = TruncationPolicy()
+_MAX_LEVELS = 60  # the decay series gives up after levels 0 .. _MAX_LEVELS
 
 
 def solve_implicit(
     b: int,
     g: SequenceFn,
     n: int,
-    policy: TruncationPolicy = _DEFAULT_POLICY,
     ctx: PrecisionContext = DEFAULT_CTX,
 ):
     """f(n) = sum_{k>=0} sum_{l<b^k} g(b^k n + l), the series inverse of
@@ -99,7 +85,7 @@ def solve_implicit(
         return total
     if g.decay is None:
         raise ValueError("g needs support_bound or decay for the series solution")
-    return float(_solve_series(b, g, np.array([n]), policy, ctx)[0])
+    return float(_solve_series(b, g, np.array([n]), ctx)[0])
 
 
 def _level_bounds(scale: int, ns: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -118,7 +104,6 @@ def _solve_series(
     b: int,
     g: SequenceFn,
     ns: np.ndarray,
-    policy: TruncationPolicy,
     ctx: PrecisionContext,
 ) -> np.ndarray:
     """The decay series of solve_implicit for every start point in ns at once.
@@ -129,13 +114,12 @@ def _solve_series(
     """
     c, beta = g.decay
     ratio = float(b) ** (1.0 - beta)
-    tol = policy.term_tol if policy.term_tol is not None else ctx.rel_tol
     # python floats, not np.power, whose last bit can differ from libm pow
     scale_floor = np.array([c * float(n) ** (-beta) for n in ns.tolist()], dtype=np.float64)
     totals = np.zeros(len(ns))
     active = np.arange(len(ns))
     spent = 0
-    for k in range(policy.k_max + 1):
+    for k in range(_MAX_LEVELS + 1):
         if active.size == 0:
             return totals
         scale = b**k
@@ -153,13 +137,13 @@ def _solve_series(
         totals[active] = totals[active] + block
         tail = scale_floor[active] * ratio ** (k + 1) / (1.0 - ratio)
         size = np.maximum(np.abs(totals[active]), scale_floor[active])
-        done = ctx.tail_safety * tail <= tol * size
+        done = ctx.tail_safety * tail <= ctx.rel_tol * size
         active = active[~done]
     if active.size:
         raise TruncationBudgetError(
-            f"decay bound not met within k_max={policy.k_max} levels",
+            f"decay bound not met within {_MAX_LEVELS} levels",
             spent,
-            float(scale_floor[active[0]]) * ratio ** (policy.k_max + 1) / (1.0 - ratio),
+            float(scale_floor[active[0]]) * ratio ** (_MAX_LEVELS + 1) / (1.0 - ratio),
         )
     return totals
 
@@ -167,7 +151,6 @@ def _solve_series(
 def weighted_digit_sum(
     b: int,
     g: SequenceFn,
-    policy: TruncationPolicy = _DEFAULT_POLICY,
     ctx: PrecisionContext = DEFAULT_CTX,
     outer_terms: int = 1500,
 ):
@@ -181,7 +164,7 @@ def weighted_digit_sum(
             m = j
             n = 0
             while m < g.support_bound:
-                total = total + j * solve_implicit(b, g, m, policy, ctx)
+                total = total + j * solve_implicit(b, g, m, ctx)
                 n += 1
                 m = b * n + j
         return total
@@ -194,7 +177,7 @@ def weighted_digit_sum(
         # would round differently and change the reported value
         ns = np.arange(start, count, dtype=np.int64)
         ms = (b * ns[:, None] + np.arange(1, b, dtype=np.int64)).ravel()
-        values = _solve_series(b, g, ms, policy, ctx).tolist()
+        values = _solve_series(b, g, ms, ctx).tolist()
         for j, value in zip(itertools.cycle(range(1, b)), values):
             acc = acc + j * value
         return acc
@@ -237,20 +220,20 @@ def base_relation_check(
             rhs = rhs + j * g.eval(m)
             n += 1
             m = b * n + j
-    exact = not (isinstance(lhs, float) or isinstance(rhs, float))
-    abs_err = abs(float(lhs) - float(rhs))
-    scale = max(abs(float(lhs)), abs(float(rhs)), 1e-300)
-    rel_err = abs_err / scale
-    passed = (lhs == rhs) if exact else rel_err <= 1e-12
+    params = {"base": b, "support": top}
+    if not (isinstance(lhs, float) or isinstance(rhs, float)):
+        return exact_report("base-relation", params, lhs == rhs, float(lhs), float(rhs), top)
+    lhs, rhs = float(lhs), float(rhs)
+    abs_err = abs(lhs - rhs)
     return IdentityReport(
         identity_id="base-relation",
-        params={"base": b, "support": top},
-        lhs=float(lhs),
-        rhs=float(rhs),
+        params=params,
+        lhs=lhs,
+        rhs=rhs,
         abs_err=abs_err,
-        rel_err=rel_err,
+        rel_err=abs_err / max(abs(lhs), abs(rhs), 1e-300),
         truncation={"terms": top, "tail_bound": 0.0},
-        passed=passed,
+        criterion=Criterion(1e-12),
     )
 
 
@@ -331,5 +314,5 @@ def recover_j_infinity_check(
         abs_err=abs_err,
         rel_err=rel_err,
         truncation={"terms": terms_used, "tail_bound": tail_bound},
-        passed=rel_err <= rel_tol,
+        criterion=Criterion(rel_tol),
     )

@@ -1,16 +1,13 @@
 """Real special functions used by the closed forms.
 
-Digamma/polygamma, Hurwitz zeta (analytically continued in the order),
-Riemann zeta, Dirichlet eta, Stirling beta, log-gamma, Euler beta, the
-two-parameter Barnes zeta with its order-2 finite part, exact even-index
-Bernoulli numbers, and the complete elliptic integral K.
+Digamma, Hurwitz zeta (analytically continued in the order), Riemann
+zeta, Dirichlet eta, Stirling beta, log-gamma, the two-parameter Barnes
+zeta with its order-2 finite part, exact even-index Bernoulli numbers, and
+the complete elliptic integral K.
 
 Everything works in native double precision.  Each evaluator truncates by
 an explicit first-omitted-correction estimate controlled by a
 PrecisionContext, so accuracy claims are budgeted rather than hoped for.
-The polygamma evaluator deliberately does not call the zeta evaluator
-(and vice versa): their agreement is used downstream as a cross-check and
-must stay non-circular.
 """
 
 from __future__ import annotations
@@ -28,14 +25,12 @@ __all__ = [
     "DEFAULT_CTX",
     "bernoulli_even",
     "digamma",
-    "polygamma",
     "hurwitz_zeta",
     "riemann_zeta",
     "dirichlet_eta",
     "stirling_beta",
     "alternating_hurwitz",
     "log_gamma",
-    "euler_beta",
     "barnes_zeta2",
     "barnes_psi2_2",
     "elliptic_K",
@@ -139,7 +134,7 @@ def _bernoulli_float() -> tuple[float, ...]:
 
 
 # ---------------------------------------------------------------------------
-# Digamma and polygamma
+# Digamma
 # ---------------------------------------------------------------------------
 
 
@@ -167,51 +162,6 @@ def digamma(z: float, ctx: PrecisionContext = DEFAULT_CTX) -> float:
         if ctx.tail_safety * omitted <= ctx.rel_tol * max(abs(value), ctx.abs_floor):
             return value
         target *= 2.0
-
-
-def polygamma(m: int, z: float, ctx: PrecisionContext = DEFAULT_CTX) -> float:
-    """psi^(m)(z) for m >= 1, z > 0.
-
-    Upward recurrence psi^(m)(z) = psi^(m)(z+1) - (-1)^m m! z^(-m-1) until
-    the Bernoulli asymptotic series is dominated by round-off, not
-    truncation.  No zeta call anywhere: the psi^(m) = (-1)^(m+1) m!
-    zeta(m+1, .) relation stays an independent cross-check.
-    """
-    if m < 1:
-        raise ValueError("polygamma requires m >= 1")
-    if not z > 0:
-        raise ValueError("polygamma requires z > 0")
-    bern = _bernoulli_float()
-    half = ctx.em_order // 2
-    fact_m = math.factorial(m)
-    fact_m1 = math.factorial(m - 1)
-    # first omitted correction, relative to the leading (m-1)!/w^m term:
-    #   B_{2h+2} (2h+1+m)! / ((2h+2)! (m-1)!) / w^(2h+2)  with h = half
-    ratio_coeff = (
-        abs(bern[2 * half + 2])
-        * math.factorial(2 * half + 1 + m)
-        / (math.factorial(2 * half + 2) * fact_m1)
-    )
-    need = (ratio_coeff * ctx.tail_safety / ctx.rel_tol) ** (1.0 / (2 * half + 2))
-    target = max(ctx.shift_threshold, need)
-
-    sign_m = -1.0 if m % 2 else 1.0  # (-1)^m
-    shift = 0.0
-    w = z
-    while w < target:
-        shift += sign_m * fact_m * w ** (-m - 1)
-        w += 1.0
-    # asymptotic: psi^(m)(w) = (-1)^(m-1) [ (m-1)!/w^m + m!/(2 w^(m+1))
-    #   + sum_k B_{2k} (2k+m-1)!/((2k)! w^(2k+m)) ]
-    series = fact_m1 / w**m + fact_m / (2.0 * w ** (m + 1))
-    for k in range(1, half + 1):
-        series += (
-            bern[2 * k]
-            * math.factorial(2 * k + m - 1)
-            / (math.factorial(2 * k) * w ** (2 * k + m))
-        )
-    asymptotic = -sign_m * series  # (-1)^(m-1) = -(-1)^m
-    return asymptotic - shift
 
 
 # ---------------------------------------------------------------------------
@@ -309,7 +259,7 @@ def alternating_hurwitz(
 
 
 # ---------------------------------------------------------------------------
-# Log-gamma and Euler beta
+# Log-gamma
 # ---------------------------------------------------------------------------
 
 _HALF_LOG_2PI = 0.5 * math.log(2.0 * math.pi)
@@ -338,13 +288,6 @@ def log_gamma(z: float, ctx: PrecisionContext = DEFAULT_CTX) -> float:
         if ctx.tail_safety * omitted <= ctx.rel_tol * max(abs(value), 1.0):
             return value
         target *= 2.0
-
-
-def euler_beta(a: float, b: float, ctx: PrecisionContext = DEFAULT_CTX) -> float:
-    """B(a, b) = Gamma(a) Gamma(b) / Gamma(a+b) via log_gamma."""
-    if not (a > 0 and b > 0):
-        raise ValueError("euler_beta requires positive arguments")
-    return math.exp(log_gamma(a, ctx) + log_gamma(b, ctx) - log_gamma(a + b, ctx))
 
 
 # ---------------------------------------------------------------------------

@@ -16,7 +16,6 @@ from digitsum.digitseq import (
     digit_sum_range,
     digit_weighted_sum,
     delta_digit_sum,
-    legendre_checks,
     power2_indicator,
     thue_morse_sign,
     valuation2,
@@ -138,20 +137,6 @@ class TestPower2Indicator:
         if e >= 2:
             assert power2_indicator(2**e + 1) == 0
             assert power2_indicator(2**e - 1) == 0
-
-
-class TestLegendreChecks:
-    @pytest.mark.parametrize("n", [6, 1, 1024])
-    def test_examples(self, n):
-        result = legendre_checks(n)
-        assert result.lhs_valuation_identity
-        assert result.lhs_factorial_identity
-
-    @given(st.integers(min_value=1, max_value=3000))
-    @settings(max_examples=50)
-    def test_random_n(self, n):
-        result = legendre_checks(n)
-        assert result.lhs_valuation_identity and result.lhs_factorial_identity
 
 
 class TestRangeScans:

@@ -4,7 +4,7 @@ import math
 import pytest
 from click.testing import CliRunner
 
-from digitsum import altsum
+from digitsum import altsum, harness
 from digitsum.cli import main
 from digitsum.harness import (
     GridSpec,
@@ -72,14 +72,16 @@ class TestGridSpec:
         with pytest.raises(ValueError):
             GridSpec("thm2.1", {"b": 2})
 
-    def test_unknown_tolerance_key(self):
-        with pytest.raises(ValueError):
-            GridSpec("thm2.1", {}, {"abs": 1e-6})
+    def test_zero_tolerance_is_allowed(self):
+        # the bound of the non-negative check: tol = 0 demands rel_err == 0
+        assert GridSpec("thm2.1", {}, 0.0).tol == 0.0
+        run = run_suite(GridSpec("weights", {"N": [2]}, 0.0))
+        assert run.summary == {"pass": 1, "fail": 0}
 
     @pytest.mark.parametrize("rel", [-1.0, math.nan])
     def test_rejects_negative_or_nan_tolerance(self, rel):
         with pytest.raises(ValueError):
-            GridSpec("thm2.1", {}, {"rel": rel})
+            GridSpec("thm2.1", {}, rel)
 
 
 class TestRunSuite:
@@ -123,11 +125,11 @@ class TestRunSuite:
     def test_tolerance_override_can_fail_a_passing_grid(self):
         base = run_suite(GridSpec("jinfty", {"b": [2], "x": [1.0]}))
         assert base.summary["fail"] == 0
-        tight = run_suite(GridSpec("jinfty", {"b": [2], "x": [1.0]}, {"rel": 1e-30}))
+        tight = run_suite(GridSpec("jinfty", {"b": [2], "x": [1.0]}, 1e-30))
         assert tight.summary["fail"] == 1
 
     def test_tolerance_override_keeps_exact_passes(self):
-        run = run_suite(GridSpec("weights", {"N": [3]}, {"rel": 1e-30}))
+        run = run_suite(GridSpec("weights", {"N": [3]}, 1e-30))
         assert run.summary == {"pass": 1, "fail": 0}
 
     def test_wall_time_recorded(self):
@@ -144,6 +146,45 @@ class TestRunAll:
         covered = {report.identity_id for report in run.reports}
         for identity_id in EXPECTED_IDS:
             assert identity_id in covered
+
+    def test_tolerance_only_adds_a_condition(self):
+        plain = run_all()
+        tight = run_all(tol=1e-9)
+        assert len(tight.reports) == len(plain.reports) == 321
+        for before, after in zip(plain.reports, tight.reports):
+            assert (after.identity_id, after.params) == (before.identity_id, before.params)
+            assert before.criterion.cap == math.inf  # so --tol can only tighten
+            if after.passed:
+                assert after.rel_err <= 1e-9, after
+            if not before.passed:
+                assert not after.passed, after
+        assert tight.summary["fail"] > 0  # the oracle brackets are wider than 1e-9
+
+
+class TestPassRule:
+    """Runners whose pass decision folds more than one comparison."""
+
+    def test_thm51_fails_on_the_product_leg(self, monkeypatch):
+        real = altsum.delta_product_form
+        monkeypatch.setattr(altsum, "delta_product_form", lambda f, x, N: real(f, x, N) + 1.0)
+        run = run_suite(GridSpec("thm5.1", {"N": [3], "x": [0.0]}))
+        assert run.summary == {"pass": 0, "fail": 1}
+        # abs_err still reports the weighted leg, which is untouched
+        assert run.reports[0].abs_err <= 1e-12
+
+    def test_mgf_consistency_fails_on_the_scale_leg(self, monkeypatch):
+        real = altsum.zn_mgf
+
+        def skewed(z, N, form="product_over_i"):
+            value = real(z, N, form)
+            return value * (1.0 + 1e-9) if form == "product_over_k" else value
+
+        monkeypatch.setattr(altsum, "zn_mgf", skewed)
+        run = run_suite(GridSpec("mgf-consistency", {"z": [0.5], "N": [4]}))
+        assert run.summary == {"pass": 0, "fail": 1}
+        report = run.reports[0]
+        assert report.rel_err > 1e-12
+        assert report.abs_err > abs(report.lhs - report.rhs)
 
 
 class TestEmitReport:
@@ -272,6 +313,31 @@ class TestCli:
             assert result.exit_code == 1, extra
             data, _ = json.JSONDecoder().raw_decode(result.output)
             assert data["summary"] == {"pass": 0, "fail": 8}, extra
+
+    @pytest.mark.parametrize("suite", ["prouhet", "rankwise"])
+    def test_verify_tol_cannot_pass_an_exact_mismatch_with_equal_totals(
+        self, suite, monkeypatch
+    ):
+        # both sides report the same total, so abs_err = 0 while rel_err = 1:
+        # only the abs > 0 guard keeps the absolute leg from passing them
+        if suite == "prouhet":
+            monkeypatch.setattr(altsum, "polynomial_annihilation_check", lambda c, N: True)
+        else:
+            real = harness.rankwise_coefficients
+
+            def swapped(b, p):
+                rows = real(b, p)
+                rows[0][0], rows[0][1] = rows[0][1], rows[0][0]
+                return rows
+
+            monkeypatch.setattr(harness, "rankwise_coefficients", swapped)
+        points = math.prod(len(values) for values in default_grid(suite).values())
+        for extra in ([], ["--tol", "1.0"]):
+            result = self.invoke("verify", "--suite", suite, *extra)
+            assert result.exit_code == 1, extra
+            data, _ = json.JSONDecoder().raw_decode(result.output)
+            assert data["summary"] == {"pass": 0, "fail": points}, extra
+            assert all(r["abs_err"] == 0 and r["rel_err"] == 1 for r in data["reports"])
 
     @pytest.mark.parametrize("suite", ["as1", "all"])
     @pytest.mark.parametrize("tol", ["-1", "nan"])

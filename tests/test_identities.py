@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import math
+from dataclasses import replace
 
 import mpmath as mp
 import numpy as np
@@ -13,13 +14,16 @@ from digitsum import identities
 from digitsum.digitseq import _block_length, digit_sum, digit_sum_range, digit_weighted_sum
 from digitsum.harness import GridSpec, run_suite
 from digitsum.identities import (
+    Criterion,
     FiniteSumParams,
     binary_corollary_closed,
+    build_report,
     digit_zeta_2,
     direct_digit_zeta,
     direct_j_infinity,
     direct_product_log,
     double_sum_alternate,
+    exact_report,
     finite_barnes_closed,
     finite_zeta_diff_closed,
     finite_zeta_diff_direct,
@@ -49,6 +53,38 @@ def blocked_sum_bound(terms: np.ndarray, limit: int, b: int) -> float:
     # float64 error bound of digit_weighted_sum against the exact sum of its terms
     block = _block_length(b)
     return (block + -(-limit // block)) * 2.0**-52 * math.fsum(np.abs(terms).tolist())
+
+
+class TestCriterion:
+    """The one pass rule every report derives `passed` from."""
+
+    def test_exact(self):
+        exact = Criterion(0.0)
+        assert exact.admits(0.0, 0.0)
+        assert not exact.admits(1e-300, 1e-300)
+        # an exact mismatch whose totals agree: the abs > 0 guard keeps it failing
+        assert not exact.admits(0.0, 1.0)
+
+    def test_abs_leg(self):
+        bracket = Criterion(1e-12, 1e-6)
+        assert bracket.admits(5e-7, 0.5)
+        assert not bracket.admits(2e-6, 0.5)
+        assert bracket.admits(2e-6, 1e-13)  # the relative leg alone suffices
+
+    def test_cap(self):
+        assert not Criterion(1e-12, 1e-6, cap=1e-9).admits(5e-7, 0.5)
+        assert not Criterion(1e-6, cap=1e-9).admits(0.0, 1e-8)
+        assert Criterion(1e-6, cap=1e-9).admits(0.0, 1e-10)
+        assert not Criterion(0.0, cap=1.0).admits(0.0, 1.0)
+
+    def test_reports_derive_passed_from_their_criterion(self):
+        report = build_report("thm2.1", {}, 1.0 + 1e-10, 1.0, rel_tol=1e-9)
+        assert report.criterion == Criterion(1e-9)
+        assert report.passed
+        assert not replace(report, criterion=Criterion(1e-9, cap=1e-11)).passed
+        miss = exact_report("prouhet", {}, False, 0, 0, 4)
+        assert (miss.abs_err, miss.rel_err, miss.passed) == (0.0, 1.0, False)
+        assert exact_report("prouhet", {}, True, 0, 0, 4).passed
 
 
 class TestFiniteSumParams:

@@ -11,7 +11,6 @@ from digitsum.identities import FiniteSumParams, finite_zeta_diff_direct
 from digitsum.lambert import lambert_gf
 from digitsum.solver import (
     SequenceFn,
-    TruncationPolicy,
     base_relation_check,
     finite_weighted_sum,
     recover_j_infinity_check,
@@ -47,17 +46,16 @@ def geometric(z):
     )
 
 
-def scalar_series(b, g, n, policy=TruncationPolicy(), ctx=PrecisionContext()):
+def scalar_series(b, g, n, ctx=PrecisionContext()):
     # the one-point level loop the batched solver must reproduce bit for bit
     c, beta = g.decay
     ratio = float(b) ** (1.0 - beta)
-    tol = policy.term_tol if policy.term_tol is not None else ctx.rel_tol
     scale_floor = c * float(n) ** (-beta)
     total = 0.0
-    for k in range(policy.k_max + 1):
+    for k in range(61):
         total = total + g.partial_sum(b**k * n, b**k * (n + 1))
         tail = c * float(n) ** (-beta) * ratio ** (k + 1) / (1.0 - ratio)
-        if ctx.tail_safety * tail <= tol * max(abs(total), scale_floor):
+        if ctx.tail_safety * tail <= ctx.rel_tol * max(abs(total), scale_floor):
             return total
     raise AssertionError("reference loop ran out of levels")
 
@@ -95,16 +93,6 @@ class TestSequenceFn:
         assert g.block(3, 9) == pytest.approx(direct, rel=1e-15)
 
 
-class TestTruncationPolicy:
-    def test_rejects_negative_budget(self):
-        with pytest.raises(ValueError):
-            TruncationPolicy(k_max=-1)
-
-    def test_rejects_bad_tolerance(self):
-        with pytest.raises(ValueError):
-            TruncationPolicy(term_tol=0.0)
-
-
 class TestSolveImplicit:
     @pytest.mark.parametrize("n", [1, 2, 3, 10])
     def test_telescoping_pair_closed_inverse(self, n):
@@ -127,8 +115,7 @@ class TestSolveImplicit:
     def test_direct_blocks_without_closed_prefix(self):
         # no partial_sum: every level is summed term by term
         g = SequenceFn(eval=lambda n: float(n) ** -4.0, decay=(1.0, 4.0))
-        policy = TruncationPolicy(term_tol=1e-10)
-        got = solve_implicit(2, g, 5, policy)
+        got = solve_implicit(2, g, 5, ctx=PrecisionContext(rel_tol=1e-10))
         want = mp.nsum(
             lambda k: mp.zeta(4, 5 * 2**k) - mp.zeta(4, 6 * 2**k), [0, mp.inf]
         )
@@ -146,8 +133,9 @@ class TestSolveImplicit:
             solve_implicit(2, g, 1, ctx=ctx)
 
     def test_level_budget_raises(self):
-        with pytest.raises(TruncationBudgetError):
-            solve_implicit(2, reciprocal_product(), 1, TruncationPolicy(k_max=2))
+        # the tail halves per level, so 1e-30 is out of reach within 60 levels
+        with pytest.raises(TruncationBudgetError, match="within 60 levels"):
+            solve_implicit(2, reciprocal_product(), 1, ctx=PrecisionContext(rel_tol=1e-30))
 
     def test_rejects_bad_arguments(self):
         g = reciprocal_product()
@@ -186,7 +174,7 @@ class TestBatchedSeries:
 
     def test_level_budget_raises_from_weighted_sum(self):
         with pytest.raises(TruncationBudgetError):
-            weighted_digit_sum(2, reciprocal_product(), TruncationPolicy(k_max=2))
+            weighted_digit_sum(2, reciprocal_product(), ctx=PrecisionContext(rel_tol=1e-30))
 
     def test_term_budget_raises_from_weighted_sum(self):
         g = SequenceFn(eval=lambda n: float(n) ** -2.0, decay=(1.0, 2.0))

@@ -28,10 +28,8 @@ from digitsum.specfun import (
     digamma,
     dirichlet_eta,
     elliptic_K,
-    euler_beta,
     hurwitz_zeta,
     log_gamma,
-    polygamma,
     riemann_zeta,
     stirling_beta,
 )
@@ -114,45 +112,6 @@ class TestDigamma:
             for z in (0.3, 1.0, 7.0):
                 rhs = sum(digamma(z + k / b) for k in range(b)) / b + math.log(b)
                 np.testing.assert_allclose(digamma(b * z), rhs, rtol=1e-11)
-
-
-class TestPolygamma:
-    def test_trigamma_at_one(self):
-        np.testing.assert_allclose(polygamma(1, 1.0), math.pi**2 / 6, rtol=1e-13)
-
-    def test_tetragamma_at_one(self):
-        zeta3 = float(mp.zeta(3))
-        np.testing.assert_allclose(polygamma(2, 1.0), -2 * zeta3, rtol=1e-13)
-
-    def test_against_mpmath(self):
-        for m in (1, 2, 3, 5, 8):
-            for z in (0.2, 1.0, 3.5, 17.2):
-                np.testing.assert_allclose(
-                    polygamma(m, z), float(mp.polygamma(m, z)), rtol=1e-12
-                )
-
-    def test_rejects_bad_arguments(self):
-        with pytest.raises(ValueError):
-            polygamma(0, 1.0)
-        with pytest.raises(ValueError):
-            polygamma(1, 0.0)
-
-    def test_hurwitz_consistency(self):
-        """psi^(m)(z) == (-1)^(m+1) m! zeta(m+1, z), two independent routes."""
-        for m in (1, 2, 4, 7):
-            for z in (0.3, 1.0, 3.5, 11.0):
-                lhs = polygamma(m, z)
-                rhs = (-1) ** (m + 1) * math.factorial(m) * hurwitz_zeta(m + 1.0, z)
-                np.testing.assert_allclose(lhs, rhs, rtol=1e-12)
-
-    def test_recurrence(self):
-        """psi^(m)(z+1) = psi^(m)(z) + (-1)^m m! z^(-m-1)."""
-        for m in (1, 3):
-            for z in (0.7, 2.2):
-                step = (-1) ** m * math.factorial(m) * z ** (-m - 1)
-                np.testing.assert_allclose(
-                    polygamma(m, z + 1.0), polygamma(m, z) + step, rtol=1e-11
-                )
 
 
 class TestHurwitzZeta:
@@ -289,9 +248,6 @@ class TestLogGammaAndBeta:
                 log_gamma(z), float(mp.loggamma(z)), rtol=1e-12, atol=1e-13
             )
 
-    def test_euler_beta_factorial_identity(self):
-        np.testing.assert_allclose(euler_beta(2.0, 3.0), 1.0 / 12.0, rtol=1e-12)
-
     def test_gamma_recurrence(self):
         for z in (0.25, 1.7):
             np.testing.assert_allclose(
@@ -350,7 +306,7 @@ class TestBarnesFinitePart:
         """At (1,1) the finite part is -psi(z) + (1-z) psi'(z)."""
         for z in (1.3, 0.6, 2.8):
             got = barnes_psi2_2(z, 1.0, 1.0)
-            want = -digamma(z) + (1.0 - z) * polygamma(1, z)
+            want = -digamma(z) + (1.0 - z) * float(mp.polygamma(1, z))
             np.testing.assert_allclose(got, want, rtol=1e-11)
 
     def test_euler_gamma_specialization(self):
