@@ -325,23 +325,31 @@ def standardized_cumulant(N: int, order: int) -> float:
     return float(value)
 
 
-def _raw_moments(pmf: DiscretePMF, top: int) -> list[Fraction]:
-    moments = [Fraction(0)] * (top + 1)
-    for k, m in enumerate(pmf.mass):
-        power = Fraction(1)
-        for j in range(top + 1):
-            moments[j] += m * power
-            power *= k
-    return moments
-
-
 def pmf_standardized_cumulant(N: int, order: int) -> Fraction:
-    """Oracle value: exact cumulant extracted from the pmf, then standardized."""
+    """Oracle value: exact cumulant extracted from the pmf, then standardized.
+
+    The raw moments are the integer power sums S_j = sum_k c_k k^j over the
+    bounded-composition counts c_k of the pmf, each divided once by the
+    total mass 2^(N(N+1)/2); the pmf's invariants are checked on the
+    integers (S_0 is the total, no count is negative).
+    """
     if N < 1:
         raise ValueError("N must be >= 1")
     if order < 2 or order > _CUMULANT_BUDGET:
         raise ValueError(f"order must be within [2, {_CUMULANT_BUDGET}]")
-    raw = _raw_moments(zn_pmf(N), order)
+    counts = _bounded_sum_counts([2**k - 1 for k in range(1, N + 1)])
+    denom = 2 ** (N * (N + 1) // 2)
+    if any(c < 0 for c in counts):
+        raise ValueError("masses must be non-negative")
+    power_sums = [0] * (order + 1)
+    for k, c in enumerate(counts):
+        term = c
+        for j in range(order + 1):
+            power_sums[j] += term
+            term *= k
+    if power_sums[0] != denom:
+        raise ValueError("masses must sum to one")
+    raw = [Fraction(total, denom) for total in power_sums]
     cumulants = [Fraction(0)] * (order + 1)
     for m in range(1, order + 1):
         acc = raw[m]

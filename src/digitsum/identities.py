@@ -272,7 +272,6 @@ def j_recurrence_check(
     N: int,
     x: float,
     ctx: PrecisionContext = DEFAULT_CTX,
-    rel_tol: float = 1e-9,
 ) -> IdentityReport:
     """Check the odd-index recurrence of the binary harmonic-difference sum.
 
@@ -312,7 +311,7 @@ def j_recurrence_check(
         abs_err=abs(lhs - rhs),
         rel_err=rel_err,
         truncation={"terms": 3 * N + 2, "tail_bound": 0.0},
-        criterion=Criterion(rel_tol),
+        criterion=Criterion(1e-9),
     )
 
 
@@ -446,14 +445,13 @@ def infinite_product(b: int, z: float, ctx: PrecisionContext = DEFAULT_CTX) -> f
             )
 
 
-def product_special_values(
-    ctx: PrecisionContext = DEFAULT_CTX, rel_tol: float = 1e-8
-) -> list[IdentityReport]:
+def product_special_values(ctx: PrecisionContext = DEFAULT_CTX) -> list[IdentityReport]:
     """Special values of the base-2 product family F_p = P(2^-p)/P(2^-p-1).
 
     (i) F_0 = pi/2; (ii) F_1 = 2 sqrt(2/pi) Gamma(5/4)^2 = K(1/sqrt 2)/sqrt 2;
     (iii) F_2 = 2^(1/4) Gamma(9/8)^2 / Gamma(5/4).
     """
+    rel_tol = 1e-8
     reports = []
 
     def family(p: int) -> float:

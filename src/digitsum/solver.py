@@ -193,17 +193,12 @@ def weighted_digit_sum(
     return (4.0 * a2 - a1) / 3.0
 
 
-def base_relation_check(
-    b: int,
-    g: SequenceFn,
-    N: Optional[int] = None,
-    ctx: PrecisionContext = DEFAULT_CTX,
-) -> IdentityReport:
+def base_relation_check(b: int, g: SequenceFn) -> IdentityReport:
     """Both sides of the splitting identity for a finitely supported sequence:
     sum_n s_b(n) (g(n) - sum_{j<b} g(bn+j)) = sum_{j=1}^{b-1} j sum_n g(bn+j)."""
     if g.support_bound is None:
         raise ValueError("the finite relation needs a support_bound")
-    top = g.support_bound if N is None else min(N, g.support_bound)
+    top = g.support_bound
     lhs = 0
     for n in range(1, top):
         inner = g.eval(n)
@@ -268,7 +263,6 @@ def finite_weighted_sum(p: int, g):
 def recover_j_infinity_check(
     x: float,
     ctx: PrecisionContext = DEFAULT_CTX,
-    rel_tol: float = 1e-9,
 ) -> IdentityReport:
     """Rebuild the infinite digit-sum bracket sum from the series inverse of
     g(n) = 1/((x+n)(x+n+1)) and compare against the direct evaluator.
@@ -314,5 +308,5 @@ def recover_j_infinity_check(
         abs_err=abs_err,
         rel_err=rel_err,
         truncation={"terms": terms_used, "tail_bound": tail_bound},
-        criterion=Criterion(rel_tol),
+        criterion=Criterion(1e-9),
     )

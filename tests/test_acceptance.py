@@ -139,7 +139,7 @@ def test_criterion_07_one_step_increment_and_factorial_valuation():
 
 
 def test_criterion_08_divisor_inversion_and_partition_convolution():
-    assert all(mobius_inverse_check(n) for n in range(1, 10_001))
+    assert mobius_inverse_check(10_000) == []
     reports = partition_convolution_check(200)
     assert reports and all(r.passed and r.rel_err == 0.0 for r in reports)
 

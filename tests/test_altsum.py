@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from digitsum import altsum
 from digitsum.altsum import (
     CumulantSpec,
     DiscretePMF,
@@ -34,6 +35,24 @@ def signed_sum_longhand(f, x, N):
         sign = -1 if digit_sum(n, 2) % 2 else 1
         total += sign * f(x + n)
     return total
+
+
+def fraction_mass_cumulant(N, order):
+    # reference: raw moments summed over the Fraction masses of the pmf, then
+    # the same moment-to-cumulant recursion
+    raw = [Fraction(0)] * (order + 1)
+    for k, m in enumerate(zn_pmf(N).mass):
+        power = Fraction(1)
+        for j in range(order + 1):
+            raw[j] += m * power
+            power *= k
+    cumulants = [Fraction(0)] * (order + 1)
+    for m in range(1, order + 1):
+        acc = raw[m]
+        for j in range(1, m):
+            acc -= math.comb(m - 1, j - 1) * cumulants[j] * raw[m - j]
+        cumulants[m] = acc
+    return cumulants[order] / cumulants[2] ** (order // 2)
 
 
 class TestAlternatingSumDirect:
@@ -337,6 +356,38 @@ class TestStandardizedCumulants:
         closed = standardized_cumulant(N, order)
         oracle = float(pmf_standardized_cumulant(N, order))
         assert closed == pytest.approx(oracle, rel=1e-10)
+
+    @pytest.mark.parametrize("N", list(range(1, 9)))
+    def test_oracle_equals_fraction_mass_route(self, N):
+        # every even order up to the budget, compared as exact rationals
+        for order in range(2, 17, 2):
+            assert pmf_standardized_cumulant(N, order) == fraction_mass_cumulant(N, order)
+
+    def test_oracle_checks_total_mass(self, monkeypatch):
+        counts = altsum._bounded_sum_counts
+
+        def one_extra(bounds):
+            out = counts(bounds)
+            out[-1] += 1
+            return out
+
+        monkeypatch.setattr(altsum, "_bounded_sum_counts", one_extra)
+        with pytest.raises(ValueError, match="sum to one"):
+            pmf_standardized_cumulant(4, 4)
+
+    def test_oracle_checks_nonnegative_counts(self, monkeypatch):
+        counts = altsum._bounded_sum_counts
+
+        def shifted(bounds):
+            # same total mass, but the count of k = 0 (which is 1) goes negative
+            out = counts(bounds)
+            out[0] -= 2
+            out[1] += 2
+            return out
+
+        monkeypatch.setattr(altsum, "_bounded_sum_counts", shifted)
+        with pytest.raises(ValueError, match="non-negative"):
+            pmf_standardized_cumulant(4, 4)
 
     def test_selected_higher_orders(self):
         assert standardized_cumulant(3, 4) == pytest.approx(

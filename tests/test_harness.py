@@ -1,9 +1,13 @@
 import json
 import math
+import os
+import subprocess
+import sys
 
 import pytest
 from click.testing import CliRunner
 
+import digitsum
 from digitsum import altsum, harness
 from digitsum.cli import main
 from digitsum.harness import (
@@ -241,6 +245,28 @@ class TestEmitReport:
         first = emit_report(run_suite(grid), "json")
         second = emit_report(run_suite(grid), "json")
         assert first == second
+
+    def test_eta_bridge_bytes_do_not_depend_on_blas_threads(self):
+        # each subprocess fixes its BLAS thread count at import; the report
+        # must not depend on it
+        src = os.path.dirname(os.path.dirname(digitsum.__file__))
+        path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+        script = "import sys; from digitsum.cli import main; sys.exit(main())"
+        outputs = []
+        for threads in ("1", "2"):
+            env = dict(
+                os.environ, PYTHONPATH=path, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads
+            )
+            result = subprocess.run(
+                [sys.executable, "-c", script, "verify", "--suite", "eta-bridge", "--format", "json"],
+                env=env,
+                capture_output=True,
+                check=True,
+                timeout=120,
+            )
+            outputs.append(result.stdout)
+        assert outputs[0] == outputs[1]
+        assert json.loads(outputs[0])["summary"] == {"pass": 3, "fail": 0}
 
     def test_csv_layout(self):
         lines = emit_report(self.small_run(), "csv").decode().splitlines()

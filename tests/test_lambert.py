@@ -9,13 +9,16 @@ import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from digitsum import lambert
 from digitsum.digitseq import (
+    _BLOCK_CAP,
     delta_digit_sum,
     digit_sum,
     digit_sum_range,
     power2_indicator,
     valuation2_range,
 )
+from digitsum.identities import Criterion
 from digitsum.lambert import (
     PartitionCounts,
     c_sequence,
@@ -30,6 +33,7 @@ from digitsum.lambert import (
     partition_counts,
     rankwise_coefficients,
 )
+from digitsum.specfun import DEFAULT_CTX, dirichlet_eta
 
 
 def rel_err(got: float, want: float) -> float:
@@ -220,16 +224,45 @@ class TestDeltaFromDivisors:
             assert got[n - 1] == delta_digit_sum(n - 1, 2)
 
 
+def divisor_loop_failures(n_max):
+    # reference: one trial-division divisor loop per n
+    failures = []
+    for n in range(1, n_max + 1):
+        total = sum(
+            lambert.c_sequence(n // d) * delta_digit_sum(d - 1, 2)
+            for d in range(1, n + 1)
+            if n % d == 0
+        )
+        if total != power2_indicator(n):
+            failures.append(n)
+    return failures
+
+
 class TestMobiusInverseCheck:
     """Convolution of the companion sequence against the increments."""
 
     def test_anchors(self):
-        assert mobius_inverse_check(1)
-        assert mobius_inverse_check(4)
-        assert mobius_inverse_check(6)
+        assert mobius_inverse_check(1) == []
+        assert mobius_inverse_check(4) == []
+        assert mobius_inverse_check(6) == []
+        with pytest.raises(ValueError):
+            mobius_inverse_check(0)
 
     def test_holds_to_ten_thousand(self):
-        assert all(mobius_inverse_check(n) for n in range(1, 10_001))
+        assert mobius_inverse_check(10_000) == []
+
+    @pytest.mark.parametrize("n_max", [1, 2, 7, 64, 300])
+    def test_sieve_matches_divisor_loop(self, n_max):
+        assert mobius_inverse_check(n_max) == divisor_loop_failures(n_max) == []
+
+    def test_sieve_reports_the_divisor_loop_failures(self, monkeypatch):
+        # a companion sequence that is wrong at n = 3 mod 7 breaks the identity
+        # at many n; the sieve must name exactly the n the divisor loop does
+        true_c = lambert.c_sequence
+        monkeypatch.setattr(lambert, "c_sequence", lambda n: true_c(n) + (n % 7 == 3))
+        want = divisor_loop_failures(300)
+        assert want
+        assert mobius_inverse_check(300) == want
 
 
 def brute_partition_stats(n: int) -> PartitionCounts:
@@ -313,3 +346,50 @@ class TestEtaDirichletBridge:
     def test_rejects_divergent_exponent(self):
         with pytest.raises(ValueError):
             eta_dirichlet_bridge_check([1.0])
+
+    @pytest.mark.parametrize("s", [1.5, 2.0, 3.0])
+    def test_rhs_off_by_1e8_fails(self, monkeypatch, s):
+        true_eta = lambert.dirichlet_eta
+        monkeypatch.setattr(
+            lambert, "dirichlet_eta", lambda a, ctx=DEFAULT_CTX: true_eta(a, ctx) / (1.0 + 1e-8)
+        )
+        (report,) = eta_dirichlet_bridge_check([s])
+        assert report.rel_err == pytest.approx(1e-8, rel=1e-3)
+        assert not report.passed
+
+    @pytest.mark.parametrize("s", [1.5, 2.0, 3.0])
+    def test_criterion_is_the_tail_bracket(self, s):
+        (report,) = eta_dirichlet_bridge_check([s])
+        eta = dirichlet_eta(s)
+        budget = report.truncation["tail_bound"] / eta + 1e-12 * report.lhs
+        assert report.criterion == Criterion(0.0, budget)
+        assert report.abs_err <= budget
+
+
+BLOCK = _BLOCK_CAP
+
+
+class TestIncrementDirichletPartial:
+    """The blocked sum of (1 - nu_2(n)) n^-s behind the eta bridge."""
+
+    @pytest.mark.parametrize(
+        "limit", [1, 2, 1000, BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK, 3 * BLOCK + 5, 10**6]
+    )
+    @pytest.mark.parametrize("s", [0.0, -1.0])
+    def test_integer_terms_are_exact(self, limit, s):
+        # at s = 0 and s = -1 every term and every partial total is an integer
+        # below 2^53, so the blocked sum must be exact whatever its order
+        n = np.arange(1, limit, dtype=np.int64)
+        want = int(((1 - valuation2_range(limit)[1:]) * n ** int(-s)).sum())
+        assert lambert._increment_dirichlet_partial(limit, s) == want
+
+    @pytest.mark.parametrize("limit", [BLOCK, BLOCK + 1, 3 * BLOCK, 3 * BLOCK + 12345])
+    @pytest.mark.parametrize("s", [1.5, 2.0, 3.0])
+    def test_close_to_fsum_of_the_terms(self, limit, s):
+        n = np.arange(1, limit, dtype=np.float64)
+        terms = (1.0 - valuation2_range(limit)[1:]) * n**-s
+        exact = math.fsum(terms.tolist())
+        # each block sums at most B terms and the block totals add one by one:
+        # (B + blocks) roundings of at most 2^-52 of the absolute sum
+        bound = (BLOCK + -(-limit // BLOCK)) * 2.0**-52 * math.fsum(np.abs(terms).tolist())
+        assert abs(lambert._increment_dirichlet_partial(limit, s) - exact) <= bound
