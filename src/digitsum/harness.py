@@ -17,7 +17,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from . import altsum, lambert, solver
-from .digitseq import digit_sum_range, digit_weighted_sum, valuation2_range
+from .digitseq import _inverse_power, digit_sum_range, digit_weighted_sum, valuation2_range
 from .identities import (
     Criterion,
     FiniteSumParams,
@@ -90,7 +90,8 @@ class RunReport:
 
 def _plain_finite_direct(b: int, p: int, alpha: float, z: float) -> float:
     def fill(n, out):
-        out[...] = (n + z) ** -alpha
+        n += z
+        _inverse_power(n, alpha, out)
 
     return digit_weighted_sum(b**p, b, fill)
 
@@ -224,7 +225,9 @@ def _run_thm41(params, ctx):
     weights = digit_sum_range(cut + 1, b).astype(np.float64)
     powers = np.abs(z) ** np.arange(cut + 1, dtype=np.float64)
     signs = np.sign(z) ** np.arange(cut + 1)
-    rhs = float(np.dot(weights, powers * signs))
+    terms = powers * signs
+    terms *= weights
+    rhs = float(np.add.reduce(terms))
     digits_per_term = (b - 1) * (math.log(cut) / math.log(b) + 2.0)
     tail = digits_per_term * abs(z) ** (cut + 1) / (1.0 - abs(z)) ** 2
     return [

@@ -16,9 +16,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .digitseq import _block_length, _inverse_power, digit_sum, digit_weighted_sum
+
 # digit_sum_range is no longer used here but stays importable: the tracer test
 # in perfbench/tests checks that it is wrapped under this module's name too
-from .digitseq import digit_sum, digit_sum_range, digit_weighted_sum  # noqa: F401
+from .digitseq import digit_sum_range  # noqa: F401
 from .specfun import (
     DEFAULT_CTX,
     BarnesParams,
@@ -170,12 +172,18 @@ def exact_report(
 
 def finite_zeta_diff_direct(params: FiniteSumParams) -> float:
     """sum_{n=1}^{b^p - 1} s_b(n) [(z+n)^-a - (z+n+1)^-a], term by term."""
-    alpha, z = params.alpha, params.z
+    b, limit, alpha, z = params.b, params.b**params.p, params.alpha, params.z
+    # (z+n+1)^-a needs a buffer apart from its base n, made once per call
+    later = np.empty(min(limit, _block_length(b)))
 
     def fill(n, out):
-        out[...] = (z + n) ** -alpha - (z + n + 1.0) ** -alpha
+        n += z
+        _inverse_power(n, alpha, out)
+        n += 1.0
+        _inverse_power(n, alpha, later[: n.size])
+        out -= later[: n.size]
 
-    return digit_weighted_sum(params.b**params.p, params.b, fill)
+    return digit_weighted_sum(limit, b, fill)
 
 
 def finite_zeta_diff_closed(
@@ -621,8 +629,8 @@ def direct_digit_zeta(b: int, alpha: float, z: float, limit: int) -> tuple[float
     _check_oracle_shift(z)
 
     def fill(n, out):
-        np.add(n, z, out=out)
-        np.power(out, -alpha, out=out)
+        n += z
+        _inverse_power(n, alpha, out)
 
     partial = digit_weighted_sum(limit, b, fill)
     edge = float(limit) + z

@@ -10,6 +10,7 @@ import numpy as np
 
 from .digitseq import (
     _BLOCK_CAP,
+    _inverse_power,
     delta_digit_sum,
     digit_sum_range,
     power2_indicator,
@@ -321,7 +322,7 @@ def _increment_dirichlet_partial(limit: int, s: float) -> float:
 
     For m < B and c >= 1, nu_2(cB + m) = nu_2(m) unless m = 0, where it is
     16 + nu_2(c): the weights 1 - nu_2(m) are built once and only index 0 is
-    patched per block.  One B-length buffer is reused, and each block is
+    patched per block.  Two B-length buffers are reused, and each block is
     reduced with np.add.reduce, whose order does not depend on the BLAS.
     """
     block = _BLOCK_CAP
@@ -329,7 +330,7 @@ def _increment_dirichlet_partial(limit: int, s: float) -> float:
     size = min(block, limit)
     m = np.arange(size, dtype=np.float64)
     weight = 1.0 - valuation2_range(size)
-    buf = np.empty(size)
+    n, buf = np.empty(size), np.empty(size)
     total = 0.0
     for c in range(-(-limit // block)):
         start = c * block
@@ -338,8 +339,8 @@ def _increment_dirichlet_partial(limit: int, s: float) -> float:
             weight[0] = 1.0 - (bits + valuation2(c))
         stop = min(size, limit - start)
         terms = buf[first:stop]
-        np.add(m[first:stop], start, out=terms)
-        np.power(terms, -s, out=terms)
+        np.add(m[first:stop], start, out=n[first:stop])
+        _inverse_power(n[first:stop], s, terms)
         np.multiply(weight[first:stop], terms, out=terms)
         total += float(np.add.reduce(terms))
     return total

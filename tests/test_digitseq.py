@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -10,7 +11,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from digitsum.digitseq import (
+    _MULTIPLY_MAX_ORDER,
     _block_length,
+    _inverse_power,
     digit_count,
     digit_sum,
     digit_sum_range,
@@ -229,7 +232,88 @@ class TestDigitWeightedSum:
 
         assert digit_weighted_sum(2, 2, fill) == 1.0
 
+    @pytest.mark.parametrize("k", range(1, _MULTIPLY_MAX_ORDER + 1))
+    def test_integer_order_weights_within_float64_bound(self, k):
+        """Each term within (k + 1) 2^-53 of s(n) x^-k, which k 2^-52 covers."""
+        limit, b = 10**6, 3
+
+        def fill(n, out):
+            n += 0.5
+            _inverse_power(n, float(k), out)
+
+        # libm pow is within one ulp of x^-k; fsum adds the terms exactly rounded
+        terms = digit_sum_range(limit, b)[1:] * np.arange(1.5, limit, dtype=np.float64) ** -k
+        exact = math.fsum(terms.tolist())
+        block = _block_length(b)
+        bound = (block + -(-limit // block) + k + 2) * 2.0**-52 * exact
+        assert abs(digit_weighted_sum(limit, b, fill) - exact) <= bound
+
     @pytest.mark.parametrize("limit, b", [(0, 2), (-3, 2), (10, 1), (10, 0)])
     def test_rejects_bad_arguments(self, limit, b):
         with pytest.raises(ValueError):
             digit_weighted_sum(limit, b, _fill_ones)
+
+
+def _power_bases() -> np.ndarray:
+    """Seeded x in [1, 10^7] at four shifts, and four edge doubles."""
+    n = np.random.default_rng(20171).integers(1, 10**7, size=400).astype(np.float64)
+    shifted = [n + shift for shift in (0.0, 0.25, 0.7, 1e-10)]
+    # 2^52 + 0.5 rounds to 2^52 and 1 + 1e-10 to 1 + 1.0000000827e-10: the
+    # references below use these doubles, not the decimal literals
+    edges = np.array([2.0**52 + 0.5, 1.0 + 1e-10, 1.0, 1e7])
+    return np.concatenate([*shifted, edges])
+
+
+class TestInversePower:
+    """x^-alpha by multiplies and one reciprocal, or by np.power."""
+
+    @pytest.mark.parametrize("k", range(1, _MULTIPLY_MAX_ORDER + 1))
+    def test_integer_orders_within_rounding_bound(self, k):
+        # binary powering rounds at most k - 1 times and the reciprocal once:
+        # k 2^-53 to first order, so k 2^-52 bounds the relative error
+        x = _power_bases()
+        out = np.empty_like(x)
+        _inverse_power(x, float(k), out)
+        for value, got in zip(x.tolist(), out.tolist()):
+            want = Fraction(value) ** -k
+            assert abs(Fraction(got) - want) <= k * 2.0**-52 * want, (k, value)
+
+    def test_accepts_an_integer_typed_order(self):
+        x = _power_bases()
+        want, got = np.empty_like(x), np.empty_like(x)
+        _inverse_power(x, 2.0, want)
+        _inverse_power(x, 2, got)
+        assert want.tobytes() == got.tobytes()
+
+    @pytest.mark.parametrize(
+        "alpha", [0.5, 2.5, 3.5, -1.0, 0.0, float(_MULTIPLY_MAX_ORDER + 1), 8.0]
+    )
+    def test_other_orders_are_np_power_bitwise(self, alpha):
+        x = _power_bases()
+        out = np.empty_like(x)
+        _inverse_power(x, alpha, out)
+        assert out.tobytes() == np.power(x, -alpha).tobytes()
+
+    @pytest.mark.parametrize("alpha", [1.0, 2.0, 2.5, 4.0, 5.0])
+    def test_out_may_alias_x(self, alpha):
+        x = _power_bases()
+        want = np.empty_like(x)
+        _inverse_power(x, alpha, want)
+        _inverse_power(x, alpha, x)
+        assert x.tobytes() == want.tobytes()
+
+    def test_odd_order_rejects_an_aliased_out(self):
+        # x^3 = x^2 x needs x after x^2 is written
+        x = _power_bases()
+        with pytest.raises(ValueError):
+            _inverse_power(x, 3.0, x)
+        with pytest.raises(ValueError):
+            _inverse_power(x[1:], 3.0, x[:-1])
+
+    def test_odd_order_into_a_disjoint_slice_of_one_buffer(self):
+        x = _power_bases()
+        buf = np.concatenate([x, np.empty_like(x)])
+        _inverse_power(buf[: x.size], 3.0, buf[x.size :])
+        want = np.empty_like(x)
+        _inverse_power(x, 3.0, want)
+        assert buf[x.size :].tobytes() == want.tobytes()

@@ -246,9 +246,14 @@ class TestEmitReport:
         second = emit_report(run_suite(grid), "json")
         assert first == second
 
-    def test_eta_bridge_bytes_do_not_depend_on_blas_threads(self):
-        # each subprocess fixes its BLAS thread count at import; the report
-        # must not depend on it
+    @pytest.mark.parametrize(
+        "suite, points",
+        [("eta-bridge", 3), ("cor30", 6), ("all", 321)],
+        ids=["eta-bridge", "cor30", "all"],
+    )
+    def test_report_bytes_do_not_depend_on_blas_threads(self, suite, points):
+        # each subprocess fixes its BLAS thread count at import; no oracle
+        # reduces through the BLAS, so the report must not depend on it
         src = os.path.dirname(os.path.dirname(digitsum.__file__))
         path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
         script = "import sys; from digitsum.cli import main; sys.exit(main())"
@@ -258,7 +263,7 @@ class TestEmitReport:
                 os.environ, PYTHONPATH=path, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads
             )
             result = subprocess.run(
-                [sys.executable, "-c", script, "verify", "--suite", "eta-bridge", "--format", "json"],
+                [sys.executable, "-c", script, "verify", "--suite", suite, "--format", "json"],
                 env=env,
                 capture_output=True,
                 check=True,
@@ -266,7 +271,7 @@ class TestEmitReport:
             )
             outputs.append(result.stdout)
         assert outputs[0] == outputs[1]
-        assert json.loads(outputs[0])["summary"] == {"pass": 3, "fail": 0}
+        assert json.loads(outputs[0])["summary"] == {"pass": points, "fail": 0}
 
     def test_csv_layout(self):
         lines = emit_report(self.small_run(), "csv").decode().splitlines()
