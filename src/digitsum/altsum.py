@@ -15,7 +15,6 @@ from .specfun import bernoulli_even
 __all__ = [
     "WeightTable",
     "DiscretePMF",
-    "CumulantSpec",
     "alternating_sum_direct",
     "forward_difference",
     "delta_product_form",
@@ -71,18 +70,6 @@ class DiscretePMF:
             raise ValueError("masses must sum to one")
         if any(m < 0 for m in self.mass):
             raise ValueError("masses must be non-negative")
-
-
-@dataclass(frozen=True)
-class CumulantSpec:
-    N: int | None  # None selects the large-N limit
-    order: int
-
-    def __post_init__(self) -> None:
-        if self.order < 2 or self.order % 2:
-            raise ValueError("order must be an even integer >= 2 (odd ones vanish)")
-        if self.N is not None and self.N < 1:
-            raise ValueError("N must be >= 1 or None for the limit")
 
 
 # ---------------------------------------------------------------------------

@@ -1,8 +1,8 @@
 """Digit-sum sequences and 2-adic companions.
 
-Integer-exact building blocks: base-b digit sums, digit counts, 2-adic
-valuations and the Thue-Morse sign.  Everything here works on arbitrary-size
-Python integers; the vectorized range helpers use numpy int64 and are only
+Integer-exact building blocks: base-b digit sums, 2-adic valuations and
+the Thue-Morse sign.  Everything here works on arbitrary-size Python
+integers; the vectorized range helpers use numpy int64 and are only
 meant for the bulk scans in the verification harness.
 """
 
@@ -14,7 +14,6 @@ import numpy as np
 
 __all__ = [
     "digit_sum",
-    "digit_count",
     "valuation2",
     "delta_digit_sum",
     "thue_morse_sign",
@@ -36,23 +35,6 @@ def digit_sum(n: int, b: int = 2) -> int:
         n, r = divmod(n, b)
         total += r
     return total
-
-
-def digit_count(n: int, b: int = 2) -> int:
-    """Number of base-b digits of n, i.e. floor(log_b n) + 1.
-
-    Computed by repeated division; float log would round wrong at exact
-    powers of b.
-    """
-    if n < 1:
-        raise ValueError("digit_count requires n >= 1")
-    if b < 2:
-        raise ValueError("digit_count requires base >= 2")
-    d = 0
-    while n:
-        n //= b
-        d += 1
-    return d
 
 
 def valuation2(n: int) -> int:

@@ -78,9 +78,17 @@ class GridSpec:
 @dataclass(frozen=True)
 class RunReport:
     reports: list
-    summary: dict  # {"pass": int, "fail": int}
-    worst_rel_err: float
     wall_time: float
+
+    @property
+    def summary(self) -> dict:
+        """{"pass": int, "fail": int}, counted from the reports."""
+        passed = sum(1 for r in self.reports if r.passed)
+        return {"pass": passed, "fail": len(self.reports) - passed}
+
+    @property
+    def worst_rel_err(self) -> float:
+        return max((r.rel_err for r in self.reports), default=0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -222,12 +230,7 @@ def _run_thm41(params, ctx):
     b, z = params["b"], params["z"]
     lhs = lambert_gf(b, z, ctx)
     cut = 600
-    weights = digit_sum_range(cut + 1, b).astype(np.float64)
-    powers = np.abs(z) ** np.arange(cut + 1, dtype=np.float64)
-    signs = np.sign(z) ** np.arange(cut + 1)
-    terms = powers * signs
-    terms *= weights
-    rhs = float(np.add.reduce(terms))
+    rhs = digit_weighted_sum(cut + 1, b, lambda n, out: np.power(z, n, out=out))
     digits_per_term = (b - 1) * (math.log(cut) / math.log(b) + 2.0)
     tail = digits_per_term * abs(z) ** (cut + 1) / (1.0 - abs(z)) ** 2
     return [
@@ -416,7 +419,7 @@ def _run_putnam(params, ctx):
 def _run_thm68(params, ctx):
     p = params["p"]
     g = lambda n: Fraction((7 * n**3 - 5 * n + 3) % 97 - 48, 11)
-    lhs = solver.finite_weighted_sum(p, g)
+    lhs = solver.weighted_digit_sum(2, SequenceFn(eval=g, support_bound=2**p))
     s = digit_sum_range(2**p, 2)
     rhs = sum(int(s[n]) * g(n) for n in range(1, 2**p))
     return [exact_report("thm6.8", params, lhs == rhs, lhs, rhs, 2**p)]
@@ -516,17 +519,6 @@ def _grid_points(entry: _Entry, overrides: dict) -> list[dict]:
     return [dict(zip(names, combo)) for combo in itertools.product(*ranges)]
 
 
-def _summarize(reports: list, wall_time: float) -> RunReport:
-    passed = sum(1 for r in reports if r.passed)
-    worst = max((r.rel_err for r in reports), default=0.0)
-    return RunReport(
-        reports=reports,
-        summary={"pass": passed, "fail": len(reports) - passed},
-        worst_rel_err=worst,
-        wall_time=wall_time,
-    )
-
-
 def run_suite(grid: GridSpec, ctx: PrecisionContext = DEFAULT_CTX) -> RunReport:
     """Evaluate one identity over its grid; report order is the grid order."""
     if grid.identity_id not in _REGISTRY:
@@ -539,17 +531,17 @@ def run_suite(grid: GridSpec, ctx: PrecisionContext = DEFAULT_CTX) -> RunReport:
         # no runner sets a cap, so this only adds a condition: it can fail a
         # point but never pass one
         reports = [replace(r, criterion=replace(r.criterion, cap=grid.tol)) for r in reports]
-    return _summarize(reports, time.perf_counter() - start)
+    return RunReport(reports, time.perf_counter() - start)
 
 
 def run_all(ctx: PrecisionContext = DEFAULT_CTX, tol: Optional[float] = None) -> RunReport:
     """Every registered identity on its compiled-in default grid."""
     start = time.perf_counter()
     reports = []
-    for identity_id in _REGISTRY:
+    for identity_id in identity_ids():
         suite = run_suite(GridSpec(identity_id, {}, tol), ctx)
         reports.extend(suite.reports)
-    return _summarize(reports, time.perf_counter() - start)
+    return RunReport(reports, time.perf_counter() - start)
 
 
 # ---------------------------------------------------------------------------
@@ -641,7 +633,7 @@ def emit_report(run: RunReport, format: str = "json") -> bytes:
             + ',"fail":'
             + str(run.summary["fail"])
             + '},"worst_rel_err":'
-            + format_worst(run.worst_rel_err)
+            + _fmt_value(float(run.worst_rel_err))
             + "}"
         )
         return text.encode()
@@ -649,7 +641,3 @@ def emit_report(run: RunReport, format: str = "json") -> bytes:
         lines = [_CSV_HEADER] + [_report_csv(r) for r in run.reports]
         return ("\n".join(lines) + "\n").encode()
     raise ValueError("format must be 'json' or 'csv'")
-
-
-def format_worst(x: float) -> str:
-    return format(float(x), ".17g")

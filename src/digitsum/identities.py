@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .digitseq import _block_length, _inverse_power, digit_sum, digit_weighted_sum
+from .digitseq import _inverse_power, digit_sum, digit_weighted_sum
 
 # digit_sum_range is no longer used here but stays importable: the tracer test
 # in perfbench/tests checks that it is wrapped under this module's name too
@@ -173,15 +173,15 @@ def exact_report(
 def finite_zeta_diff_direct(params: FiniteSumParams) -> float:
     """sum_{n=1}^{b^p - 1} s_b(n) [(z+n)^-a - (z+n+1)^-a], term by term."""
     b, limit, alpha, z = params.b, params.b**params.p, params.alpha, params.z
-    # (z+n+1)^-a needs a buffer apart from its base n, made once per call
-    later = np.empty(min(limit, _block_length(b)))
 
     def fill(n, out):
+        # (z+n+1)^-a needs a buffer apart from its base n
+        later = np.empty_like(n)
         n += z
         _inverse_power(n, alpha, out)
         n += 1.0
-        _inverse_power(n, alpha, later[: n.size])
-        out -= later[: n.size]
+        _inverse_power(n, alpha, later)
+        out -= later
 
     return digit_weighted_sum(limit, b, fill)
 

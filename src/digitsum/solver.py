@@ -1,6 +1,6 @@
-"""Inversion of the base-b splitting relation g(n) = f(n) - sum_j f(bn+j):
-series solution over dyadic blocks, exact finite-window solution, and the
-digit-sum-weighted sums both unlock."""
+"""Inversion of the base-b splitting relation g(n) = f(n) - sum_j f(bn+j),
+and the digit-sum-weighted sums it unlocks: term by term over a finite
+support, by a level series over base-b blocks for a decaying g."""
 from __future__ import annotations
 
 import itertools
@@ -10,7 +10,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .digitseq import digit_count, digit_sum
+from .digitseq import digit_sum
 from .identities import Criterion, IdentityReport, exact_report, j_infinity
 from .specfun import DEFAULT_CTX, PrecisionContext, TruncationBudgetError, hurwitz_zeta
 
@@ -19,21 +19,22 @@ __all__ = [
     "solve_implicit",
     "weighted_digit_sum",
     "base_relation_check",
-    "solve_implicit_finite",
-    "finite_weighted_sum",
     "recover_j_infinity_check",
 ]
 
 
 @dataclass(frozen=True)
 class SequenceFn:
-    """A sequence on the positive integers with declared summability.
+    """A sequence g on the positive integers, of one of two kinds.
 
-    decay promises |g(n)| <= C * n^-beta with beta > 1; partial_sum, when
-    supplied, returns sum_{t=a}^{c-1} g(t) in closed form so whole blocks
-    cost O(1). The decay solver calls it elementwise on float64 arrays a, c
-    holding the exact block bounds (each rounded once to float64), so it
-    must be written in numpy-compatible arithmetic.
+    Finite support: support_bound = B promises g(n) = 0 for n >= B, and the
+    solver sums eval term by term in the arithmetic eval returns, so a
+    Fraction-valued g is solved exactly.  Decay: decay = (C, beta) promises
+    |g(n)| <= C * n^-beta with beta > 1, and requires partial_sum, which
+    returns sum_{t=a}^{c-1} g(t) in closed form.  The decay solver calls it
+    elementwise on float64 arrays a, c holding the exact block bounds (each
+    rounded once to float64), so it must be written in numpy-compatible
+    arithmetic.  When both are given, the finite support is used.
     """
 
     eval: Callable
@@ -48,17 +49,13 @@ class SequenceFn:
             c, beta = self.decay
             if not (c > 0 and beta > 1):
                 raise ValueError("decay needs C > 0 and beta > 1")
-
-    def block(self, lo: int, hi: int):
-        if self.partial_sum is not None:
-            return self.partial_sum(lo, hi)
-        total = 0
-        for t in range(lo, hi):
-            total = total + self.eval(t)
-        return total
+            if self.partial_sum is None:
+                raise ValueError("decay needs a partial_sum")
 
 
 _MAX_LEVELS = 60  # the decay series gives up after levels 0 .. _MAX_LEVELS
+# outer terms of the first round of the decay route's doubling extrapolation
+_OUTER_TERMS = 1500
 
 
 def solve_implicit(
@@ -74,14 +71,12 @@ def solve_implicit(
     if n < 1:
         raise ValueError("n must be >= 1")
     if g.support_bound is not None:
-        bound = g.support_bound
         total = 0
-        k = 0
-        while b**k * n < bound:
-            lo = b**k * n
-            hi = min(b**k * (n + 1), bound)
-            total = total + g.block(lo, hi)
-            k += 1
+        lo, hi = n, n + 1
+        while lo < g.support_bound:
+            for t in range(lo, min(hi, g.support_bound)):
+                total = total + g.eval(t)
+            lo, hi = b * lo, b * hi
         return total
     if g.decay is None:
         raise ValueError("g needs support_bound or decay for the series solution")
@@ -118,41 +113,26 @@ def _solve_series(
     scale_floor = np.array([c * float(n) ** (-beta) for n in ns.tolist()], dtype=np.float64)
     totals = np.zeros(len(ns))
     active = np.arange(len(ns))
-    spent = 0
     for k in range(_MAX_LEVELS + 1):
-        if active.size == 0:
-            return totals
-        scale = b**k
-        if g.partial_sum is None:
-            spent += scale
-            if spent > ctx.max_terms:
-                raise TruncationBudgetError(
-                    f"direct block summation needs more than {ctx.max_terms} terms",
-                    spent,
-                    float(scale_floor[active[0]]) * ratio**k / (1.0 - ratio),
-                )
-            block = [g.block(scale * n, scale * (n + 1)) for n in ns[active].tolist()]
-        else:
-            block = g.partial_sum(*_level_bounds(scale, ns[active]))
+        block = g.partial_sum(*_level_bounds(b**k, ns[active]))
         totals[active] = totals[active] + block
         tail = scale_floor[active] * ratio ** (k + 1) / (1.0 - ratio)
         size = np.maximum(np.abs(totals[active]), scale_floor[active])
         done = ctx.tail_safety * tail <= ctx.rel_tol * size
         active = active[~done]
-    if active.size:
-        raise TruncationBudgetError(
-            f"decay bound not met within {_MAX_LEVELS} levels",
-            spent,
-            float(scale_floor[active[0]]) * ratio ** (_MAX_LEVELS + 1) / (1.0 - ratio),
-        )
-    return totals
+        if active.size == 0:
+            return totals
+    raise TruncationBudgetError(
+        f"decay bound not met within {_MAX_LEVELS} levels",
+        _MAX_LEVELS + 1,
+        float(scale_floor[active[0]]) * ratio ** (_MAX_LEVELS + 1) / (1.0 - ratio),
+    )
 
 
 def weighted_digit_sum(
     b: int,
     g: SequenceFn,
     ctx: PrecisionContext = DEFAULT_CTX,
-    outer_terms: int = 1500,
 ):
     """sum_{n>=1} (digit sum of n in base b) * g(n), evaluated through the
     series inverse as sum_{j=1}^{b-1} j sum_{n>=0} f(bn+j)."""
@@ -161,12 +141,8 @@ def weighted_digit_sum(
     if g.support_bound is not None:
         total = 0
         for j in range(1, b):
-            m = j
-            n = 0
-            while m < g.support_bound:
+            for m in range(j, g.support_bound, b):
                 total = total + j * solve_implicit(b, g, m, ctx)
-                n += 1
-                m = b * n + j
         return total
     if g.decay is None:
         raise ValueError("g needs support_bound or decay for the series solution")
@@ -184,7 +160,7 @@ def weighted_digit_sum(
 
     # the outer tail behaves like a power series in 1/M, so two rounds of
     # doubling extrapolation strip the 1/M and 1/M^2 parts
-    m0 = outer_terms
+    m0 = _OUTER_TERMS
     s1 = outer_partial(m0, 0, 0.0)
     s2 = outer_partial(2 * m0, m0, s1)
     s4 = outer_partial(4 * m0, 2 * m0, s2)
@@ -230,34 +206,6 @@ def base_relation_check(b: int, g: SequenceFn) -> IdentityReport:
         truncation={"terms": top, "tail_bound": 0.0},
         criterion=Criterion(1e-12),
     )
-
-
-def solve_implicit_finite(p: int, g) -> dict:
-    """Exact solution on the window [1, 2^p - 1]; with B(n) the binary digit
-    count, f(n) = sum_{k=0}^{p-B(n)} sum_{l<2^k} g(2^k n + l)."""
-    if p < 1:
-        raise ValueError("p must be >= 1")
-    evaluate = g.eval if isinstance(g, SequenceFn) else g
-    top = 2**p - 1
-    table: dict = {}
-    for n in range(1, top + 1):
-        total = 0
-        for k in range(p - digit_count(n, 2) + 1):
-            lo = n << k
-            for m in range(lo, lo + (1 << k)):
-                total = total + evaluate(m)
-        table[n] = total
-    return table
-
-
-def finite_weighted_sum(p: int, g):
-    """sum_{n=1}^{2^p-1} s_2(n) g(n) through the solved window:
-    equals sum_{n<2^(p-1)} f(2n+1)."""
-    table = solve_implicit_finite(p, g)
-    total = 0
-    for n in range(2 ** (p - 1)):
-        total = total + table[2 * n + 1]
-    return total
 
 
 def recover_j_infinity_check(

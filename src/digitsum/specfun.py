@@ -19,7 +19,6 @@ from functools import lru_cache
 
 __all__ = [
     "PrecisionContext",
-    "ZetaArg",
     "BarnesParams",
     "TruncationBudgetError",
     "DEFAULT_CTX",
@@ -69,18 +68,6 @@ class PrecisionContext:
 
 
 DEFAULT_CTX = PrecisionContext()
-
-
-@dataclass(frozen=True)
-class ZetaArg:
-    alpha: float  # order; != 1 for Hurwitz evaluation
-    z: float  # shift, > 0
-
-    def __post_init__(self) -> None:
-        if self.alpha == 1:
-            raise ValueError("alpha = 1 is the pole")
-        if not self.z > 0:
-            raise ValueError("z must be positive")
 
 
 @dataclass(frozen=True)

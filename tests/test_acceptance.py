@@ -42,7 +42,7 @@ from digitsum.lambert import (
     mobius_inverse_check,
     partition_convolution_check,
 )
-from digitsum.solver import SequenceFn, finite_weighted_sum, solve_implicit_finite, weighted_digit_sum
+from digitsum.solver import SequenceFn, solve_implicit, weighted_digit_sum
 from digitsum.specfun import DEFAULT_CTX, elliptic_K, hurwitz_zeta
 
 
@@ -189,8 +189,7 @@ def test_criterion_10_three_route_agreement_and_closed_polynomials():
 def test_criterion_11_window_solver_worked_example_and_random_windows():
     # p = 4, g(m) = 2^m makes every contribution a distinct bit, so each
     # solved value pins down its exact term set
-    g = lambda m: 2**m
-    table = solve_implicit_finite(4, g)
+    g = SequenceFn(eval=lambda m: 2**m, support_bound=16)
     expected_terms = {
         1: list(range(1, 16)),
         2: [2, 4, 5, 8, 9, 10, 11],
@@ -202,14 +201,14 @@ def test_criterion_11_window_solver_worked_example_and_random_windows():
     }
     expected_terms.update({n: [n] for n in range(8, 16)})
     for n, terms in expected_terms.items():
-        assert table[n] == sum(2**m for m in terms), n
+        assert solve_implicit(2, g, n) == sum(2**m for m in terms), n
     rng = random.Random(11)
     for p in (5, 9, 12):
         values = [Fraction(rng.randrange(-99, 100), rng.randrange(1, 60)) for _ in range(2**p)]
-        g_rand = lambda m: values[m]
+        g_rand = SequenceFn(eval=lambda m: values[m], support_bound=2**p)
         s = digit_sum_range(2**p, 2)
         direct = sum(int(s[n]) * values[n] for n in range(1, 2**p))
-        assert finite_weighted_sum(p, g_rand) == direct, p
+        assert weighted_digit_sum(2, g_rand) == direct, p
 
 
 def test_criterion_12_plain_kernel_finite_closed_form():

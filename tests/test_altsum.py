@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from digitsum import altsum
 from digitsum.altsum import (
-    CumulantSpec,
     DiscretePMF,
     WeightTable,
     alpha_weights,
@@ -451,13 +450,3 @@ class TestTypeValidation:
     def test_pmf_masses_must_sum_to_one(self):
         with pytest.raises(ValueError):
             DiscretePMF(1, (Fraction(1, 2), Fraction(1, 4)))
-
-    def test_cumulant_spec_requires_even_order(self):
-        with pytest.raises(ValueError):
-            CumulantSpec(3, 5)
-        spec = CumulantSpec(None, 4)
-        assert spec.N is None
-
-    def test_cumulant_spec_rejects_bad_level(self):
-        with pytest.raises(ValueError):
-            CumulantSpec(0, 4)

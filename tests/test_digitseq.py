@@ -14,7 +14,6 @@ from digitsum.digitseq import (
     _MULTIPLY_MAX_ORDER,
     _block_length,
     _inverse_power,
-    digit_count,
     digit_sum,
     digit_sum_range,
     digit_weighted_sum,
@@ -55,31 +54,6 @@ class TestDigitSum:
         base_value = digit_sum(n, b)
         for j in range(b):
             assert digit_sum(b * n + j, b) == base_value + j
-
-
-class TestDigitCount:
-    def test_binary_examples(self):
-        assert digit_count(7, 2) == 3
-        assert digit_count(8, 2) == 4
-
-    def test_decimal_example(self):
-        assert digit_count(100, 10) == 3
-
-    def test_rejects_zero(self):
-        with pytest.raises(ValueError):
-            digit_count(0, 2)
-
-    @given(st.integers(min_value=1, max_value=10**30), st.sampled_from([2, 3, 10]))
-    def test_unique_bracketing_power(self, n, b):
-        """digit_count(n, b) is the unique d with b^(d-1) <= n < b^d."""
-        d = digit_count(n, b)
-        assert b ** (d - 1) <= n < b**d
-
-    def test_exact_powers_not_off_by_one(self):
-        # exact powers are the float-log failure mode; must be exact here
-        for e in [10, 48, 53, 100]:
-            assert digit_count(2**e, 2) == e + 1
-            assert digit_count(2**e - 1, 2) == e
 
 
 class TestValuation2:

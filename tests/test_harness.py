@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+from dataclasses import replace
 
 import pytest
 from click.testing import CliRunner
@@ -135,6 +136,13 @@ class TestRunSuite:
     def test_tolerance_override_keeps_exact_passes(self):
         run = run_suite(GridSpec("weights", {"N": [3]}, 1e-30))
         assert run.summary == {"pass": 1, "fail": 0}
+
+    def test_summary_is_counted_from_the_reports(self):
+        reports = run_suite(GridSpec("jinfty", {"b": [2], "x": [1.0, 2.0]})).reports
+        capped = replace(reports[1], criterion=replace(reports[1].criterion, cap=0.0))
+        run = RunReport([reports[0], capped], 0.0)
+        assert run.summary == {"pass": 1, "fail": 1}
+        assert run.worst_rel_err == max(r.rel_err for r in reports) > 0.0
 
     def test_wall_time_recorded(self):
         run = run_suite(GridSpec("weights", {"N": [1]}))
@@ -285,7 +293,7 @@ class TestEmitReport:
             emit_report(self.small_run(), "yaml")
 
     def test_empty_run_serializes(self):
-        empty = RunReport([], {"pass": 0, "fail": 0}, 0.0, 0.0)
+        empty = RunReport([], 0.0)
         data = json.loads(emit_report(empty, "json"))
         assert data == {"reports": [], "summary": {"pass": 0, "fail": 0}, "worst_rel_err": 0.0}
 
@@ -318,6 +326,15 @@ class TestCli:
 
     def test_eval_unknown_identity(self):
         assert self.invoke("eval", "nope").exit_code != 0
+
+    @pytest.mark.parametrize(
+        "args", [["eval", "nope"], ["verify", "--suite", "nope"]], ids=["eval", "verify"]
+    )
+    def test_unknown_identity_message(self, args):
+        # the harness raises, and the command group prints the message
+        result = self.invoke(*args)
+        assert result.exit_code == 1
+        assert "Error: unknown identity 'nope'" in result.output
 
     def test_eval_unknown_parameter(self):
         assert self.invoke("eval", "thm2.1", "--param", "gamma=1").exit_code != 0

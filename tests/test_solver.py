@@ -1,7 +1,6 @@
 import math
 from fractions import Fraction
 
-import mpmath as mp
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -12,10 +11,8 @@ from digitsum.lambert import lambert_gf
 from digitsum.solver import (
     SequenceFn,
     base_relation_check,
-    finite_weighted_sum,
     recover_j_infinity_check,
     solve_implicit,
-    solve_implicit_finite,
     weighted_digit_sum,
 )
 from digitsum.specfun import PrecisionContext, TruncationBudgetError
@@ -60,14 +57,14 @@ def scalar_series(b, g, n, ctx=PrecisionContext()):
     raise AssertionError("reference loop ran out of levels")
 
 
-def scalar_weighted_sum(b, g, outer_terms=1500):
+def scalar_weighted_sum(b, g):
     def outer_partial(count, start, acc):
         for n in range(start, count):
             for j in range(1, b):
                 acc = acc + j * scalar_series(b, g, b * n + j)
         return acc
 
-    m0 = outer_terms
+    m0 = 1500
     s1 = outer_partial(m0, 0, 0.0)
     s2 = outer_partial(2 * m0, m0, s1)
     s4 = outer_partial(4 * m0, 2 * m0, s2)
@@ -78,19 +75,19 @@ def scalar_weighted_sum(b, g, outer_terms=1500):
 
 class TestSequenceFn:
     def test_rejects_bad_decay(self):
-        with pytest.raises(ValueError):
-            SequenceFn(eval=lambda n: 0.0, decay=(1.0, 1.0))
-        with pytest.raises(ValueError):
-            SequenceFn(eval=lambda n: 0.0, decay=(-1.0, 2.0))
+        with pytest.raises(ValueError, match="C > 0 and beta > 1"):
+            SequenceFn(eval=lambda n: 0.0, decay=(1.0, 1.0), partial_sum=lambda a, c: 0.0)
+        with pytest.raises(ValueError, match="C > 0 and beta > 1"):
+            SequenceFn(eval=lambda n: 0.0, decay=(-1.0, 2.0), partial_sum=lambda a, c: 0.0)
+
+    def test_decay_requires_partial_sum(self):
+        # the decay series sums whole blocks in closed form only
+        with pytest.raises(ValueError, match="partial_sum"):
+            SequenceFn(eval=lambda n: float(n) ** -4.0, decay=(1.0, 4.0))
 
     def test_rejects_empty_support(self):
         with pytest.raises(ValueError):
             SequenceFn(eval=lambda n: 0.0, support_bound=0)
-
-    def test_block_matches_termwise(self):
-        g = geometric(0.5)
-        direct = sum(0.5**t for t in range(3, 9))
-        assert g.block(3, 9) == pytest.approx(direct, rel=1e-15)
 
 
 class TestSolveImplicit:
@@ -112,25 +109,10 @@ class TestSolveImplicit:
         want = sum(z ** (3 * 2**k) * (1 - z ** (2**k)) / (1 - z) for k in range(40))
         assert got == pytest.approx(want, rel=1e-13)
 
-    def test_direct_blocks_without_closed_prefix(self):
-        # no partial_sum: every level is summed term by term
-        g = SequenceFn(eval=lambda n: float(n) ** -4.0, decay=(1.0, 4.0))
-        got = solve_implicit(2, g, 5, ctx=PrecisionContext(rel_tol=1e-10))
-        want = mp.nsum(
-            lambda k: mp.zeta(4, 5 * 2**k) - mp.zeta(4, 6 * 2**k), [0, mp.inf]
-        )
-        assert got == pytest.approx(float(want), rel=1e-9)
-
     def test_requires_summability_declaration(self):
         bare = SequenceFn(eval=lambda n: 1.0 / n**2)
         with pytest.raises(ValueError):
             solve_implicit(2, bare, 1)
-
-    def test_term_budget_raises(self):
-        g = SequenceFn(eval=lambda n: float(n) ** -1.5, decay=(1.0, 1.5))
-        ctx = PrecisionContext(max_terms=100)
-        with pytest.raises(TruncationBudgetError):
-            solve_implicit(2, g, 1, ctx=ctx)
 
     def test_level_budget_raises(self):
         # the tail halves per level, so 1e-30 is out of reach within 60 levels
@@ -175,11 +157,6 @@ class TestBatchedSeries:
     def test_level_budget_raises_from_weighted_sum(self):
         with pytest.raises(TruncationBudgetError):
             weighted_digit_sum(2, reciprocal_product(), ctx=PrecisionContext(rel_tol=1e-30))
-
-    def test_term_budget_raises_from_weighted_sum(self):
-        g = SequenceFn(eval=lambda n: float(n) ** -2.0, decay=(1.0, 2.0))
-        with pytest.raises(TruncationBudgetError, match="more than 1000 terms"):
-            weighted_digit_sum(2, g, ctx=PrecisionContext(max_terms=1000))
 
 
 class TestFixedPoint:
@@ -294,51 +271,66 @@ class TestBaseRelationCheck:
             base_relation_check(2, reciprocal_product())
 
 
+def window(p, g):
+    # g on the window [1, 2^p - 1]
+    return SequenceFn(eval=g, support_bound=2**p)
+
+
 class TestSolveImplicitFinite:
     def test_window_solution_layers(self):
         # distinct powers of two make every g-contribution identifiable
-        f = solve_implicit_finite(4, lambda m: 1 << m)
+        g = window(4, lambda m: 1 << m)
+        f = {n: solve_implicit(2, g, n) for n in range(1, 16)}
         assert f[3] == sum(1 << m for m in (3, 6, 7, 12, 13, 14, 15))
         assert f[7] == (1 << 7) + (1 << 14) + (1 << 15)
         assert f[1] == sum(1 << m for m in range(1, 16))
         assert all(f[m] == 1 << m for m in range(8, 16))
 
     def test_accepts_sequence_fn(self):
+        # a support bound that is not a power of the base clips the last level
         g = SequenceFn(eval=lambda m: m, support_bound=8)
-        assert solve_implicit_finite(3, g)[4] == 4
+        assert solve_implicit(2, g, 4) == 4
+        assert solve_implicit(2, g, 3) == 3 + 6 + 7
+        assert solve_implicit(3, g, 2) == 2 + 6 + 7
 
     @given(values=st.lists(st.integers(-9, 9), min_size=15, max_size=15))
     @settings(max_examples=40, deadline=None)
     def test_window_fixed_point(self, values):
         table = {m + 1: Fraction(v, 5) for m, v in enumerate(values)}
-        f = solve_implicit_finite(4, lambda m: table[m])
+        g = window(4, lambda m: table[m])
+        f = {n: solve_implicit(2, g, n) for n in range(1, 16)}
         for n in range(1, 8):
             assert table[n] == f[n] - f[2 * n] - f[2 * n + 1]
         for n in range(8, 16):
             assert table[n] == f[n]
 
     def test_rejects_empty_window(self):
-        with pytest.raises(ValueError):
-            solve_implicit_finite(0, lambda m: m)
+        # support_bound = 1 is the empty window: nothing to sum, and g is never called
+        def g(m):
+            raise AssertionError(m)
+
+        empty = SequenceFn(eval=g, support_bound=1)
+        assert solve_implicit(2, empty, 1) == 0
+        assert weighted_digit_sum(3, empty) == 0
 
 
 class TestFiniteWeightedSum:
     def test_all_ones_counts_digit_sums(self):
-        assert finite_weighted_sum(3, lambda n: 1) == 12
+        assert weighted_digit_sum(2, window(3, lambda n: 1)) == 12
 
     def test_reciprocal_matches_direct(self):
-        got = finite_weighted_sum(4, lambda n: 1.0 / n)
+        got = weighted_digit_sum(2, window(4, lambda n: 1.0 / n))
         want = sum(digit_sum(n, 2) / n for n in range(1, 16))
         assert got == pytest.approx(want, rel=1e-12)
 
     def test_single_cell(self):
-        assert finite_weighted_sum(1, lambda n: 7.5) == 7.5
+        assert weighted_digit_sum(2, window(1, lambda n: 7.5)) == 7.5
 
     @given(values=st.lists(st.integers(-20, 20), min_size=63, max_size=63))
     @settings(max_examples=20, deadline=None)
     def test_exact_rational_window(self, values):
         table = {m + 1: Fraction(v, 11) for m, v in enumerate(values)}
-        got = finite_weighted_sum(6, lambda m: table[m])
+        got = weighted_digit_sum(2, window(6, lambda m: table[m]))
         want = sum(Fraction(digit_sum(n, 2)) * table[n] for n in range(1, 64))
         assert got == want
 
@@ -346,7 +338,7 @@ class TestFiniteWeightedSum:
     def test_partial_fraction_bridge(self, z):
         # 1/((z+n)(z+n+1)) is the difference of first powers, so the window
         # sum equals the order-one finite difference-kernel sum
-        got = finite_weighted_sum(5, lambda n: 1.0 / ((z + n) * (z + n + 1.0)))
+        got = weighted_digit_sum(2, window(5, lambda n: 1.0 / ((z + n) * (z + n + 1.0))))
         want = finite_zeta_diff_direct(FiniteSumParams(2, 5, 1.0, z))
         assert got == pytest.approx(want, rel=1e-12)
 

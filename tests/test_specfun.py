@@ -20,7 +20,6 @@ from digitsum.specfun import (
     BarnesParams,
     PrecisionContext,
     TruncationBudgetError,
-    ZetaArg,
     alternating_hurwitz,
     barnes_psi2_2,
     barnes_zeta2,
@@ -60,12 +59,6 @@ class TestPrecisionContext:
             PrecisionContext(em_order=7)
         with pytest.raises(ValueError):
             PrecisionContext(max_terms=0)
-
-    def test_zeta_arg_validation(self):
-        with pytest.raises(ValueError):
-            ZetaArg(alpha=1.0, z=2.0)
-        with pytest.raises(ValueError):
-            ZetaArg(alpha=2.0, z=0.0)
 
 
 class TestDigamma:
