@@ -96,10 +96,18 @@ def digit_sum_range(limit: int, b: int = 2) -> np.ndarray:
     return out
 
 
-# A weighted-sum block holds at most this many terms: enough to spread numpy's
-# per-call cost over many terms, few enough that the block buffers stay in
-# cache instead of paging in limit-length arrays.
-_BLOCK_CAP = 2**16
+# A weighted-sum block holds at most this many terms.  The kernel streams five
+# float64 buffers of one block each (s_b(m), m, n, w and the products), 40
+# bytes a term, through about six numpy passes per block, so the cap is the
+# largest power of two whose buffers fit a 2 MB per-core L2: 2^15 terms are
+# 1.25 MB, 2^16 are 2.5 MB.  A smaller cap lets the per-block Python cost
+# take over.
+# direct_digit_zeta(b, 2.0, 0.5, 10^7) for b = 2 and 3, median of 15
+# interleaved runs (numpy 2.4, a 2-core x86-64 VM with 2 MB L2 per core):
+# 2^13 53 and 51 ms, 2^14 42 and 51 ms, 2^15 44 and 46 ms, 2^16 61 and
+# 51 ms, 2^17 63 and 54 ms.  The 200k-term oracles take 1.2-1.8 ms at 2^15
+# and 3.0-3.7 ms at 2^16.
+_BLOCK_CAP = 2**15
 
 
 def _block_length(b: int) -> int:

@@ -327,7 +327,7 @@ def _run_thm51(params, ctx):
 
 def _run_as1(params, ctx):
     N = params["N"]
-    got = altsum.alternating_sum_via_weights(lambda t: t**N, Fraction(0), N)
+    got = altsum.alternating_sum_via_weights(lambda t: t**N, 0, N)
     want = (-1) ** N * 2 ** (N * (N - 1) // 2) * math.factorial(N)
     return [exact_report("as1", params, got == want, got, want, 2**N)]
 
@@ -335,7 +335,9 @@ def _run_as1(params, ctx):
 def _run_as2(params, ctx):
     N = params["N"]
     x = Fraction(params["x"])
-    got = altsum.alternating_sum_via_weights(lambda t: t ** (N + 1), x, N)
+    # an integral x keeps the exact sum in int arithmetic, as in _run_as1
+    start = x.numerator if x.denominator == 1 else x
+    got = altsum.alternating_sum_via_weights(lambda t: t ** (N + 1), start, N)
     want = (
         (-1) ** N
         * math.factorial(N + 1)

@@ -210,8 +210,10 @@ def finite_zeta_diff_closed(
                 alpha, 1.0 + (z + top) / scale, ctx
             )
 
-    first = sum(float(b) ** (-alpha * l) * diff(l) for l in range(p))
-    second = sum(b * float(b) ** (-alpha * l) * diff(l) for l in range(1, p + 1))
+    # levels 1 .. p-1 enter both sums: compute each difference once
+    diffs = [diff(l) for l in range(p + 1)]
+    first = sum(float(b) ** (-alpha * l) * diffs[l] for l in range(p))
+    second = sum(b * float(b) ** (-alpha * l) * diffs[l] for l in range(1, p + 1))
     return first - second
 
 
@@ -528,9 +530,9 @@ def finite_barnes_closed(
         right = barnes_zeta2(BarnesParams(alpha, z + step + top, 1.0, step), ctx)
         return left - right
 
-    first = sum(bracket(l) for l in range(p))
-    second = sum(bracket(l) for l in range(1, p + 1))
-    return first - b * second
+    # levels 1 .. p-1 enter both sums: evaluate each bracket once
+    brackets = [bracket(l) for l in range(p + 1)]
+    return sum(brackets[:p]) - b * sum(brackets[1:])
 
 
 def infinite_barnes(

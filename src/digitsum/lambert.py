@@ -3,7 +3,6 @@ tied to them: rank polynomials, a 2-adic Moebius companion, partition-count
 convolutions, and a Dirichlet-series bridge."""
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -27,10 +26,7 @@ __all__ = [
     "rankwise_coefficients",
     "mobius",
     "c_sequence",
-    "delta_from_divisors",
     "mobius_inverse_check",
-    "PartitionCounts",
-    "partition_counts",
     "partition_convolution_check",
     "eta_dirichlet_bridge_check",
 ]
@@ -186,21 +182,6 @@ def c_sequence(n: int) -> int:
     return (1 << (v - 1)) * mobius(n >> v)
 
 
-def delta_from_divisors(n: int) -> int:
-    """sum over divisors d of n of (-1)^(n/d + 1) [d is a power of two].
-
-    Only d = 2^j with j <= nu_2(n) contribute; the sum collapses to the
-    one-step digit-sum increment at n-1, that is 1 - nu_2(n).
-    """
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    total = 0
-    for j in range(valuation2(n) + 1):
-        quotient = n >> j
-        total += 1 if quotient % 2 else -1
-    return total
-
-
 def mobius_inverse_check(n_max: int) -> list[int]:
     """The n <= n_max where sum_{d|n} c(n/d) * (one-step digit increment at
     d-1) misses the power-of-two indicator of n; empty when the identity holds.
@@ -226,14 +207,6 @@ def mobius_inverse_check(n_max: int) -> list[int]:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class PartitionCounts:
-    n: int
-    even_parts: int  # partitions of n into an even number of parts
-    odd_parts: int  # ... odd number of parts
-    power2_in_distinct: int  # power-of-two parts across distinct-part partitions
-
-
 def _partition_tables(n_max: int) -> tuple[list[int], list[int], list[int]]:
     # parity-tracked unbounded partition DP
     even = [0] * (n_max + 1)
@@ -254,16 +227,6 @@ def _partition_tables(n_max: int) -> tuple[list[int], list[int], list[int]]:
             weighted[m] += weighted[m - k] + bonus * count[m - k]
             count[m] += count[m - k]
     return even, odd, weighted
-
-
-def partition_counts(n: int) -> PartitionCounts:
-    """Exact partition statistics used by the convolution identity."""
-    if n < 0:
-        raise ValueError("n must be >= 0")
-    if n > _PARTITION_BUDGET:
-        raise ValueError(f"partition budget is n <= {_PARTITION_BUDGET}")
-    even, odd, weighted = _partition_tables(n)
-    return PartitionCounts(n, even[n], odd[n], weighted[n])
 
 
 def partition_convolution_check(n_max: int) -> list[IdentityReport]:
@@ -317,11 +280,11 @@ def _increment_series_tail(N: int, s: float) -> tuple[float, float]:
 
 
 def _increment_dirichlet_partial(limit: int, s: float) -> float:
-    """sum_{1 <= n < limit} (1 - nu_2(n)) n^-s, one block of B = 2^16 terms
-    at a time.
+    """sum_{1 <= n < limit} (1 - nu_2(n)) n^-s, one block of B = _BLOCK_CAP
+    terms at a time.
 
-    For m < B and c >= 1, nu_2(cB + m) = nu_2(m) unless m = 0, where it is
-    16 + nu_2(c): the weights 1 - nu_2(m) are built once and only index 0 is
+    For m < B = 2^k and c >= 1, nu_2(cB + m) = nu_2(m) unless m = 0, where it
+    is k + nu_2(c): the weights 1 - nu_2(m) are built once and only index 0 is
     patched per block.  Two B-length buffers are reused, and each block is
     reduced with np.add.reduce, whose order does not depend on the BLAS.
     """

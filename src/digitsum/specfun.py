@@ -120,6 +120,14 @@ def _bernoulli_float() -> tuple[float, ...]:
     return tuple(float(b) for b in _bernoulli_table())
 
 
+@lru_cache(maxsize=1)
+def _em_coefficients() -> tuple[float, ...]:
+    """B_2j / (2j)! for j = 0 .. 32: the Euler-Maclaurin weights, formed once
+    as the same doubles an inline float(B_2j) / (2j)! gives."""
+    bern = _bernoulli_float()
+    return tuple(bern[2 * j] / math.factorial(2 * j) for j in range(len(bern) // 2 + 1))
+
+
 # ---------------------------------------------------------------------------
 # Digamma
 # ---------------------------------------------------------------------------
@@ -170,7 +178,7 @@ def hurwitz_zeta(alpha: float, z: float, ctx: PrecisionContext = DEFAULT_CTX) ->
         raise ValueError("hurwitz_zeta requires alpha > 0")
     if not z > 0:
         raise ValueError("hurwitz_zeta requires z > 0")
-    bern = _bernoulli_float()
+    coef = _em_coefficients()
     half = ctx.em_order // 2
 
     direct = 0.0
@@ -192,10 +200,10 @@ def hurwitz_zeta(alpha: float, z: float, ctx: PrecisionContext = DEFAULT_CTX) ->
         poch = alpha
         wp = w ** (-alpha - 1.0)
         for j in range(1, half + 1):
-            value += bern[2 * j] / math.factorial(2 * j) * poch * wp
+            value += coef[j] * poch * wp
             poch *= (alpha + 2 * j - 1) * (alpha + 2 * j)
             wp /= w * w
-        omitted = abs(bern[2 * half + 2]) / math.factorial(2 * half + 2) * poch * wp
+        omitted = abs(coef[half + 1]) * poch * wp
         if ctx.tail_safety * omitted <= ctx.rel_tol * max(abs(value), ctx.abs_floor):
             return value
         target *= 2.0
@@ -295,7 +303,7 @@ def barnes_zeta2(params: BarnesParams, ctx: PrecisionContext = DEFAULT_CTX) -> f
     a, x, w1, w2 = params.alpha, params.x, params.omega1, params.omega2
     if not a > 2:
         raise ValueError("barnes_zeta2 requires alpha > 2 (order-2 finite part is separate)")
-    bern = _bernoulli_float()
+    coef = _em_coefficients()
     half = ctx.em_order // 2
 
     # outer terms m2 = 0 .. M-1 summed directly; start M where the scaled
@@ -314,8 +322,7 @@ def barnes_zeta2(params: BarnesParams, ctx: PrecisionContext = DEFAULT_CTX) -> f
         poch = a
         for j in range(1, half + 1):
             tail += (
-                bern[2 * j]
-                / math.factorial(2 * j)
+                coef[j]
                 * poch
                 * w2 ** (2 * j - 1)
                 / w1 ** (a + 2 * j - 1)
@@ -323,8 +330,7 @@ def barnes_zeta2(params: BarnesParams, ctx: PrecisionContext = DEFAULT_CTX) -> f
             )
             poch *= (a + 2 * j - 1) * (a + 2 * j)
         omitted = (
-            abs(bern[2 * half + 2])
-            / math.factorial(2 * half + 2)
+            abs(coef[half + 1])
             * poch
             * w2 ** (2 * half + 1)
             / w1 ** (a + 2 * half + 1)

@@ -182,7 +182,7 @@ class TestDigitWeightedSum:
 
     def test_block_length(self):
         assert [_block_length(b) for b in (2, 3, 10, 16, 256, 257, 70001)] == [
-            2**16, 3**10, 10**4, 16**4, 256**2, 257, 70001
+            2**15, 3**9, 10**4, 16**3, 256, 257, 70001
         ]
 
     @pytest.mark.parametrize("b", [2, 3, 10, 70001])

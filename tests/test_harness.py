@@ -4,6 +4,7 @@ import os
 import subprocess
 import sys
 from dataclasses import replace
+from fractions import Fraction
 
 import pytest
 from click.testing import CliRunner
@@ -21,6 +22,7 @@ from digitsum.harness import (
     run_suite,
 )
 from digitsum.lambert import lambert_gf_finite
+from digitsum.specfun import DEFAULT_CTX
 
 EXPECTED_IDS = [
     "thm2.1",
@@ -143,6 +145,28 @@ class TestRunSuite:
         run = RunReport([reports[0], capped], 0.0)
         assert run.summary == {"pass": 1, "fail": 1}
         assert run.worst_rel_err == max(r.rel_err for r in reports) > 0.0
+
+    @pytest.mark.parametrize("N", range(1, 9))
+    def test_as1_integer_sum_is_the_fraction_sum(self, N):
+        # summed from int 0, the exact total and its report bytes are those of
+        # the same sum carried in Fraction
+        (report,) = harness._run_as1({"N": N}, DEFAULT_CTX)
+        want = altsum.alternating_sum_via_weights(lambda t: t**N, Fraction(0), N)
+        assert type(report.lhs) is int
+        assert report.lhs == want
+        assert harness._fmt_value(report.lhs) == harness._fmt_value(want)
+        assert report.passed
+
+    @pytest.mark.parametrize("x", [0.0, 1.0, -1.5])
+    @pytest.mark.parametrize("N", range(1, 7))
+    def test_as2_sum_is_the_fraction_sum(self, N, x):
+        # an integral x is summed in int, a fractional one stays in Fraction
+        (report,) = harness._run_as2({"N": N, "x": x}, DEFAULT_CTX)
+        want = altsum.alternating_sum_via_weights(lambda t: t ** (N + 1), Fraction(x), N)
+        assert type(report.lhs) is (int if x.is_integer() else Fraction)
+        assert report.lhs == want
+        assert harness._fmt_value(report.lhs) == harness._fmt_value(want)
+        assert report.passed
 
     def test_wall_time_recorded(self):
         run = run_suite(GridSpec("weights", {"N": [1]}))

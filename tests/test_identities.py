@@ -134,6 +134,21 @@ class TestFiniteClosedForm:
                 near = finite_zeta_diff_closed(FiniteSumParams(b, p, 1.0 + eps, z))
                 assert rel_err(near, at_one) < 1e-4
 
+    @pytest.mark.parametrize("alpha, name", [(2.5, "hurwitz_zeta"), (1.0, "digamma")])
+    @pytest.mark.parametrize("b, p", [(2, 1), (2, 4), (3, 3)])
+    def test_each_level_difference_once(self, monkeypatch, b, p, alpha, name):
+        # p + 1 levels, two special-function values each, none repeated
+        real, args = getattr(identities, name), []
+
+        def counted(*call):
+            args.append(call)
+            return real(*call)
+
+        monkeypatch.setattr(identities, name, counted)
+        finite_zeta_diff_closed(FiniteSumParams(b, p, alpha, 0.5))
+        assert len(args) == 2 * (p + 1)
+        assert len(set(args)) == len(args)
+
     @given(
         b=st.sampled_from([2, 3, 5]),
         p=st.integers(min_value=1, max_value=4),
@@ -434,6 +449,20 @@ class TestFiniteBarnes:
     def test_rejects_low_order(self):
         with pytest.raises(ValueError):
             finite_barnes_closed(2, 2, 2.0, 0.0)
+
+    @pytest.mark.parametrize("b, p", [(2, 1), (2, 4), (3, 3)])
+    def test_each_level_bracket_once(self, monkeypatch, b, p):
+        # p + 1 levels, two Barnes values each, none repeated
+        real, seen = identities.barnes_zeta2, []
+
+        def counted(params, ctx=DEFAULT_CTX):
+            seen.append(params)
+            return real(params, ctx)
+
+        monkeypatch.setattr(identities, "barnes_zeta2", counted)
+        finite_barnes_closed(b, p, 3.0, 0.5)
+        assert len(seen) == 2 * (p + 1)
+        assert len(set(seen)) == len(seen)
 
 
 class TestInfiniteBarnes:

@@ -20,9 +20,7 @@ from digitsum.digitseq import (
 )
 from digitsum.identities import Criterion
 from digitsum.lambert import (
-    PartitionCounts,
     c_sequence,
-    delta_from_divisors,
     eta_dirichlet_bridge_check,
     finite_gf_coefficients,
     lambert_gf,
@@ -30,7 +28,6 @@ from digitsum.lambert import (
     mobius,
     mobius_inverse_check,
     partition_convolution_check,
-    partition_counts,
     rankwise_coefficients,
 )
 from digitsum.specfun import DEFAULT_CTX, dirichlet_eta
@@ -204,26 +201,6 @@ class TestCSequence:
                 assert c_sequence(2**v * m) == 2 ** (v - 1) * mobius(m)
 
 
-class TestDeltaFromDivisors:
-    """Signed power-of-two divisor sums."""
-
-    def test_anchors(self):
-        assert delta_from_divisors(1) == 1
-        assert delta_from_divisors(6) == 0
-        assert delta_from_divisors(8) == -2
-
-    def test_equals_increment_and_valuation_form_to_one_million(self):
-        limit = 1_000_001
-        got = np.fromiter(
-            (delta_from_divisors(n) for n in range(1, limit)), dtype=np.int64
-        )
-        want = 1 - valuation2_range(limit)[1:]
-        assert np.array_equal(got, want)
-        # spot-check the digit-sum increment reading on a slice
-        for n in range(1, 3000):
-            assert got[n - 1] == delta_digit_sum(n - 1, 2)
-
-
 def divisor_loop_failures(n_max):
     # reference: one trial-division divisor loop per n
     failures = []
@@ -265,7 +242,7 @@ class TestMobiusInverseCheck:
         assert mobius_inverse_check(300) == want
 
 
-def brute_partition_stats(n: int) -> PartitionCounts:
+def brute_partition_stats(n: int) -> tuple[int, int, int]:
     # exhaustive enumeration, small n only
     even = odd = 0
 
@@ -293,27 +270,30 @@ def brute_partition_stats(n: int) -> PartitionCounts:
             walk_distinct(remaining - k, k - 1, acc + (1 if (k & (k - 1)) == 0 else 0))
 
     walk_distinct(n, n if n else 1, 0)
-    return PartitionCounts(n, even, odd, power2)
+    return even, odd, power2
+
+
+def partition_stats(n: int) -> tuple[int, int, int]:
+    # the tables' row n: even parts, odd parts, power-of-two distinct parts
+    return tuple(table[n] for table in lambert._partition_tables(n))
 
 
 class TestPartitionCounts:
     """Parity-tracked and power-of-two-weighted partition tables."""
 
     def test_empty_partition(self):
-        pc = partition_counts(0)
-        assert (pc.even_parts, pc.odd_parts, pc.power2_in_distinct) == (1, 0, 0)
+        assert partition_stats(0) == (1, 0, 0)
 
     def test_three(self):
-        pc = partition_counts(3)
-        assert (pc.even_parts, pc.odd_parts, pc.power2_in_distinct) == (1, 2, 2)
+        assert partition_stats(3) == (1, 2, 2)
 
     @pytest.mark.parametrize("n", range(1, 13))
     def test_against_exhaustive_enumeration(self, n):
-        assert partition_counts(n) == brute_partition_stats(n)
+        assert partition_stats(n) == brute_partition_stats(n)
 
     def test_budget(self):
         with pytest.raises(ValueError):
-            partition_counts(401)
+            partition_convolution_check(401)
 
 
 class TestPartitionConvolution:
@@ -373,7 +353,9 @@ class TestIncrementDirichletPartial:
     """The blocked sum of (1 - nu_2(n)) n^-s behind the eta bridge."""
 
     @pytest.mark.parametrize(
-        "limit", [1, 2, 1000, BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK, 3 * BLOCK + 5, 10**6]
+        "limit",
+        [1, 2, 1000, BLOCK - 1, BLOCK, BLOCK + 1]
+        + [2 * BLOCK - 1, 2 * BLOCK, 2 * BLOCK + 1, 4 * BLOCK, 6 * BLOCK + 5, 10**6],
     )
     @pytest.mark.parametrize("s", [0.0, -1.0])
     def test_integer_terms_are_exact(self, limit, s):
@@ -383,7 +365,9 @@ class TestIncrementDirichletPartial:
         want = int(((1 - valuation2_range(limit)[1:]) * n ** int(-s)).sum())
         assert lambert._increment_dirichlet_partial(limit, s) == want
 
-    @pytest.mark.parametrize("limit", [BLOCK, BLOCK + 1, 3 * BLOCK, 3 * BLOCK + 12345])
+    @pytest.mark.parametrize(
+        "limit", [BLOCK, BLOCK + 1, 2 * BLOCK, 2 * BLOCK + 1, 6 * BLOCK, 6 * BLOCK + 12345]
+    )
     @pytest.mark.parametrize("s", [1.5, 2.0, 3.0])
     def test_close_to_fsum_of_the_terms(self, limit, s):
         n = np.arange(1, limit, dtype=np.float64)

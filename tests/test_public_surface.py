@@ -18,8 +18,6 @@ PACKAGE = ROOT / "src" / "digitsum"
 UNREACHED = {
     "double_sum_alternate",
     "j_infinity_taylor_coeff",
-    "delta_from_divisors",
-    "partition_counts",
     "zn_mean_variance",
     "weights_first_moment",
 }

@@ -381,3 +381,81 @@ class TestBernoulli:
                 / (2 * math.factorial(2 * n))
             )
             np.testing.assert_allclose(riemann_zeta(2.0 * n), want, rtol=1e-12)
+
+
+def _factorial_loop_hurwitz(alpha, z, ctx):
+    # hurwitz_zeta as written with an inline B_2j / (2j)! per correction term
+    bern = [float(bernoulli_even(n)) if n else 1.0 for n in range(0, 65, 2)]
+    half = ctx.em_order // 2
+    direct, w, target = 0.0, z, ctx.shift_threshold
+    while True:
+        while w < target:
+            direct += w ** (-alpha)
+            w += 1.0
+        value = direct + w ** (1.0 - alpha) / (alpha - 1.0) + 0.5 * w ** (-alpha)
+        poch, wp = alpha, w ** (-alpha - 1.0)
+        for j in range(1, half + 1):
+            value += bern[j] / math.factorial(2 * j) * poch * wp
+            poch *= (alpha + 2 * j - 1) * (alpha + 2 * j)
+            wp /= w * w
+        omitted = abs(bern[half + 1]) / math.factorial(2 * half + 2) * poch * wp
+        if ctx.tail_safety * omitted <= ctx.rel_tol * max(abs(value), ctx.abs_floor):
+            return value
+        target *= 2.0
+
+
+def _factorial_loop_barnes(a, x, w1, w2, ctx):
+    # barnes_zeta2 as written with an inline B_2j / (2j)!, on the loop above
+    bern = [float(bernoulli_even(n)) if n else 1.0 for n in range(0, 65, 2)]
+    half = ctx.em_order // 2
+    direct, m_done = 0.0, 0
+    M = max(1, math.ceil((ctx.shift_threshold * w1 - x) / w2))
+    while True:
+        while m_done < M:
+            direct += w1 ** (-a) * _factorial_loop_hurwitz(a, (x + w2 * m_done) / w1, ctx)
+            m_done += 1
+        u = (x + w2 * M) / w1
+        tail = w1 ** (1.0 - a) * _factorial_loop_hurwitz(a - 1.0, u, ctx) / (w2 * (a - 1.0))
+        tail += 0.5 * w1 ** (-a) * _factorial_loop_hurwitz(a, u, ctx)
+        poch = a
+        for j in range(1, half + 1):
+            tail += (
+                bern[j] / math.factorial(2 * j) * poch * w2 ** (2 * j - 1)
+                / w1 ** (a + 2 * j - 1) * _factorial_loop_hurwitz(a + 2 * j - 1, u, ctx)
+            )
+            poch *= (a + 2 * j - 1) * (a + 2 * j)
+        omitted = (
+            abs(bern[half + 1]) / math.factorial(2 * half + 2) * poch * w2 ** (2 * half + 1)
+            / w1 ** (a + 2 * half + 1) * _factorial_loop_hurwitz(a + 2 * half + 1, u, ctx)
+        )
+        value = direct + tail
+        if ctx.tail_safety * omitted <= ctx.rel_tol * max(abs(value), ctx.abs_floor):
+            return value
+        M *= 2
+
+
+_EM_CONTEXTS = [DEFAULT_CTX, PrecisionContext(em_order=2), PrecisionContext(em_order=16)]
+
+
+class TestEulerMaclaurinCoefficients:
+    """The B_2j / (2j)! table gives the bits the per-term factorial gave."""
+
+    @pytest.mark.parametrize("ctx", _EM_CONTEXTS, ids=["em8", "em2", "em16"])
+    def test_hurwitz_zeta_bitwise_on_a_seeded_grid(self, ctx):
+        rng = np.random.default_rng(1708)
+        alphas = rng.uniform(0.05, 12.0, size=150)
+        zs = 10.0 ** rng.uniform(-2.0, 2.5, size=150)
+        for alpha, z in zip(alphas.tolist(), zs.tolist()):
+            assert hurwitz_zeta(alpha, z, ctx) == _factorial_loop_hurwitz(alpha, z, ctx), (
+                alpha,
+                z,
+            )
+
+    @pytest.mark.parametrize("ctx", _EM_CONTEXTS, ids=["em8", "em2", "em16"])
+    def test_barnes_zeta2_bitwise_on_a_seeded_grid(self, ctx):
+        rng = np.random.default_rng(6479)
+        for _ in range(6):
+            a, x = rng.uniform(2.05, 7.0), rng.uniform(0.1, 5.0)
+            w1, w2 = rng.uniform(0.3, 4.0, size=2).tolist()
+            got = barnes_zeta2(BarnesParams(a, x, w1, w2), ctx)
+            assert got == _factorial_loop_barnes(a, x, w1, w2, ctx), (a, x, w1, w2)
