@@ -19,6 +19,7 @@ from .harness import (
     _report_json,
 )
 from .lambert import lambert_gf, lambert_gf_finite
+from .specfun import TruncationBudgetError
 
 
 def _parse_value(text: str):
@@ -33,12 +34,13 @@ def _parse_value(text: str):
 
 
 class _Main(click.Group):
-    """Command group that shows a ValueError from any command as `Error: ...`, exit 1."""
+    """Command group that shows a ValueError or TruncationBudgetError from any
+    command as `Error: ...`, exit 1."""
 
     def invoke(self, ctx: click.Context):
         try:
             return super().invoke(ctx)
-        except ValueError as err:
+        except (ValueError, TruncationBudgetError) as err:
             raise click.ClickException(str(err)) from err
 
 

@@ -25,7 +25,7 @@ from .specfun import (
     DEFAULT_CTX,
     BarnesParams,
     PrecisionContext,
-    TruncationBudgetError,
+    _level_series,
     alternating_hurwitz,
     barnes_psi2_2,
     barnes_zeta2,
@@ -345,21 +345,13 @@ def infinite_zeta_diff(
     if not z >= 0:
         raise ValueError("z must be >= 0")
     total = hurwitz_zeta(alpha, 1.0 + z, ctx)
-    scale_zeta = hurwitz_zeta(alpha, 1.0, ctx)
-    l = 1
-    while True:
-        term = float(b) ** (-l * alpha) * hurwitz_zeta(alpha, 1.0 + z / b**l, ctx)
-        total += (1 - b) * term
-        l += 1
-        probe = float(b) ** (-l * alpha) * abs(scale_zeta)
-        if (b - 1) * probe * ctx.tail_safety / (1.0 - float(b) ** -alpha) <= (
-            ctx.rel_tol * max(abs(total), ctx.abs_floor)
-        ):
-            return total
-        if l > ctx.max_terms:
-            raise TruncationBudgetError(
-                "infinite_zeta_diff level series exhausted max_terms", l, probe
-            )
+    limit = abs(hurwitz_zeta(alpha, 1.0, ctx))  # the level zetas tend to zeta(a, 1)
+
+    def term(l: int) -> float:
+        return (1 - b) * (float(b) ** (-l * alpha) * hurwitz_zeta(alpha, 1.0 + z / b**l, ctx))
+
+    tail = lambda l, t: (b - 1) * (float(b) ** (-(l + 1) * alpha) * limit) / (1 - b**-alpha)
+    return _level_series("infinite_zeta_diff", b, term, tail, 1, total, ctx)
 
 
 def j_infinity(b: int, x: float, ctx: PrecisionContext = DEFAULT_CTX) -> float:
@@ -379,26 +371,15 @@ def j_infinity(b: int, x: float, ctx: PrecisionContext = DEFAULT_CTX) -> float:
     base_value = b / (b - 1.0) * math.log(b)
     if x == 0.0:
         return base_value
-    total = base_value
-    psi_outer = digamma(x, ctx)  # psi(x / b^l) at l = 0
-    l = 0
-    while True:
-        psi_inner = digamma(x / float(b) ** (l + 1), ctx)
-        bracket = psi_inner - psi_outer + (b - 1.0) * float(b) ** l / x
-        term = float(b) ** (-l) * bracket
-        total += term
-        # once in the small-argument regime the terms shrink like b^-2l
-        probe = abs(term) * ctx.tail_safety / (b * b - 1.0)
-        if x / float(b) ** l < 1.0 and probe <= ctx.rel_tol * max(
-            abs(total), ctx.abs_floor
-        ):
-            return total
-        psi_outer = psi_inner
-        l += 1
-        if l > ctx.max_terms:
-            raise TruncationBudgetError(
-                "j_infinity level series exhausted max_terms", l, abs(term)
-            )
+    psi = [digamma(x, ctx)]  # psi(x / b^l) at the levels so far, each taken once
+
+    def term(l: int) -> float:
+        psi.append(digamma(x / float(b) ** (l + 1), ctx))
+        return float(b) ** (-l) * (psi[-1] - psi[-2] + (b - 1.0) * float(b) ** l / x)
+
+    # once in the small-argument regime the terms shrink like b^-2l
+    tail = lambda l, t: abs(t) / (b * b - 1.0) if x / float(b) ** l < 1.0 else math.inf
+    return _level_series("j_infinity", b, term, tail, 0, base_value, ctx)
 
 
 def j_infinity_taylor_coeff(
@@ -437,22 +418,17 @@ def infinite_product(b: int, z: float, ctx: PrecisionContext = DEFAULT_CTX) -> f
         raise ValueError("z must exceed -1")
     if z == 0.0:
         return 1.0
-    log_total = z * b / (b - 1.0) * math.log(b)
-    lg_outer = log_gamma(1.0 + z, ctx)  # log Gamma(1 + z/b^l) at l = 0
-    l = 0
-    while True:
-        lg_inner = log_gamma(1.0 + z / float(b) ** (l + 1), ctx)
-        term = b * lg_inner - lg_outer
-        log_total += term
-        probe = abs(term) * ctx.tail_safety / (b * b - 1.0)
-        if abs(z) / float(b) ** l < 1.0 and probe <= ctx.rel_tol:
-            return math.exp(log_total)
-        lg_outer = lg_inner
-        l += 1
-        if l > ctx.max_terms:
-            raise TruncationBudgetError(
-                "infinite_product level series exhausted max_terms", l, abs(term)
-            )
+    lg = [log_gamma(1.0 + z, ctx)]  # log Gamma(1 + z/b^l) at the levels so far, each taken once
+
+    def term(l: int) -> float:
+        lg.append(log_gamma(1.0 + z / float(b) ** (l + 1), ctx))
+        return b * lg[-1] - lg[-2]
+
+    tail = lambda l, t: abs(t) / (b * b - 1.0) if abs(z) / float(b) ** l < 1.0 else math.inf
+    # the promise is on exp(log P), whose relative error is the absolute error
+    # of log P: the tail is compared with rel_tol itself, at the fixed scale 1
+    log_base = z * b / (b - 1.0) * math.log(b)
+    return math.exp(_level_series("infinite_product", b, term, tail, 0, log_base, ctx, 1.0))
 
 
 def product_special_values(ctx: PrecisionContext = DEFAULT_CTX) -> list[IdentityReport]:
@@ -550,19 +526,16 @@ def infinite_barnes(
     if not z >= 0:
         raise ValueError("z must be >= 0")
     total = -z * hurwitz_zeta(alpha, z + 1.0, ctx) + hurwitz_zeta(alpha - 1.0, z + 1.0, ctx)
-    l = 1
-    while True:
+
+    def term(l: int) -> float:
         step = float(b) ** l
-        total += (1 - b) * barnes_zeta2(BarnesParams(alpha, z + step, 1.0, step), ctx)
-        l += 1
-        probe = (z + float(b) ** l) ** (1.0 - alpha) / (alpha - 1.0)
-        tail_est = (b - 1) * probe * ctx.tail_safety / (1.0 - float(b) ** (1.0 - alpha))
-        if tail_est <= ctx.rel_tol * max(abs(total), ctx.abs_floor):
-            return total
-        if l > ctx.max_terms:
-            raise TruncationBudgetError(
-                "infinite_barnes level series exhausted max_terms", l, tail_est
-            )
+        return (1 - b) * barnes_zeta2(BarnesParams(alpha, z + step, 1.0, step), ctx)
+
+    def tail(l: int, t: float) -> float:
+        probe = (z + float(b) ** (l + 1)) ** (1.0 - alpha) / (alpha - 1.0)
+        return (b - 1) * probe / (1.0 - float(b) ** (1.0 - alpha))
+
+    return _level_series("infinite_barnes", b, term, tail, 1, total, ctx)
 
 
 # ---------------------------------------------------------------------------
@@ -582,21 +555,15 @@ def _regularized_order2_assembly(
     instead of 0, so that series diverges.
     """
     total = barnes_psi2_2(z + 1.0, 1.0, 1.0, ctx)
-    l = 1
-    while True:
+
+    def term(l: int) -> float:
         step = float(b) ** l
-        term = barnes_psi2_2(z + step, 1.0, step, ctx)
-        total += (1 - b) * term
-        # terms decay like (1 + l log b) b^-l
-        nxt = (2.0 + (l + 1) * math.log(b)) / (b * step)
-        tail_est = (b - 1) * nxt * b / (b - 1.0) * ctx.tail_safety
-        if tail_est <= ctx.rel_tol * max(abs(total), ctx.abs_floor):
-            return total
-        l += 1
-        if l > ctx.max_terms:
-            raise TruncationBudgetError(
-                "order-2 level series exhausted max_terms", l, tail_est
-            )
+        return (1 - b) * barnes_psi2_2(z + step, 1.0, step, ctx)
+
+    # terms decay like (1 + l log b) b^-l: the (1-b)-weighted rest past level l
+    # is about b times the size (2 + (l+1) log b) b^-(l+1) of the next one
+    tail = lambda l, t: (2.0 + (l + 1) * math.log(b)) / float(b) ** l
+    return _level_series("order-2", b, term, tail, 1, total, ctx)
 
 
 def digit_zeta_2(b: int, z: float, ctx: PrecisionContext = DEFAULT_CTX) -> float:

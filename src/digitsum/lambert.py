@@ -17,7 +17,7 @@ from .digitseq import (
     valuation2_range,
 )
 from .identities import IdentityReport, build_report
-from .specfun import DEFAULT_CTX, PrecisionContext, dirichlet_eta
+from .specfun import DEFAULT_CTX, PrecisionContext, _level_series, dirichlet_eta
 
 __all__ = [
     "lambert_gf",
@@ -49,8 +49,9 @@ def lambert_gf(b: int, z: float, ctx: PrecisionContext = DEFAULT_CTX) -> float:
     """sum_{n>=1} s_b(n) z^n for |z| < 1, one closed term per digit rank.
 
     (1/(1-z)) sum_{l>=0} kernel(z^(b^l)); the levels decay doubly
-    exponentially, so the series stops once the next base power underflows
-    the working tolerance.
+    exponentially and kernel(u) ~ u for small u, so the rest past level l
+    is below 2 |z|^(b^(l+1)), a tail held to the relative rule of
+    _level_series.
     """
     if b < 2:
         raise ValueError("base must be >= 2")
@@ -58,17 +59,9 @@ def lambert_gf(b: int, z: float, ctx: PrecisionContext = DEFAULT_CTX) -> float:
         raise ValueError("lambert_gf requires |z| < 1")
     if z == 0.0:
         return 0.0
-    total = 0.0
-    l = 0
-    while True:
-        u = z ** (b**l)
-        total += _rank_kernel(b, u)
-        # the next level contributes ~ z^(b^(l+1)); stop once it is dust
-        nxt = abs(z) ** (b ** (l + 1))
-        if 2.0 * nxt <= ctx.rel_tol * max(abs(total), 1.0):
-            break
-        l += 1
-    return total / (1.0 - z)
+    term = lambda l: _rank_kernel(b, z ** (b**l))
+    tail = lambda l, t: 2.0 * abs(z) ** (b ** (l + 1))
+    return _level_series("lambert_gf", b, term, tail, 0, 0.0, ctx) / (1.0 - z)
 
 
 def _poly_mul(a: list[int], c: list[int]) -> list[int]:

@@ -13,6 +13,8 @@ PrecisionContext, so accuracy claims are budgeted rather than hoped for.
 from __future__ import annotations
 
 import math
+import sys
+from collections.abc import Callable
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -83,12 +85,47 @@ class BarnesParams:
 
 
 class TruncationBudgetError(RuntimeError):
-    """Raised when max_terms is exhausted before the tail target is met."""
+    """Raised when a truncated series misses its tail target within its budget."""
 
     def __init__(self, message: str, terms_used: int, tail_estimate: float):
         super().__init__(message)
         self.terms_used = terms_used
         self.tail_estimate = tail_estimate
+
+
+@lru_cache(maxsize=None)
+def _level_cap(b: int) -> int:
+    """The largest level l for which float(b) ** (l + 1) is finite."""
+    l = int(1024 / math.log2(b))  # b^(l+1) > 2^1024 here, so l starts above the cap
+    while b ** (l + 1) > sys.float_info.max:  # int-to-float comparisons are exact
+        l -= 1
+    return l
+
+
+def _level_series(
+    name: str, b: int, term: Callable[[int], float], tail: Callable[[int, float], float],
+    start: int, total: float, ctx: PrecisionContext, scale: float | None = None,
+) -> float:
+    """total + sum_{l >= start} term(l), the level series of a closed form.
+
+    term(l) is called once per level, in order.  After adding t = term(l) the
+    series stops once tail_safety * tail(l, t) <= rel_tol * max(|total|,
+    abs_floor), or rel_tol * scale if a fixed scale is given; tail(l, t) bounds
+    the terms past level l, or is inf until their decay law holds.  Levels end
+    at min(max_terms, _level_cap(b)), so term and tail may form b^(l+1); a
+    series open there, or a non-finite total, raises TruncationBudgetError.
+    """
+    last, bound = min(ctx.max_terms, _level_cap(b)), math.inf
+    for l in range(start, last + 1):
+        t = term(l)
+        total += t
+        if not math.isfinite(total):
+            raise TruncationBudgetError(f"{name}: not finite at level {l}", l + 1 - start, bound)
+        bound = tail(l, t)
+        size = max(abs(total), ctx.abs_floor) if scale is None else scale
+        if ctx.tail_safety * bound <= ctx.rel_tol * size:
+            return total
+    raise TruncationBudgetError(f"{name}: no convergence by level {last}", last + 1 - start, bound)
 
 
 # ---------------------------------------------------------------------------

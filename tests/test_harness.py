@@ -428,6 +428,7 @@ class TestCli:
             ["weights", "--N", "-1"],
             ["gf", "--p", "0", "--z", "0.5"],
             ["cumulants", "--N", "3", "--orders", "3"],
+            ["eval", "jinfty", "-p", "x=1e308"],
         ],
     )
     def test_domain_errors_are_reported_not_raised(self, args):

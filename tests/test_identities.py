@@ -278,6 +278,12 @@ class TestInfiniteZetaDiff:
             rhs = infinite_barnes(b, alpha, z) - infinite_barnes(b, alpha, z + 1.0)
             assert rel_err(lhs, rhs) < 1e-11
 
+    def test_slow_geometric_decay_raises(self):
+        # at ratio 2^-0.03 the rule needs far more than the 1022 levels for
+        # which 2^(l+1) is a finite double
+        with pytest.raises(TruncationBudgetError):
+            infinite_zeta_diff(2, 0.03, 1.0)
+
     def test_rejects_order_one_and_nonpositive(self):
         with pytest.raises(ValueError):
             infinite_zeta_diff(2, 1.0, 0.0)
@@ -310,6 +316,36 @@ class TestJInfinity:
         ctx = PrecisionContext(max_terms=3)
         with pytest.raises(TruncationBudgetError):
             j_infinity(2, 40.0, ctx)
+
+    def test_level_past_the_float_range_raises(self):
+        # x / b^l stays above 1 until b^l leaves the float range
+        with pytest.raises(TruncationBudgetError):
+            j_infinity(2, 1e308)
+
+    @pytest.mark.parametrize("b, x", [(2, 0.5), (3, 1.0)])
+    def test_uncancelled_poles_raise(self, monkeypatch, b, x):
+        # digamma off by 1e-12 leaves each bracket a pole remainder that grows
+        # with the level, so the series must fail loudly, not return -inf
+        real = identities.digamma
+        monkeypatch.setattr(
+            identities, "digamma", lambda w, ctx=DEFAULT_CTX: real(w, ctx) * (1.0 + 1e-12)
+        )
+        with pytest.raises(TruncationBudgetError):
+            j_infinity(b, x)
+
+    @pytest.mark.parametrize("b, x", [(2, 1.0), (3, 0.5), (10, 40.0), (2, 1e-6)])
+    def test_each_level_digamma_once(self, monkeypatch, b, x):
+        # one digamma per level boundary x / b^l, l = 0, 1, ..., none repeated
+        real, seen = identities.digamma, []
+
+        def counted(w, ctx=DEFAULT_CTX):
+            seen.append(w)
+            return real(w, ctx)
+
+        monkeypatch.setattr(identities, "digamma", counted)
+        j_infinity(b, x)
+        assert seen == [x / float(b) ** l for l in range(len(seen))]
+        assert len(set(seen)) == len(seen) > 1
 
 
 class TestJInfinityTaylorCoeff:
@@ -396,6 +432,20 @@ class TestInfiniteProduct:
     def test_rejects_z_at_or_below_minus_one(self):
         with pytest.raises(ValueError):
             infinite_product(2, -1.0)
+
+    @pytest.mark.parametrize("b, z", [(2, 1.0), (3, 0.3), (2, -0.6), (10, 500.0)])
+    def test_each_level_log_gamma_once(self, monkeypatch, b, z):
+        # one log Gamma per level boundary 1 + z / b^l, l = 0, 1, ..., none repeated
+        real, seen = identities.log_gamma, []
+
+        def counted(w, ctx=DEFAULT_CTX):
+            seen.append(w)
+            return real(w, ctx)
+
+        monkeypatch.setattr(identities, "log_gamma", counted)
+        infinite_product(b, z)
+        assert seen == [1.0 + z / float(b) ** l for l in range(len(seen))]
+        assert len(set(seen)) == len(seen) > 1
 
 
 class TestProductSpecialValues:

@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 import sympy
@@ -59,6 +60,20 @@ class TestLambertGF:
     def test_matches_direct_partial_sum(self, b, z, terms):
         # the omitted tail is below (b-1)(log_b n + 1) |z|^n summed past the cut
         assert rel_err(lambert_gf(b, z), direct_gf(b, z, terms)) < 1e-11
+
+    @pytest.mark.parametrize(
+        "b, z, bound",
+        [(2, 1e-8, 1e-15), (3, -1e-5, 1e-15), (5, -0.3, 1e-14)],
+    )
+    def test_matches_mpmath_on_the_exact_double(self, b, z, bound):
+        # the defining power series at 50 digits, from the double the code
+        # receives; a small z needs the relative stop rule, not a floor of 1
+        with mp.workdps(50):
+            x, want, n = mp.mpf(z), mp.mpf(0), 1
+            while abs(x) ** n > mp.mpf(10) ** -60:
+                want += digit_sum(n, b) * x**n
+                n += 1
+            assert float(abs(lambert_gf(b, z) - want) / abs(want)) < bound
 
     def test_triple_sum_rearrangement_binary_half(self):
         # enumerate exponents 2^(k+1) n + 2^k + l <= cutoff; each integer m

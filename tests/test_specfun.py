@@ -8,6 +8,7 @@ oracles that share no code with the implementations under test.
 from __future__ import annotations
 
 import math
+from fractions import Fraction
 
 import mpmath as mp
 import numpy as np
@@ -20,6 +21,8 @@ from digitsum.specfun import (
     BarnesParams,
     PrecisionContext,
     TruncationBudgetError,
+    _level_cap,
+    _level_series,
     alternating_hurwitz,
     barnes_psi2_2,
     barnes_zeta2,
@@ -59,6 +62,83 @@ class TestPrecisionContext:
             PrecisionContext(em_order=7)
         with pytest.raises(ValueError):
             PrecisionContext(max_terms=0)
+
+
+class TestLevelSeries:
+    """The one level-series loop behind the infinite closed forms."""
+
+    @pytest.mark.parametrize("b", [2, 3, 10, 16, 1000, 2**40 + 1])
+    def test_cap_is_the_last_level_with_a_finite_next_power(self, b):
+        cap = _level_cap(b)
+        assert math.isfinite(float(b) ** (cap + 1))
+        with pytest.raises(OverflowError):
+            float(b) ** (cap + 2)
+
+    @staticmethod
+    def constant(b, ctx, start=0):
+        # a term that never decays; its tail forms b^(l+1) as the callers do
+        levels = []
+
+        def term(l):
+            levels.append(l)
+            return 1.0
+
+        with pytest.raises(TruncationBudgetError) as info:
+            _level_series("constant", b, term, lambda l, t: float(b) ** (l + 1), start, 0.0, ctx)
+        return levels, info.value
+
+    @pytest.mark.parametrize("b", [2, 3, 10])
+    def test_constant_term_raises_at_the_float_cap(self, b):
+        levels, err = self.constant(b, DEFAULT_CTX)
+        assert levels == list(range(_level_cap(b) + 1))
+        assert err.terms_used == len(levels)
+
+    def test_constant_term_raises_at_max_terms(self):
+        levels, err = self.constant(2, PrecisionContext(max_terms=5), start=1)
+        assert levels == [1, 2, 3, 4, 5]
+        assert err.terms_used == 5
+
+    @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+    def test_non_finite_term_raises(self, bad):
+        levels = []
+
+        def term(l):
+            levels.append(l)
+            return bad if l == 3 else 0.5**l
+
+        with pytest.raises(TruncationBudgetError, match="not finite"):
+            _level_series("broken", 2, term, lambda l, t: abs(t), 0, 1.0, DEFAULT_CTX)
+        assert levels == [0, 1, 2, 3]
+
+    @pytest.mark.parametrize(
+        "ctx, scale",
+        [
+            (DEFAULT_CTX, None),
+            (PrecisionContext(tail_safety=1.0), None),
+            (PrecisionContext(rel_tol=1e-6, tail_safety=4.0), None),
+            (DEFAULT_CTX, 1e6),
+        ],
+    )
+    def test_geometric_series_stops_at_the_first_level_the_rule_allows(self, ctx, scale):
+        # sum 2^-l with its exact tail 2^-l: every partial sum is exact, so the
+        # stop level follows from the rule in rational arithmetic
+        levels = []
+
+        def term(l):
+            levels.append(l)
+            return 0.5**l
+
+        got = _level_series("geometric", 2, term, lambda l, t: t, 0, 0.0, ctx, scale)
+        safety, tol = Fraction(ctx.tail_safety), Fraction(ctx.rel_tol)
+        want = 0
+        while True:
+            tail = Fraction(1, 2**want)
+            size = 2 - tail if scale is None else Fraction(scale)
+            if safety * tail <= tol * size:
+                break
+            want += 1
+        assert levels == list(range(want + 1))
+        assert got == 2.0 - 0.5**want
 
 
 class TestDigamma:
