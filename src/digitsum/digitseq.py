@@ -97,16 +97,16 @@ def digit_sum_range(limit: int, b: int = 2) -> np.ndarray:
 
 
 # A weighted-sum block holds at most this many terms.  The kernel streams five
-# float64 buffers of one block each (s_b(m), m, n, w and the products), 40
-# bytes a term, through about six numpy passes per block, so the cap is the
-# largest power of two whose buffers fit a 2 MB per-core L2: 2^15 terms are
-# 1.25 MB, 2^16 are 2.5 MB.  A smaller cap lets the per-block Python cost
-# take over.
+# float64 rows of one block each (s_b(m), m, n, w and the position sums acc),
+# 40 bytes a term, through six numpy passes per block for an order-2 weight,
+# so the cap is the largest power of two whose rows fit a 2 MB per-core L2:
+# 2^15 terms are 1.25 MB, 2^16 are 2.5 MB.  A smaller cap lets the per-block
+# Python cost take over.
 # direct_digit_zeta(b, 2.0, 0.5, 10^7) for b = 2 and 3, median of 15
 # interleaved runs (numpy 2.4, a 2-core x86-64 VM with 2 MB L2 per core):
-# 2^13 53 and 51 ms, 2^14 42 and 51 ms, 2^15 44 and 46 ms, 2^16 61 and
-# 51 ms, 2^17 63 and 54 ms.  The 200k-term oracles take 1.2-1.8 ms at 2^15
-# and 3.0-3.7 ms at 2^16.
+# 2^13 30 and 35 ms, 2^14 26 and 35 ms, 2^15 26 and 26 ms, 2^16 28 and
+# 28 ms, 2^17 35 and 28 ms.  The 200k-term oracles take 0.8-1.0 ms at 2^15
+# and 1.1-1.2 ms at 2^16.
 _BLOCK_CAP = 2**15
 
 
@@ -126,16 +126,18 @@ def digit_weighted_sum(
     ``fill(n, out)`` writes w(n) into ``out`` for a float64 array ``n`` of
     consecutive integers; both arrays have the same length, at most B, and
     ``fill`` may use ``n`` as scratch, since the kernel rewrites it for every
-    block.  The digit sums come from the block identity
-    s_b(cB + m) = s_b(c) + s_b(m) for m < B: s_b(m) is built once, s_b(c) once
-    per block index, so no array of length ``limit`` is ever formed.  n and s
-    are exact in float64 (n < 2^53).  Each block multiplies s by w in place
-    and adds the products with ``np.add.reduce``, numpy's pairwise sum, not
-    the BLAS, so the result does not depend on the BLAS thread count.  With
-    w from ``_inverse_power``, each term is within k 2^-52 relative of
-    s_b(n) x^-k, x the double the fill forms, for an integer order
-    k <= _MULTIPLY_MAX_ORDER (k roundings in w, one in the product); any
-    other order gives np.power's term bitwise.
+    block.  Each array starts on a 64-byte boundary, except that block 0
+    starts at n = 1, 8 bytes in.  With n = cB + m, m < B, the digit sums split
+    as s_b(n) = s_b(c) + s_b(m), so the sum is sum_m s_b(m) acc[m] +
+    sum_c s_b(c) W_c, with acc[m] = sum_c w(cB + m) and W_c = sum_m w(cB + m):
+    no product s w is formed per term and no array of length ``limit`` is
+    held.  Each block adds its w to acc, in block order, and its W_c, a
+    pairwise ``np.add.reduce``, times s_b(c) to a scalar; at the end acc is
+    multiplied by s_b(m) and reduced pairwise once.  n and s are exact in
+    float64 (n < 2^53).  So the result is within gamma_(C + d + 1) sum
+    s_b(n) |w(n)| of the exact sum over the doubles w, for C blocks and d the
+    most roundings on one term's path through a pairwise sum of B terms.  No
+    sum goes through the BLAS, so the result does not depend on its threads.
     """
     if limit < 1:
         raise ValueError("digit_weighted_sum requires limit >= 1")
@@ -143,22 +145,33 @@ def digit_weighted_sum(
         raise ValueError("digit_weighted_sum requires base >= 2")
     block = _block_length(b)
     size = min(block, limit)  # below one block, buffers of length limit do
-    low = digit_sum_range(size, b).astype(np.float64)
+    low, m, n, w, acc = _aligned_rows(5, size)
+    low[...] = digit_sum_range(size, b)
+    m[...] = np.arange(size, dtype=np.float64)
     high = digit_sum_range(-(-limit // block), b).tolist()
-    m = np.arange(size, dtype=np.float64)
-    n, w, s = np.empty(size), np.empty(size), np.empty(size)
+    # block 0: s_b(c) = 0, and the sum starts at n = 1, where w may first be finite
+    np.copyto(n[1:], m[1:])
+    fill(n[1:], acc[1:])
+    acc[0] = 0.0  # its slot is unwritten memory, and s_b(0) = 0 keeps it out of the sum
     total = 0.0
-    for c, s_high in enumerate(high):
+    for c in range(1, len(high)):
         start = c * block
-        first = 1 if c == 0 else 0  # the sum starts at n = 1, where w may first be finite
         stop = min(size, limit - start)
-        np.add(m[first:stop], start, out=n[first:stop])
-        fill(n[first:stop], w[first:stop])
-        terms = s[first:stop]
-        np.add(low[first:stop], s_high, out=terms)
-        terms *= w[first:stop]
-        total += float(np.add.reduce(terms))
-    return total
+        np.add(m[:stop], start, out=n[:stop])
+        fill(n[:stop], w[:stop])
+        acc[:stop] += w[:stop]
+        total += high[c] * float(np.add.reduce(w[:stop]))
+    acc *= low
+    return float(np.add.reduce(acc)) + total
+
+
+def _aligned_rows(rows: int, size: int) -> np.ndarray:
+    """rows float64 rows of length size, each starting on a 64-byte boundary,
+    carved from one uninitialized allocation."""
+    stride = -(-size // 8) * 8
+    raw = np.empty(rows * stride + 7)
+    skip = -raw.ctypes.data % 64 // 8
+    return raw[skip : skip + rows * stride].reshape(rows, stride)[:, :size]
 
 
 # Integer orders k up to this are built by _inverse_power with multiplies and

@@ -25,6 +25,7 @@ from .specfun import (
     DEFAULT_CTX,
     BarnesParams,
     PrecisionContext,
+    TruncationBudgetError,
     _level_series,
     alternating_hurwitz,
     barnes_psi2_2,
@@ -336,7 +337,12 @@ def infinite_zeta_diff(
     """sum_{n>=1} s_b(n) [(z+n)^-a - (z+n+1)^-a] in closed form.
 
     zeta(a, 1+z) + (1-b) sum_{l>=1} b^(-l a) zeta(a, 1 + z/b^l); the
-    l-series is geometric with ratio b^-a.
+    l-series is geometric with ratio b^-a.  Past level l, |zeta(a, 1 + w)|
+    with w <= z/b^(l+1) is at most |zeta(a, 1)| for a > 1, and at most
+    |zeta(a, 1)| + 1 + (1+w)^(1-a)/(1-a) for a < 1, where the level terms
+    grow with z and may cancel to a far smaller total.  So the sum raises
+    TruncationBudgetError when kappa = sum |term| / |total| puts its rounding,
+    kappa 2^-52, above rel_tol.
     """
     if b < 2:
         raise ValueError("base must be >= 2")
@@ -346,12 +352,28 @@ def infinite_zeta_diff(
         raise ValueError("z must be >= 0")
     total = hurwitz_zeta(alpha, 1.0 + z, ctx)
     limit = abs(hurwitz_zeta(alpha, 1.0, ctx))  # the level zetas tend to zeta(a, 1)
+    sizes = [abs(total)]  # |term| of each level so far, level 0 first
 
     def term(l: int) -> float:
-        return (1 - b) * (float(b) ** (-l * alpha) * hurwitz_zeta(alpha, 1.0 + z / b**l, ctx))
+        t = (1 - b) * (float(b) ** (-l * alpha) * hurwitz_zeta(alpha, 1.0 + z / b**l, ctx))
+        sizes.append(abs(t))
+        return t
 
-    tail = lambda l, t: (b - 1) * (float(b) ** (-(l + 1) * alpha) * limit) / (1 - b**-alpha)
-    return _level_series("infinite_zeta_diff", b, term, tail, 1, total, ctx)
+    def tail(l: int, t: float) -> float:
+        bound = limit
+        if alpha < 1:
+            bound += 1.0 + (1.0 + z / float(b) ** (l + 1)) ** (1.0 - alpha) / (1.0 - alpha)
+        return (b - 1) * (float(b) ** (-(l + 1) * alpha) * bound) / (1 - b**-alpha)
+
+    total = _level_series("infinite_zeta_diff", b, term, tail, 1, total, ctx)
+    rounding = math.fsum(sizes) * 2.0**-52
+    if rounding > ctx.rel_tol * abs(total):
+        raise TruncationBudgetError(
+            f"infinite_zeta_diff: the levels cancel, rounding {rounding:.3g} on {total:.3g}",
+            len(sizes) - 1,
+            rounding,
+        )
+    return total
 
 
 def j_infinity(b: int, x: float, ctx: PrecisionContext = DEFAULT_CTX) -> float:

@@ -9,6 +9,7 @@ import numpy as np
 
 from .digitseq import (
     _BLOCK_CAP,
+    _aligned_rows,
     _inverse_power,
     delta_digit_sum,
     digit_sum_range,
@@ -278,15 +279,16 @@ def _increment_dirichlet_partial(limit: int, s: float) -> float:
 
     For m < B = 2^k and c >= 1, nu_2(cB + m) = nu_2(m) unless m = 0, where it
     is k + nu_2(c): the weights 1 - nu_2(m) are built once and only index 0 is
-    patched per block.  Two B-length buffers are reused, and each block is
-    reduced with np.add.reduce, whose order does not depend on the BLAS.
+    patched per block.  Two B-length buffers, each 64-byte aligned, are reused,
+    and each block is reduced with np.add.reduce, whose order does not depend
+    on the BLAS.
     """
     block = _BLOCK_CAP
     bits = block.bit_length() - 1
     size = min(block, limit)
     m = np.arange(size, dtype=np.float64)
     weight = 1.0 - valuation2_range(size)
-    n, buf = np.empty(size), np.empty(size)
+    n, buf = _aligned_rows(2, size)
     total = 0.0
     for c in range(-(-limit // block)):
         start = c * block

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from digitsum import digitseq
 from digitsum.digitseq import (
     _MULTIPLY_MAX_ORDER,
     _block_length,
@@ -226,6 +227,80 @@ class TestDigitWeightedSum:
     def test_rejects_bad_arguments(self, limit, b):
         with pytest.raises(ValueError):
             digit_weighted_sum(limit, b, _fill_ones)
+
+    @pytest.mark.parametrize("b", [2, 3, 10])
+    def test_fill_gets_64_byte_aligned_rows(self, b):
+        """Every row starts on a 64-byte boundary; block 0 is handed from n = 1 on."""
+        block = _block_length(b)
+        limit = 3 * block + 5
+        starts = []
+
+        def fill(n, out):
+            # the row's m = 0 slot sits (n[0] mod B) doubles before n[0]
+            offset = 8 * (int(n[0]) % block)
+            starts.append(int(n[0]))
+            assert (n.ctypes.data - offset) % 64 == 0, (b, int(n[0]))
+            assert (out.ctypes.data - offset) % 64 == 0, (b, int(n[0]))
+            out[...] = 1.0
+
+        assert digit_weighted_sum(limit, b, fill) == int(digit_sum_range(limit, b).sum())
+        assert starts == [1, block, 2 * block, 3 * block]
+
+    @pytest.mark.parametrize("b", [2, 3, 10])
+    def test_reads_no_unwritten_buffer_memory(self, b, monkeypatch):
+        """With the buffers poisoned by nan, only a read of a slot that was never
+        written (acc[0], or a stale tail of w) can reach the sum."""
+        rows = digitseq._aligned_rows
+
+        def poisoned(count, size):
+            out = rows(count, size)
+            out[...] = np.nan
+            return out
+
+        monkeypatch.setattr(digitseq, "_aligned_rows", poisoned)
+        block = _block_length(b)
+        for limit in (1, 2, block - 1, block, block + 1, 2 * block + 7):
+            want = int(digit_sum_range(limit, b).sum())
+            assert digit_weighted_sum(limit, b, _fill_ones) == want, (b, limit)
+
+    @pytest.mark.parametrize("b", [2, 3])
+    def test_float_weights_over_many_blocks(self, b):
+        """About 4e6 signed terms against math.fsum of the same terms.
+
+        The kernel sums each position over the C blocks in order, multiplies
+        once by s_b(m) and reduces pairwise, and reduces each block pairwise,
+        times s_b(c), into a running scalar.  numpy's pairwise sum takes an
+        element through at most 25 roundings in a leaf of 128 terms (8 partial
+        sums of 16, joined in 3, then 7 stragglers) and one per halving above
+        it, so d = 25 + log2(B) bounds its depth.  The kernel is then within
+        gamma_(C + d + 1) sum s(n)|w(n)| of the exact sum of its doubles, and
+        the reference fsum of the rounded products s(n) w(n) within
+        2 * 2^-53 of the same scale.
+        """
+        limit = 4 * 10**6
+        block = _block_length(b)
+        weights = np.empty(limit)
+
+        def fill(n, out):
+            start = int(n[0])
+            np.cos(n, out=out)
+            n += 0.5
+            out /= n
+            weights[start : start + n.size] = out
+
+        got = digit_weighted_sum(limit, b, fill)
+        s = digit_sum_range(limit, b)
+
+        def terms():  # one block of Python floats at a time
+            for i in range(1, limit, block):
+                yield from (s[i : i + block] * weights[i : i + block]).tolist()
+
+        exact = math.fsum(terms())
+        scale = math.fsum(map(abs, terms()))
+        depth = 25 + math.ceil(math.log2(block))
+        k = -(-limit // block) + depth + 1 + 2
+        bound = k * 2.0**-53 / (1.0 - k * 2.0**-53) * scale
+        assert abs(got - exact) <= bound
 
 
 def _power_bases() -> np.ndarray:

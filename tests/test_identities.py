@@ -55,6 +55,20 @@ def blocked_sum_bound(terms: np.ndarray, limit: int, b: int) -> float:
     return (block + -(-limit // block)) * 2.0**-52 * math.fsum(np.abs(terms).tolist())
 
 
+def zeta_diff_reference(b: int, alpha: float, z: float) -> float:
+    """The level series of infinite_zeta_diff in mpmath at 40 digits, on the given doubles."""
+    with mp.workdps(40):
+        a, x = mp.mpf(alpha), mp.mpf(z)
+        total, l = mp.zeta(a, 1 + x), 1
+        while True:
+            term = (1 - b) * mp.mpf(b) ** (-l * a) * mp.zeta(a, 1 + x / mp.mpf(b) ** l)
+            total += term
+            # once z/b^l < 1 the terms decay geometrically, by b^-a <= 2^-0.5
+            if x < mp.mpf(b) ** l and abs(term) < mp.mpf(10) ** -35 * abs(total):
+                return float(total)
+            l += 1
+
+
 class TestCriterion:
     """The one pass rule every report derives `passed` from."""
 
@@ -283,6 +297,21 @@ class TestInfiniteZetaDiff:
         # which 2^(l+1) is a finite double
         with pytest.raises(TruncationBudgetError):
             infinite_zeta_diff(2, 0.03, 1.0)
+
+    @pytest.mark.parametrize(
+        "b, alpha, z", [(2, 0.5, 1e8), (3, 0.3, 1e12), (2, 0.5, 1e30), (2, 0.9, 1e100)]
+    )
+    def test_cancelling_levels_raise(self, b, alpha, z):
+        # below order one the level terms grow like (z/b^l)^(1-a) and cancel:
+        # kappa = sum |term| / |total| is 2.7e7 to 1.2e29 here, so kappa 2^-52
+        # is above rel_tol and the float sum has lost the digits it promises
+        with pytest.raises(TruncationBudgetError):
+            infinite_zeta_diff(b, alpha, z)
+
+    @pytest.mark.parametrize("b, alpha, z", [(2, 0.5, 3.0), (2, 0.7, 100.0), (3, 2.5, 1.0)])
+    def test_matches_the_level_series_in_mpmath(self, b, alpha, z):
+        # kappa is 6.4, 154 and 1.9 here, so rel_tol = 1e-12 is within reach
+        assert rel_err(infinite_zeta_diff(b, alpha, z), zeta_diff_reference(b, alpha, z)) < 1e-12
 
     def test_rejects_order_one_and_nonpositive(self):
         with pytest.raises(ValueError):
