@@ -2,14 +2,14 @@
 
 Every registered identity pairs a closed-form evaluator with an independent
 oracle; run_suite sweeps a parameter grid and collects IdentityReport rows
-whose serialized form is byte-stable across runs.
+whose serialized form is byte-stable across runs.  The report type and its
+pass rule live here, and every report is built here.
 """
 from __future__ import annotations
 
 import itertools
 import json
 import math
-import time
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from typing import Callable, Optional
@@ -17,18 +17,20 @@ from typing import Callable, Optional
 import numpy as np
 
 from . import altsum, lambert, solver
-from .digitseq import _inverse_power, digit_sum_range, digit_weighted_sum, valuation2_range
+from .digitseq import (
+    _inverse_power,
+    delta_digit_sum,
+    digit_sum_range,
+    digit_weighted_sum,
+    valuation2_range,
+)
 from .identities import (
-    Criterion,
     FiniteSumParams,
-    IdentityReport,
     binary_corollary_closed,
-    build_report,
     digit_zeta_2,
     direct_digit_zeta,
     direct_j_infinity,
     direct_product_log,
-    exact_report,
     finite_barnes_closed,
     finite_zeta_diff_closed,
     finite_zeta_diff_direct,
@@ -40,10 +42,14 @@ from .identities import (
     product_special_values,
 )
 from .lambert import finite_gf_coefficients, lambert_gf, rankwise_coefficients
-from .solver import SequenceFn, recover_j_infinity_check
-from .specfun import DEFAULT_CTX, PrecisionContext, hurwitz_zeta
+from .solver import SequenceFn
+from .specfun import DEFAULT_CTX, PrecisionContext, dirichlet_eta, hurwitz_zeta
 
 __all__ = [
+    "Criterion",
+    "IdentityReport",
+    "build_report",
+    "exact_report",
     "GridSpec",
     "RunReport",
     "identity_ids",
@@ -54,6 +60,81 @@ __all__ = [
 ]
 
 _ORACLE_TERMS = 200_000
+
+
+# ---------------------------------------------------------------------------
+# Reports and their pass rule
+# ---------------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class Criterion:
+    """The pass rule a report carries.
+
+    A point passes when rel_err <= rel, or when abs > 0 and abs_err <= abs,
+    and in either case rel_err <= cap.  Criterion(0.0) is an exact match.
+    The abs > 0 guard matters: an exact mismatch whose totals agree carries
+    abs_err = 0 and rel_err = 1, and must still fail.
+    """
+
+    rel: float
+    abs: float = 0.0
+    cap: float = math.inf
+
+    def admits(self, abs_err: float, rel_err: float) -> bool:
+        within = rel_err <= self.rel or (self.abs > 0.0 and abs_err <= self.abs)
+        return within and rel_err <= self.cap
+
+
+@dataclass(frozen=True)
+class IdentityReport:
+    """One closed-form-versus-oracle comparison, judged by its criterion.
+
+    terms and tail_bound describe the truncation of the oracle: how many
+    terms it summed and the bound on what it left out.
+    """
+
+    identity_id: str
+    params: dict
+    lhs: float
+    rhs: float
+    abs_err: float
+    rel_err: float
+    criterion: Criterion
+    terms: int = 0
+    tail_bound: float = 0.0
+
+    @property
+    def passed(self) -> bool:
+        return self.criterion.admits(self.abs_err, self.rel_err)
+
+
+def build_report(
+    identity_id: str,
+    params: dict,
+    lhs: float,
+    rhs: float,
+    rel_tol: float,
+    abs_tol: float = 0.0,
+    terms: int = 0,
+    tail_bound: float = 0.0,
+) -> IdentityReport:
+    """Assemble a report that passes if either error budget is met."""
+    abs_err = abs(lhs - rhs)
+    rel_err = abs_err / max(abs(rhs), 1e-300)
+    return IdentityReport(
+        identity_id, params, lhs, rhs, abs_err, rel_err,
+        Criterion(rel_tol, abs_tol), terms, tail_bound,
+    )
+
+
+def exact_report(
+    identity_id: str, params: dict, matched: bool, lhs, rhs, terms: int
+) -> IdentityReport:
+    """Report an exact check: rel_err is 0 on a match and 1 otherwise."""
+    abs_err = 0.0 if matched else abs(float(lhs) - float(rhs))
+    rel_err = 0.0 if matched else 1.0
+    return IdentityReport(identity_id, params, lhs, rhs, abs_err, rel_err, Criterion(0.0), terms)
 
 
 # ---------------------------------------------------------------------------
@@ -78,7 +159,6 @@ class GridSpec:
 @dataclass(frozen=True)
 class RunReport:
     reports: list
-    wall_time: float
 
     @property
     def summary(self) -> dict:
@@ -153,7 +233,15 @@ def _run_jinfty(params, ctx):
 
 
 def _run_j_recurrence(params, ctx):
-    return [j_recurrence_check(params["N"], params["x"], ctx)]
+    N = params["N"]
+    pairs = j_recurrence_check(N, params["x"], ctx)
+    lhs, rhs = pairs[0]
+    # the worse of the recurrence and, for N = 2^p - 1, the closed form decides
+    rel_err = max(abs(a - c) / max(abs(c), 1e-300) for a, c in pairs)
+    terms, abs_err = 3 * N + 2, abs(lhs - rhs)
+    return [
+        IdentityReport("j-recurrence", params, lhs, rhs, abs_err, rel_err, Criterion(1e-9), terms)
+    ]
 
 
 def _run_inf_product(params, ctx):
@@ -177,11 +265,8 @@ def _run_inf_product(params, ctx):
 
 
 def _run_pi_over_2(params, ctx):
-    case = params["case"]
-    for report in product_special_values(ctx):
-        if report.params["case"] == case:
-            return [report]
-    raise ValueError(f"unknown special-value case {case!r}")
+    lhs, rhs = product_special_values(params["case"], ctx)
+    return [build_report("pi-over-2", params, lhs, rhs, rel_tol=1e-8)]
 
 
 def _run_thm29_finite(params, ctx):
@@ -289,11 +374,24 @@ def _run_mobius_inverse(params, ctx):
 
 
 def _run_partition_conv(params, ctx):
-    return lambert.partition_convolution_check(params["n_max"])
+    convolutions = lambert.partition_convolution_check(params["n_max"])
+    # the convolution at n against the one-step digit-sum increment at n - 1
+    return [
+        build_report("partition-conv", {"n": n}, float(c), float(delta_digit_sum(n - 1, 2)), 0.0)
+        for n, c in enumerate(convolutions, 1)
+    ]
 
 
 def _run_eta_bridge(params, ctx):
-    return lambert.eta_dirichlet_bridge_check([params["s"]], ctx)
+    s, terms = float(params["s"]), 1_500_000
+    mid, half = lambert.eta_dirichlet_bridge_check(s, terms)
+    eta = dirichlet_eta(s, ctx)
+    lhs = 1.0 / (1.0 - 2.0**-s)
+    # the tail bracket carried through the division, plus 1e-12 relative
+    # for rounding: the accuracy DEFAULT_CTX promises for eta(s), well
+    # above the float64 rounding of the partial sum (about 1e-14 relative)
+    budget = half / abs(eta) + 1e-12 * abs(lhs)
+    return [build_report("eta-bridge", params, lhs, mid / eta, 0.0, budget, terms, half)]
 
 
 def _run_thm51(params, ctx):
@@ -311,17 +409,10 @@ def _run_thm51(params, ctx):
         ),
         plain,
     )
+    rel_err = max(abs(direct - product) / plain, abs(direct - weighted) / heavy)
+    abs_err = abs(direct - weighted)
     return [
-        IdentityReport(
-            identity_id="thm5.1",
-            params=params,
-            lhs=direct,
-            rhs=weighted,
-            abs_err=abs(direct - weighted),
-            rel_err=max(abs(direct - product) / plain, abs(direct - weighted) / heavy),
-            truncation={"terms": 2**N, "tail_bound": 0.0},
-            criterion=Criterion(1e-9),
-        )
+        IdentityReport("thm5.1", params, direct, weighted, abs_err, rel_err, Criterion(1e-9), 2**N)
     ]
 
 
@@ -381,14 +472,8 @@ def _run_mgf_consistency(params, ctx):
     worst = max(abs(by_level - by_scale), abs(by_level - transform))
     return [
         IdentityReport(
-            identity_id="mgf-consistency",
-            params=params,
-            lhs=by_level,
-            rhs=transform,
-            abs_err=worst,
-            rel_err=worst / scale,
-            truncation={"terms": len(pmf.mass), "tail_bound": 0.0},
-            criterion=Criterion(1e-12),
+            "mgf-consistency", params, by_level, transform, worst, worst / scale,
+            Criterion(1e-12), len(pmf.mass),
         )
     ]
 
@@ -434,11 +519,25 @@ def _run_base_relation(params, ctx):
         eval=lambda n: 1.0 / (n + 1.0) ** 2 if n < top else 0.0,
         support_bound=top,
     )
-    return [solver.base_relation_check(b, g)]
+    lhs, rhs = solver.base_relation_check(b, g)
+    abs_err = abs(lhs - rhs)
+    rel_err = abs_err / max(abs(lhs), abs(rhs), 1e-300)  # neither side is the reference
+    point = {"base": b, "support": top}
+    return [
+        IdentityReport("base-relation", point, lhs, rhs, abs_err, rel_err, Criterion(1e-12), top)
+    ]
 
 
 def _run_recover_jinfty(params, ctx):
-    return [recover_j_infinity_check(params["x"], ctx)]
+    x = params["x"]
+    lhs, terms, tail = solver.recover_j_infinity_check(x, ctx)
+    rhs = j_infinity(2, x, ctx)
+    abs_err = abs(lhs - rhs)
+    rel_err = abs_err / max(abs(lhs), abs(rhs), 1e-300)  # neither side is the reference
+    criterion = Criterion(1e-9)
+    return [
+        IdentityReport("recover-jinfty", params, lhs, rhs, abs_err, rel_err, criterion, terms, tail)
+    ]
 
 
 @dataclass(frozen=True)
@@ -527,23 +626,21 @@ def run_suite(grid: GridSpec, ctx: PrecisionContext = DEFAULT_CTX) -> RunReport:
         raise ValueError(f"unknown identity {grid.identity_id!r}")
     entry = _REGISTRY[grid.identity_id]
     points = _grid_points(entry, grid.ranges)
-    start = time.perf_counter()
     reports = [report for point in points for report in entry.runner(point, ctx)]
     if grid.tol is not None:
         # no runner sets a cap, so this only adds a condition: it can fail a
         # point but never pass one
         reports = [replace(r, criterion=replace(r.criterion, cap=grid.tol)) for r in reports]
-    return RunReport(reports, time.perf_counter() - start)
+    return RunReport(reports)
 
 
 def run_all(ctx: PrecisionContext = DEFAULT_CTX, tol: Optional[float] = None) -> RunReport:
     """Every registered identity on its compiled-in default grid."""
-    start = time.perf_counter()
     reports = []
     for identity_id in identity_ids():
         suite = run_suite(GridSpec(identity_id, {}, tol), ctx)
         reports.extend(suite.reports)
-    return RunReport(reports, time.perf_counter() - start)
+    return RunReport(reports)
 
 
 # ---------------------------------------------------------------------------
@@ -590,8 +687,8 @@ def _report_json(report: IdentityReport) -> str:
         + f'"abs_err":{_fmt_value(report.abs_err)},'
         + f'"rel_err":{_fmt_value(report.rel_err)},'
         + '"truncation":{'
-        + f'"terms":{report.truncation["terms"]},'
-        + f'"tail_bound":{_fmt_value(report.truncation["tail_bound"])}'
+        + f'"terms":{report.terms},'
+        + f'"tail_bound":{_fmt_value(report.tail_bound)}'
         + "},"
         + f'"pass":{"true" if report.passed else "false"}'
         + "}"
@@ -615,18 +712,19 @@ def _report_csv(report: IdentityReport) -> str:
         _fmt_value(report.rhs).strip('"'),
         _fmt_value(report.abs_err).strip('"'),
         _fmt_value(report.rel_err).strip('"'),
-        str(report.truncation["terms"]),
-        _fmt_value(report.truncation["tail_bound"]).strip('"'),
+        str(report.terms),
+        _fmt_value(report.tail_bound).strip('"'),
         "true" if report.passed else "false",
     ]
     return ",".join(_csv_field(cell) for cell in cells)
 
 
 def emit_report(run: RunReport, format: str = "json") -> bytes:
-    """Serialize a run; wall_time is intentionally left out so identical runs
-    are byte-identical."""
+    """Serialize a run, byte-identical across identical runs.  The JSON puts
+    each report on a line of its own, so a diff of two reports shows the rows
+    that moved."""
     if format == "json":
-        body = ",".join(_report_json(r) for r in run.reports)
+        body = ",".join("\n" + _report_json(r) for r in run.reports)
         text = (
             '{"reports":['
             + body

@@ -41,10 +41,6 @@ from .specfun import (
 
 __all__ = [
     "FiniteSumParams",
-    "Criterion",
-    "IdentityReport",
-    "build_report",
-    "exact_report",
     "finite_zeta_diff_direct",
     "finite_zeta_diff_closed",
     "binary_corollary_closed",
@@ -65,7 +61,7 @@ __all__ = [
 
 
 # ---------------------------------------------------------------------------
-# Domain types and reports
+# Domain types
 # ---------------------------------------------------------------------------
 
 
@@ -87,83 +83,6 @@ class FiniteSumParams:
             raise ValueError("z must be >= 0")
         if not self.alpha > 0:
             raise ValueError("alpha must be > 0")
-
-
-@dataclass(frozen=True)
-class Criterion:
-    """The pass rule a report carries.
-
-    A point passes when rel_err <= rel, or when abs > 0 and abs_err <= abs,
-    and in either case rel_err <= cap.  Criterion(0.0) is an exact match.
-    The abs > 0 guard matters: an exact mismatch whose totals agree carries
-    abs_err = 0 and rel_err = 1, and must still fail.
-    """
-
-    rel: float
-    abs: float = 0.0
-    cap: float = math.inf
-
-    def admits(self, abs_err: float, rel_err: float) -> bool:
-        within = rel_err <= self.rel or (self.abs > 0.0 and abs_err <= self.abs)
-        return within and rel_err <= self.cap
-
-
-@dataclass(frozen=True)
-class IdentityReport:
-    """One closed-form-versus-oracle comparison, judged by its criterion."""
-
-    identity_id: str
-    params: dict
-    lhs: float
-    rhs: float
-    abs_err: float
-    rel_err: float
-    truncation: dict  # {"terms": int, "tail_bound": float}
-    criterion: Criterion
-
-    @property
-    def passed(self) -> bool:
-        return self.criterion.admits(self.abs_err, self.rel_err)
-
-
-def build_report(
-    identity_id: str,
-    params: dict,
-    lhs: float,
-    rhs: float,
-    rel_tol: float,
-    abs_tol: float = 0.0,
-    terms: int = 0,
-    tail_bound: float = 0.0,
-) -> IdentityReport:
-    """Assemble a report that passes if either error budget is met."""
-    abs_err = abs(lhs - rhs)
-    return IdentityReport(
-        identity_id=identity_id,
-        params=params,
-        lhs=lhs,
-        rhs=rhs,
-        abs_err=abs_err,
-        rel_err=abs_err / max(abs(rhs), 1e-300),
-        truncation={"terms": terms, "tail_bound": tail_bound},
-        criterion=Criterion(rel_tol, abs_tol),
-    )
-
-
-def exact_report(
-    identity_id: str, params: dict, matched: bool, lhs, rhs, terms: int
-) -> IdentityReport:
-    """Report an exact check: rel_err is 0 on a match and 1 otherwise."""
-    return IdentityReport(
-        identity_id=identity_id,
-        params=params,
-        lhs=lhs,
-        rhs=rhs,
-        abs_err=0.0 if matched else abs(float(lhs) - float(rhs)),
-        rel_err=0.0 if matched else 1.0,
-        truncation={"terms": terms, "tail_bound": 0.0},
-        criterion=Criterion(0.0),
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -283,13 +202,14 @@ def j_recurrence_check(
     N: int,
     x: float,
     ctx: PrecisionContext = DEFAULT_CTX,
-) -> IdentityReport:
-    """Check the odd-index recurrence of the binary harmonic-difference sum.
+) -> list[tuple[float, float]]:
+    """Both sides of the odd-index recurrence of the binary harmonic-difference sum.
 
     J_N(x) = sum_{n=1}^N s_2(n)[1/(x+n) - 1/(x+n+1)] satisfies
     J_{2N+1}(x) = J_N(x/2)/2 + beta(x+1) - beta(x+2N+3) with the
-    alternating-digamma beta.  When N = 2^p - 1 the closed half-shift form
-    is checked on top.
+    alternating-digamma beta.  Returns the (left, right) pair of that
+    recurrence; when N = 2^p - 1 a second pair follows, J_N(x) against its
+    closed half-shift form.
     """
     if N < 1:
         raise ValueError("N must be >= 1")
@@ -306,24 +226,11 @@ def j_recurrence_check(
     rhs = 0.5 * j_direct(N, x / 2.0) + stirling_beta(x + 1.0, ctx) - stirling_beta(
         x + 2.0 * N + 3.0, ctx
     )
-    rel_err = abs(lhs - rhs) / max(abs(rhs), 1e-300)
-
+    pairs = [(lhs, rhs)]
     p = (N + 1).bit_length() - 1
     if N + 1 == 2**p:
-        closed = binary_corollary_closed(p, 1.0, x, ctx)
-        closed_rel = abs(j_direct(N, x) - closed) / max(abs(closed), 1e-300)
-        rel_err = max(rel_err, closed_rel)
-
-    return IdentityReport(
-        identity_id="j-recurrence",
-        params={"N": N, "x": x},
-        lhs=lhs,
-        rhs=rhs,
-        abs_err=abs(lhs - rhs),
-        rel_err=rel_err,
-        truncation={"terms": 3 * N + 2, "tail_bound": 0.0},
-        criterion=Criterion(1e-9),
-    )
+        pairs.append((j_direct(N, x), binary_corollary_closed(p, 1.0, x, ctx)))
+    return pairs
 
 
 # ---------------------------------------------------------------------------
@@ -453,52 +360,35 @@ def infinite_product(b: int, z: float, ctx: PrecisionContext = DEFAULT_CTX) -> f
     return math.exp(_level_series("infinite_product", b, term, tail, 0, log_base, ctx, 1.0))
 
 
-def product_special_values(ctx: PrecisionContext = DEFAULT_CTX) -> list[IdentityReport]:
-    """Special values of the base-2 product family F_p = P(2^-p)/P(2^-p-1).
+def product_special_values(
+    case: str, ctx: PrecisionContext = DEFAULT_CTX
+) -> tuple[float, float]:
+    """Both sides of one special value of the base-2 product family
+    F_p = P(2^-p)/P(2^-p-1).
 
-    (i) F_0 = pi/2; (ii) F_1 = 2 sqrt(2/pi) Gamma(5/4)^2 = K(1/sqrt 2)/sqrt 2;
-    (iii) F_2 = 2^(1/4) Gamma(9/8)^2 / Gamma(5/4).
+    "half-circle": F_0 = pi/2; "quarter-family": F_1 = 2 sqrt(2/pi) Gamma(5/4)^2;
+    "lemniscatic": that constant = K(1/sqrt 2)/sqrt 2; "eighth-family":
+    F_2 = 2^(1/4) Gamma(9/8)^2 / Gamma(5/4).
     """
-    rel_tol = 1e-8
-    reports = []
 
     def family(p: int) -> float:
         return infinite_product(2, 2.0**-p, ctx) / infinite_product(
             2, 2.0 ** -(p + 1), ctx
         )
 
-    reports.append(
-        build_report(
-            "pi-over-2",
-            {"case": "half-circle"},
-            family(0),
-            math.pi / 2.0,
-            rel_tol,
-        )
-    )
+    def quarter_closed() -> float:
+        return 2.0 * math.sqrt(2.0 / math.pi) * math.exp(log_gamma(1.25, ctx)) ** 2
 
-    gamma54 = math.exp(log_gamma(1.25, ctx))
-    closed_p1 = 2.0 * math.sqrt(2.0 / math.pi) * gamma54**2
-    reports.append(
-        build_report("pi-over-2", {"case": "quarter-family"}, family(1), closed_p1, rel_tol)
-    )
-    reports.append(
-        build_report(
-            "pi-over-2",
-            {"case": "lemniscatic"},
-            closed_p1,
-            elliptic_K(1.0 / math.sqrt(2.0), ctx) / math.sqrt(2.0),
-            rel_tol,
-        )
-    )
-
-    closed_p2 = (
-        2.0 ** 0.25 * math.exp(2.0 * log_gamma(1.125, ctx) - log_gamma(1.25, ctx))
-    )
-    reports.append(
-        build_report("pi-over-2", {"case": "eighth-family"}, family(2), closed_p2, rel_tol)
-    )
-    return reports
+    if case == "half-circle":
+        return family(0), math.pi / 2.0
+    if case == "quarter-family":
+        return family(1), quarter_closed()
+    if case == "lemniscatic":
+        return quarter_closed(), elliptic_K(1.0 / math.sqrt(2.0), ctx) / math.sqrt(2.0)
+    if case == "eighth-family":
+        closed = 2.0 ** 0.25 * math.exp(2.0 * log_gamma(1.125, ctx) - log_gamma(1.25, ctx))
+        return family(2), closed
+    raise ValueError(f"unknown special-value case {case!r}")
 
 
 # ---------------------------------------------------------------------------

@@ -11,14 +11,12 @@ from .digitseq import (
     _BLOCK_CAP,
     _aligned_rows,
     _inverse_power,
-    delta_digit_sum,
     digit_sum_range,
     power2_indicator,
     valuation2,
     valuation2_range,
 )
-from .identities import IdentityReport, build_report
-from .specfun import DEFAULT_CTX, PrecisionContext, _level_series, dirichlet_eta
+from .specfun import DEFAULT_CTX, PrecisionContext, _level_series
 
 __all__ = [
     "lambert_gf",
@@ -223,25 +221,22 @@ def _partition_tables(n_max: int) -> tuple[list[int], list[int], list[int]]:
     return even, odd, weighted
 
 
-def partition_convolution_check(n_max: int) -> list[IdentityReport]:
+def partition_convolution_check(n_max: int) -> list[int]:
     """Convolve the power-of-two part counts against the parity imbalance.
 
-    sum_{k=1}^{n} P2(k) (even(n-k) - odd(n-k)) equals the one-step digit-sum
-    increment at n-1 (equivalently 1 - nu_2(n)); exact integer check.
+    Entry n - 1 holds sum_{k=1}^{n} P2(k) (even(n-k) - odd(n-k)) for
+    n = 1 .. n_max, an exact integer that equals the one-step digit-sum
+    increment at n-1 (equivalently 1 - nu_2(n)).
     """
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
     if n_max > _PARTITION_BUDGET:
         raise ValueError(f"partition budget is n <= {_PARTITION_BUDGET}")
     even, odd, weighted = _partition_tables(n_max)
-    reports = []
-    for n in range(1, n_max + 1):
-        conv = sum(weighted[k] * (even[n - k] - odd[n - k]) for k in range(1, n + 1))
-        want = delta_digit_sum(n - 1, 2)
-        reports.append(
-            build_report("partition-conv", {"n": n}, float(conv), float(want), 0.0)
-        )
-    return reports
+    return [
+        sum(weighted[k] * (even[n - k] - odd[n - k]) for k in range(1, n + 1))
+        for n in range(1, n_max + 1)
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -304,41 +299,16 @@ def _increment_dirichlet_partial(limit: int, s: float) -> float:
     return total
 
 
-def eta_dirichlet_bridge_check(
-    s_grid: list[float], ctx: PrecisionContext = DEFAULT_CTX
-) -> list[IdentityReport]:
-    """1/(1 - 2^-s) against the increment Dirichlet series over eta(s).
+def eta_dirichlet_bridge_check(s: float, limit: int) -> tuple[float, float]:
+    """The increment Dirichlet series sum_{n>=1} (1 - nu_2(n)) n^-s, which
+    equals eta(s) / (1 - 2^-s), as (midpoint, half width).
 
-    The left side is the closed power-of-two Dirichlet series; the right side
-    sums (1 - nu_2(n)) n^-s directly with integral tail brackets and divides
-    by the alternating zeta.  A point passes when the two sides agree within
-    the tail bracket carried through the division, plus a rounding allowance.
+    The terms below limit are summed directly; the rest is bracketed by
+    integral tails over the 2-adic layers.
     """
-    reports = []
-    limit = 1_500_000
-    for s in s_grid:
-        if not s > 1.0:
-            raise ValueError("bridge check needs s > 1")
-        s = float(s)
-        partial = _increment_dirichlet_partial(limit, s)
-        tail_mid, tail_half = _increment_series_tail(limit - 1, s)
-        eta = dirichlet_eta(s, ctx)
-        rhs = (partial + tail_mid) / eta
-        lhs = 1.0 / (1.0 - 2.0**-s)
-        # the tail bracket carried through the division, plus 1e-12 relative
-        # for rounding: the accuracy DEFAULT_CTX promises for eta(s), well
-        # above the float64 rounding of the partial sum (about 1e-14 relative)
-        budget = tail_half / abs(eta) + 1e-12 * abs(lhs)
-        reports.append(
-            build_report(
-                "eta-bridge",
-                {"s": s},
-                lhs,
-                rhs,
-                0.0,
-                abs_tol=budget,
-                terms=limit,
-                tail_bound=tail_half,
-            )
-        )
-    return reports
+    if not s > 1.0:
+        raise ValueError("bridge check needs s > 1")
+    s = float(s)
+    partial = _increment_dirichlet_partial(limit, s)
+    tail_mid, tail_half = _increment_series_tail(limit - 1, s)
+    return partial + tail_mid, tail_half

@@ -177,7 +177,12 @@ def digamma(z: float, ctx: PrecisionContext = DEFAULT_CTX) -> float:
     bern = _bernoulli_float()
     half = ctx.em_order // 2
     target = ctx.shift_threshold
+    omitted = math.inf
     while True:
+        if target - z > ctx.max_terms:  # hurwitz_zeta's budget on the recurrence steps
+            raise TruncationBudgetError(
+                "digamma recurrence past max_terms", ctx.max_terms, omitted
+            )
         shift = 0.0
         w = z
         while w < target:
@@ -304,7 +309,12 @@ def log_gamma(z: float, ctx: PrecisionContext = DEFAULT_CTX) -> float:
     bern = _bernoulli_float()
     half = ctx.em_order // 2
     target = ctx.shift_threshold
+    omitted = math.inf
     while True:
+        if target - z > ctx.max_terms:  # hurwitz_zeta's budget on the recurrence steps
+            raise TruncationBudgetError(
+                "log_gamma recurrence past max_terms", ctx.max_terms, omitted
+            )
         log_shift = 0.0
         w = z
         while w < target:

@@ -23,7 +23,7 @@ from digitsum.altsum import (
 )
 from digitsum.cli import main
 from digitsum.digitseq import digit_sum_range, valuation2_range
-from digitsum.harness import emit_report, run_all
+from digitsum.harness import GridSpec, emit_report, run_all, run_suite
 from digitsum.identities import (
     FiniteSumParams,
     binary_corollary_closed,
@@ -40,7 +40,6 @@ from digitsum.lambert import (
     finite_gf_coefficients,
     lambert_gf,
     mobius_inverse_check,
-    partition_convolution_check,
 )
 from digitsum.solver import SequenceFn, solve_implicit, weighted_digit_sum
 from digitsum.specfun import DEFAULT_CTX, elliptic_K, hurwitz_zeta
@@ -140,7 +139,7 @@ def test_criterion_07_one_step_increment_and_factorial_valuation():
 
 def test_criterion_08_divisor_inversion_and_partition_convolution():
     assert mobius_inverse_check(10_000) == []
-    reports = partition_convolution_check(200)
+    reports = run_suite(GridSpec("partition-conv", {"n_max": [200]})).reports
     assert reports and all(r.passed and r.rel_err == 0.0 for r in reports)
 
 

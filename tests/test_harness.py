@@ -10,7 +10,7 @@ import pytest
 from click.testing import CliRunner
 
 import digitsum
-from digitsum import altsum, harness
+from digitsum import altsum, harness, identities
 from digitsum.cli import main
 from digitsum.harness import (
     GridSpec,
@@ -142,7 +142,7 @@ class TestRunSuite:
     def test_summary_is_counted_from_the_reports(self):
         reports = run_suite(GridSpec("jinfty", {"b": [2], "x": [1.0, 2.0]})).reports
         capped = replace(reports[1], criterion=replace(reports[1].criterion, cap=0.0))
-        run = RunReport([reports[0], capped], 0.0)
+        run = RunReport([reports[0], capped])
         assert run.summary == {"pass": 1, "fail": 1}
         assert run.worst_rel_err == max(r.rel_err for r in reports) > 0.0
 
@@ -168,10 +168,6 @@ class TestRunSuite:
         assert harness._fmt_value(report.lhs) == harness._fmt_value(want)
         assert report.passed
 
-    def test_wall_time_recorded(self):
-        run = run_suite(GridSpec("weights", {"N": [1]}))
-        assert isinstance(run, RunReport)
-        assert run.wall_time >= 0.0
 
 
 class TestRunAll:
@@ -206,6 +202,19 @@ class TestPassRule:
         run = run_suite(GridSpec("thm5.1", {"N": [3], "x": [0.0]}))
         assert run.summary == {"pass": 0, "fail": 1}
         # abs_err still reports the weighted leg, which is untouched
+        assert run.reports[0].abs_err <= 1e-12
+
+    def test_j_recurrence_fails_on_the_closed_form_leg(self, monkeypatch):
+        real = identities.binary_corollary_closed
+        monkeypatch.setattr(
+            identities,
+            "binary_corollary_closed",
+            lambda p, alpha, z, ctx: real(p, alpha, z, ctx) * (1.0 + 1e-6),
+        )
+        # N = 3 = 2^2 - 1 carries the closed-form leg, N = 12 does not
+        run = run_suite(GridSpec("j-recurrence", {"N": [3, 12], "x": [0.7]}))
+        assert [r.passed for r in run.reports] == [False, True]
+        # abs_err still reports the recurrence leg, which is untouched
         assert run.reports[0].abs_err <= 1e-12
 
     def test_mgf_consistency_fails_on_the_scale_leg(self, monkeypatch):
@@ -247,6 +256,17 @@ class TestEmitReport:
     def test_wall_time_not_serialized(self):
         blob = emit_report(self.small_run(), "json")
         assert b"wall_time" not in blob
+
+    def test_one_report_per_line(self):
+        run = self.small_run()
+        blob = emit_report(run, "json")
+        lines = blob.split(b"\n")
+        assert len(lines) == len(run.reports) + 1
+        assert lines[0] == b'{"reports":['
+        assert all(line.startswith(b'{"identity":"weights",') for line in lines[1:])
+        # the newlines are the only bytes added to the one-line layout
+        one_line = b'{"reports":[' + b",".join(harness._report_json(r).encode() for r in run.reports)
+        assert blob.replace(b"\n", b"").startswith(one_line + b'],"summary":')
 
     def test_exact_values_are_quoted_decimal_strings(self):
         data = json.loads(emit_report(self.small_run(), "json"))
@@ -317,7 +337,7 @@ class TestEmitReport:
             emit_report(self.small_run(), "yaml")
 
     def test_empty_run_serializes(self):
-        empty = RunReport([], 0.0)
+        empty = RunReport([])
         data = json.loads(emit_report(empty, "json"))
         assert data == {"reports": [], "summary": {"pass": 0, "fail": 0}, "worst_rel_err": 0.0}
 
@@ -429,6 +449,7 @@ class TestCli:
             ["gf", "--p", "0", "--z", "0.5"],
             ["cumulants", "--N", "3", "--orders", "3"],
             ["eval", "jinfty", "-p", "x=1e308"],
+            ["eval", "pi-over-2", "-p", "case=bogus"],
         ],
     )
     def test_domain_errors_are_reported_not_raised(self, args):

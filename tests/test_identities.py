@@ -12,18 +12,15 @@ from hypothesis import strategies as st
 
 from digitsum import identities
 from digitsum.digitseq import _block_length, digit_sum, digit_sum_range, digit_weighted_sum
-from digitsum.harness import GridSpec, run_suite
+from digitsum.harness import Criterion, GridSpec, build_report, exact_report, run_suite
 from digitsum.identities import (
-    Criterion,
     FiniteSumParams,
     binary_corollary_closed,
-    build_report,
     digit_zeta_2,
     direct_digit_zeta,
     direct_j_infinity,
     direct_product_log,
     double_sum_alternate,
-    exact_report,
     finite_barnes_closed,
     finite_zeta_diff_closed,
     finite_zeta_diff_direct,
@@ -238,9 +235,14 @@ class TestDoubleSumAlternate:
 class TestJRecurrence:
     """Odd-index recurrence of the partial harmonic-difference sums."""
 
+    @staticmethod
+    def report(N, x):
+        (report,) = run_suite(GridSpec("j-recurrence", {"N": [N], "x": [x]})).reports
+        return report
+
     def test_small_anchor(self):
         # N = 1, x = 0: both sides equal 1/1*2 + 1/2*3 + 2/3*4 = 5/6
-        report = j_recurrence_check(1, 0.0)
+        report = self.report(1, 0.0)
         assert report.passed
         assert rel_err(report.lhs, 5.0 / 6.0) < 1e-13
         assert rel_err(report.rhs, 5.0 / 6.0) < 1e-13
@@ -249,14 +251,22 @@ class TestJRecurrence:
         "N,x", [(3, 0.7), (7, 2.5), (15, 0.0), (12, 1.25), (1, 1000.0)]
     )
     def test_recurrence_holds(self, N, x):
-        report = j_recurrence_check(N, x)
+        report = self.report(N, x)
         assert report.passed, (N, x, report.rel_err)
 
     def test_report_identity_fields(self):
-        report = j_recurrence_check(3, 0.7)
+        report = self.report(3, 0.7)
         assert report.identity_id == "j-recurrence"
         assert report.params == {"N": 3, "x": 0.7}
         assert report.abs_err == abs(report.lhs - report.rhs)
+
+    def test_closed_form_pair_only_below_a_power_of_two(self):
+        # N = 2^p - 1 adds J_N(x) against the closed half-shift form
+        assert len(j_recurrence_check(3, 0.7)) == 2
+        assert len(j_recurrence_check(12, 1.25)) == 1
+        for bad in ((0, 1.0), (3, -0.5)):
+            with pytest.raises(ValueError):
+                j_recurrence_check(*bad)
 
 
 class TestInfiniteZetaDiff:
@@ -480,12 +490,20 @@ class TestInfiniteProduct:
 class TestProductSpecialValues:
     """Ratios of the binary product at power-of-two arguments."""
 
+    CASES = ["half-circle", "quarter-family", "lemniscatic", "eighth-family"]
+
     def test_all_cases_pass(self):
-        reports = product_special_values()
+        reports = run_suite(GridSpec("pi-over-2", {"case": self.CASES})).reports
         assert len(reports) == 4
-        for report in reports:
+        for report, case in zip(reports, self.CASES):
             assert report.identity_id == "pi-over-2"
+            assert report.params == {"case": case}
             assert report.passed, report.params
+
+    @pytest.mark.parametrize("case", ["bogus", 3, ["half-circle"]])
+    def test_unknown_case_raises(self, case):
+        with pytest.raises(ValueError):
+            product_special_values(case)
 
     def test_half_circle_ratio(self):
         got = infinite_product(2, 1.0) / infinite_product(2, 0.5)

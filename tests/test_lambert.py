@@ -10,7 +10,7 @@ import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from digitsum import lambert
+from digitsum import harness, lambert
 from digitsum.digitseq import (
     _BLOCK_CAP,
     delta_digit_sum,
@@ -19,7 +19,7 @@ from digitsum.digitseq import (
     power2_indicator,
     valuation2_range,
 )
-from digitsum.identities import Criterion
+from digitsum.harness import Criterion, GridSpec, run_suite
 from digitsum.lambert import (
     c_sequence,
     eta_dirichlet_bridge_check,
@@ -315,24 +315,27 @@ class TestPartitionConvolution:
     """Power-of-two part counts convolved with the parity imbalance."""
 
     def test_exact_to_two_hundred(self):
-        reports = partition_convolution_check(200)
+        reports = run_suite(GridSpec("partition-conv", {"n_max": [200]})).reports
         assert len(reports) == 200
         assert all(r.passed for r in reports)
         assert all(r.abs_err == 0.0 for r in reports)
 
     def test_reproduces_increment_values(self):
-        reports = partition_convolution_check(16)
-        by_n = {r.params["n"]: r for r in reports}
-        assert by_n[2].lhs == 0.0  # 1 - nu_2(2)
-        assert by_n[5].lhs == 1.0
-        assert by_n[16].lhs == -3.0
+        by_n = dict(enumerate(partition_convolution_check(16), 1))
+        assert by_n[2] == 0  # 1 - nu_2(2)
+        assert by_n[5] == 1
+        assert by_n[16] == -3
 
 
 class TestEtaDirichletBridge:
     """Closed power-of-two Dirichlet series against the increment series."""
 
+    @staticmethod
+    def reports(s_values):
+        return run_suite(GridSpec("eta-bridge", {"s": s_values})).reports
+
     def test_grid_passes(self):
-        reports = eta_dirichlet_bridge_check([2.0, 3.0, 1.5])
+        reports = self.reports([2.0, 3.0, 1.5])
         assert all(r.passed for r in reports)
         assert reports[0].lhs == pytest.approx(4.0 / 3.0, rel=1e-15)
         assert reports[0].rel_err < 1e-6
@@ -340,23 +343,25 @@ class TestEtaDirichletBridge:
 
     def test_rejects_divergent_exponent(self):
         with pytest.raises(ValueError):
-            eta_dirichlet_bridge_check([1.0])
+            eta_dirichlet_bridge_check(1.0, 1000)
+        with pytest.raises(ValueError):
+            self.reports([1.0])
 
     @pytest.mark.parametrize("s", [1.5, 2.0, 3.0])
     def test_rhs_off_by_1e8_fails(self, monkeypatch, s):
-        true_eta = lambert.dirichlet_eta
+        true_eta = harness.dirichlet_eta
         monkeypatch.setattr(
-            lambert, "dirichlet_eta", lambda a, ctx=DEFAULT_CTX: true_eta(a, ctx) / (1.0 + 1e-8)
+            harness, "dirichlet_eta", lambda a, ctx=DEFAULT_CTX: true_eta(a, ctx) / (1.0 + 1e-8)
         )
-        (report,) = eta_dirichlet_bridge_check([s])
+        (report,) = self.reports([s])
         assert report.rel_err == pytest.approx(1e-8, rel=1e-3)
         assert not report.passed
 
     @pytest.mark.parametrize("s", [1.5, 2.0, 3.0])
     def test_criterion_is_the_tail_bracket(self, s):
-        (report,) = eta_dirichlet_bridge_check([s])
+        (report,) = self.reports([s])
         eta = dirichlet_eta(s)
-        budget = report.truncation["tail_bound"] / eta + 1e-12 * report.lhs
+        budget = report.tail_bound / eta + 1e-12 * report.lhs
         assert report.criterion == Criterion(0.0, budget)
         assert report.abs_err <= budget
 

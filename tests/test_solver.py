@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from digitsum.digitseq import digit_sum
+from digitsum.harness import GridSpec, run_suite
 from digitsum.identities import FiniteSumParams, finite_zeta_diff_direct
 from digitsum.lambert import lambert_gf
 from digitsum.solver import (
@@ -248,23 +249,22 @@ class TestWeightedDigitSum:
 
 class TestBaseRelationCheck:
     def test_indicator_window(self):
+        # an int sequence is summed exactly
         g = SequenceFn(eval=lambda n: 1 if 1 <= n <= 15 else 0, support_bound=16)
-        report = base_relation_check(2, g)
-        assert report.passed and report.lhs == report.rhs
-        assert report.identity_id == "base-relation"
+        lhs, rhs = base_relation_check(2, g)
+        assert type(lhs) is int and lhs == rhs
 
     def test_base_three_float_sequence(self):
-        g = SequenceFn(
-            eval=lambda n: 1.0 / (n + 1.0) ** 2 if n <= 81 else 0.0,
-            support_bound=82,
-        )
-        report = base_relation_check(3, g)
+        # the registered suite's sequence at b = 3: support 82, n <= 81
+        (report,) = run_suite(GridSpec("base-relation", {"b": [3]})).reports
+        assert report.identity_id == "base-relation"
+        assert report.params == {"base": 3, "support": 82}
         assert report.passed and report.rel_err <= 1e-12
 
     def test_zero_sequence(self):
         g = SequenceFn(eval=lambda n: 0, support_bound=5)
-        report = base_relation_check(2, g)
-        assert report.passed and report.lhs == 0.0 and report.rhs == 0.0
+        lhs, rhs = base_relation_check(2, g)
+        assert lhs == 0 and rhs == 0
 
     def test_requires_finite_support(self):
         with pytest.raises(ValueError):
@@ -344,17 +344,23 @@ class TestFiniteWeightedSum:
 
 
 class TestRecoverJInfinity:
+    @staticmethod
+    def report(x):
+        (report,) = run_suite(GridSpec("recover-jinfty", {"x": [x]})).reports
+        return report
+
     @pytest.mark.parametrize("x", [1.0, 0.1, 100.0])
     def test_matches_direct_evaluator(self, x):
-        report = recover_j_infinity_check(x)
+        report = self.report(x)
         assert report.passed and report.rel_err <= 1e-9
 
     def test_report_shape(self):
-        report = recover_j_infinity_check(2.5)
+        report = self.report(2.5)
         assert report.identity_id == "recover-jinfty"
         assert report.params == {"x": 2.5}
-        assert report.truncation["terms"] > 0
-        assert report.truncation["tail_bound"] >= 0.0
+        assert report.terms > 0
+        assert report.tail_bound >= 0.0
+        assert (report.lhs, report.terms, report.tail_bound) == recover_j_infinity_check(2.5)
 
     def test_rejects_nonpositive(self):
         with pytest.raises(ValueError):

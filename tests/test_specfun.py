@@ -141,6 +141,38 @@ class TestLevelSeries:
         assert got == 2.0 - 0.5**want
 
 
+_UNREACHABLE = PrecisionContext(rel_tol=1e-300, max_terms=10**4)
+
+
+class TestTermBudget:
+    """At a tolerance no double meets, each Euler-Maclaurin loop raises once
+    its recurrence would pass max_terms steps, instead of running on."""
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda ctx: digamma(0.5, ctx),
+            lambda ctx: log_gamma(0.5, ctx),
+            lambda ctx: barnes_psi2_2(0.5, 1.0, 2.0, ctx),
+            lambda ctx: hurwitz_zeta(2.0, 0.5, ctx),
+            lambda ctx: barnes_zeta2(BarnesParams(3.0, 0.5, 1.0, 2.0), ctx),
+        ],
+        ids=["digamma", "log_gamma", "barnes_psi2_2", "hurwitz_zeta", "barnes_zeta2"],
+    )
+    def test_unreachable_tolerance_raises(self, call):
+        with pytest.raises(TruncationBudgetError):
+            call(_UNREACHABLE)
+
+    @pytest.mark.parametrize("fn", [digamma, log_gamma])
+    def test_budget_counts_recurrence_steps_only(self, fn):
+        # past shift_threshold no recurrence step is taken, so one step of budget
+        # gives the default value; below it, 15 steps do not reach 16 from 0.5
+        assert fn(100.0, PrecisionContext(max_terms=1)) == fn(100.0)
+        assert fn(0.5, PrecisionContext(max_terms=16)) == fn(0.5)
+        with pytest.raises(TruncationBudgetError):
+            fn(0.5, PrecisionContext(max_terms=15))
+
+
 class TestDigamma:
     def test_at_one(self):
         np.testing.assert_allclose(digamma(1.0), -EULER_GAMMA, rtol=1e-13)
