@@ -9,5 +9,3 @@ and tolerance control.
 from __future__ import annotations
 
 from . import altsum, digitseq, harness, identities, lambert, solver, specfun
-
-__version__ = "0.1.0"

@@ -31,6 +31,7 @@ from .identities import (
     direct_digit_zeta,
     direct_j_infinity,
     direct_product_log,
+    double_sum_alternate,
     finite_barnes_closed,
     finite_zeta_diff_closed,
     finite_zeta_diff_direct,
@@ -38,12 +39,13 @@ from .identities import (
     infinite_product,
     infinite_zeta_diff,
     j_infinity,
+    j_infinity_taylor_coeff,
     j_recurrence_check,
     product_special_values,
 )
 from .lambert import finite_gf_coefficients, lambert_gf, rankwise_coefficients
 from .solver import SequenceFn
-from .specfun import DEFAULT_CTX, PrecisionContext, dirichlet_eta, hurwitz_zeta
+from .specfun import dirichlet_eta
 
 __all__ = [
     "Criterion",
@@ -192,31 +194,37 @@ def _putnam_sequence() -> SequenceFn:
     )
 
 
-def _run_thm21(params, ctx):
+def _run_thm21(params):
     fp = FiniteSumParams(params["b"], params["p"], params["alpha"], params["z"])
-    lhs = finite_zeta_diff_closed(fp, ctx)
+    lhs = finite_zeta_diff_closed(fp)
     rhs = finite_zeta_diff_direct(fp)
     return [build_report("thm2.1", params, lhs, rhs, rel_tol=1e-9, terms=fp.b**fp.p)]
 
 
-def _run_cor_eq_zeta(params, ctx):
+def _run_cor_eq_zeta(params):
     p = params["p"]
-    lhs = infinite_zeta_diff(2, float(p), 0.0, ctx)
-    zeta_p = hurwitz_zeta(float(p), 1.0, ctx)
-    rhs = (1.0 - 2.0 ** (1 - p)) / (1.0 - 2.0**-p) * zeta_p
+    lhs = infinite_zeta_diff(2, float(p), 0.0)
+    # (1 - 2^(1-p)) / (1 - 2^-p) zeta(p) is (-1)^(p-1) times the order p - 1
+    # Taylor coefficient of j_infinity at x = 0
+    rhs = (-1.0) ** (p - 1) * j_infinity_taylor_coeff(2, p - 1)
     return [build_report("cor-eq-zeta", params, lhs, rhs, rel_tol=1e-9)]
 
 
-def _run_thm31(params, ctx):
+def _run_thm31(params):
     p, alpha, z = params["p"], params["alpha"], params["z"]
-    lhs = binary_corollary_closed(p, alpha, z, ctx)
+    lhs = binary_corollary_closed(p, alpha, z)
     rhs = finite_zeta_diff_direct(FiniteSumParams(2, p, alpha, z))
-    return [build_report("thm3.1", params, lhs, rhs, rel_tol=1e-9, terms=2**p)]
+    # the worse of the half-shift and the alternating double-sum form decides
+    legs = (lhs, double_sum_alternate(p, alpha, z))
+    rel_err = max(abs(a - rhs) / max(abs(rhs), 1e-300) for a in legs)
+    return [
+        IdentityReport("thm3.1", params, lhs, rhs, abs(lhs - rhs), rel_err, Criterion(1e-9), 2**p)
+    ]
 
 
-def _run_jinfty(params, ctx):
+def _run_jinfty(params):
     b, x = params["b"], params["x"]
-    lhs = j_infinity(b, x, ctx)
+    lhs = j_infinity(b, x)
     mid, half = direct_j_infinity(b, x, _ORACLE_TERMS)
     return [
         build_report(
@@ -232,9 +240,9 @@ def _run_jinfty(params, ctx):
     ]
 
 
-def _run_j_recurrence(params, ctx):
+def _run_j_recurrence(params):
     N = params["N"]
-    pairs = j_recurrence_check(N, params["x"], ctx)
+    pairs = j_recurrence_check(N, params["x"])
     lhs, rhs = pairs[0]
     # the worse of the recurrence and, for N = 2^p - 1, the closed form decides
     rel_err = max(abs(a - c) / max(abs(c), 1e-300) for a, c in pairs)
@@ -244,9 +252,9 @@ def _run_j_recurrence(params, ctx):
     ]
 
 
-def _run_inf_product(params, ctx):
+def _run_inf_product(params):
     b, z = params["b"], params["z"]
-    lhs = infinite_product(b, z, ctx)
+    lhs = infinite_product(b, z)
     log_mid, log_half = direct_product_log(b, z, _ORACLE_TERMS)
     rhs = math.exp(log_mid)
     abs_tol = abs(rhs) * math.expm1(log_half) + 1e-9 * abs(rhs)
@@ -264,21 +272,21 @@ def _run_inf_product(params, ctx):
     ]
 
 
-def _run_pi_over_2(params, ctx):
-    lhs, rhs = product_special_values(params["case"], ctx)
+def _run_pi_over_2(params):
+    lhs, rhs = product_special_values(params["case"])
     return [build_report("pi-over-2", params, lhs, rhs, rel_tol=1e-8)]
 
 
-def _run_thm29_finite(params, ctx):
+def _run_thm29_finite(params):
     b, p, alpha, z = params["b"], params["p"], params["alpha"], params["z"]
-    lhs = finite_barnes_closed(b, p, alpha, z, ctx)
+    lhs = finite_barnes_closed(b, p, alpha, z)
     rhs = _plain_finite_direct(b, p, alpha, z)
     return [build_report("thm29-finite", params, lhs, rhs, rel_tol=1e-8, terms=b**p)]
 
 
-def _run_thm29_infinite(params, ctx):
+def _run_thm29_infinite(params):
     b, alpha, z = params["b"], params["alpha"], params["z"]
-    lhs = infinite_barnes(b, alpha, z, ctx)
+    lhs = infinite_barnes(b, alpha, z)
     mid, half = direct_digit_zeta(b, alpha, z, _ORACLE_TERMS)
     return [
         build_report(
@@ -294,14 +302,14 @@ def _run_thm29_infinite(params, ctx):
     ]
 
 
-def _run_cor30(params, ctx):
+def _run_cor30(params):
     b, z = params["b"], params["z"]
     mid, half = direct_digit_zeta(b, 2.0, z, _ORACLE_TERMS)
     return [
         build_report(
             "cor30",
             params,
-            digit_zeta_2(b, z, ctx),
+            digit_zeta_2(b, z),
             mid,
             rel_tol=0.0,
             abs_tol=max(1e-4, 10.0 * half),
@@ -311,9 +319,9 @@ def _run_cor30(params, ctx):
     ]
 
 
-def _run_thm41(params, ctx):
+def _run_thm41(params):
     b, z = params["b"], params["z"]
-    lhs = lambert_gf(b, z, ctx)
+    lhs = lambert_gf(b, z)
     cut = 600
     rhs = digit_weighted_sum(cut + 1, b, lambda n, out: np.power(z, n, out=out))
     digits_per_term = (b - 1) * (math.log(cut) / math.log(b) + 2.0)
@@ -332,7 +340,7 @@ def _run_thm41(params, ctx):
     ]
 
 
-def _run_lambert_finite(params, ctx):
+def _run_lambert_finite(params):
     b, p = params["b"], params["p"]
     coeffs = finite_gf_coefficients(b, p)
     want = digit_sum_range(b**p, b)
@@ -346,7 +354,7 @@ def _run_lambert_finite(params, ctx):
     ]
 
 
-def _run_rankwise(params, ctx):
+def _run_rankwise(params):
     b, p = params["b"], params["p"]
     rows = rankwise_coefficients(b, p)
     matched = all(
@@ -357,7 +365,7 @@ def _run_rankwise(params, ctx):
     return [exact_report("rankwise", params, matched and total == want, total, want, b**p)]
 
 
-def _run_thm_2adic(params, ctx):
+def _run_thm_2adic(params):
     n_max = params["n_max"]
     s = digit_sum_range(n_max + 1, 2)
     nu = valuation2_range(n_max + 1)
@@ -367,25 +375,28 @@ def _run_thm_2adic(params, ctx):
     return [exact_report("thm-2adic", params, matched, int(matched) * n_max, n_max, n_max)]
 
 
-def _run_mobius_inverse(params, ctx):
+def _run_mobius_inverse(params):
     n_max = params["n_max"]
     hits = n_max - len(lambert.mobius_inverse_check(n_max))
     return [exact_report("mobius-inverse", params, hits == n_max, hits, n_max, n_max)]
 
 
-def _run_partition_conv(params, ctx):
+def _run_partition_conv(params):
     convolutions = lambert.partition_convolution_check(params["n_max"])
-    # the convolution at n against the one-step digit-sum increment at n - 1
+    # the convolution at n against the one-step digit-sum increment at n - 1;
+    # each row is the grid point plus its own index n
     return [
-        build_report("partition-conv", {"n": n}, float(c), float(delta_digit_sum(n - 1, 2)), 0.0)
+        build_report(
+            "partition-conv", {**params, "n": n}, float(c), float(delta_digit_sum(n - 1, 2)), 0.0
+        )
         for n, c in enumerate(convolutions, 1)
     ]
 
 
-def _run_eta_bridge(params, ctx):
+def _run_eta_bridge(params):
     s, terms = float(params["s"]), 1_500_000
     mid, half = lambert.eta_dirichlet_bridge_check(s, terms)
-    eta = dirichlet_eta(s, ctx)
+    eta = dirichlet_eta(s)
     lhs = 1.0 / (1.0 - 2.0**-s)
     # the tail bracket carried through the division, plus 1e-12 relative
     # for rounding: the accuracy DEFAULT_CTX promises for eta(s), well
@@ -394,7 +405,7 @@ def _run_eta_bridge(params, ctx):
     return [build_report("eta-bridge", params, lhs, mid / eta, 0.0, budget, terms, half)]
 
 
-def _run_thm51(params, ctx):
+def _run_thm51(params):
     N, x = params["N"], params["x"]
     f = lambda t: 1.0 / (t + 0.7)
     direct = altsum.alternating_sum_direct(f, x, N)
@@ -416,14 +427,14 @@ def _run_thm51(params, ctx):
     ]
 
 
-def _run_as1(params, ctx):
+def _run_as1(params):
     N = params["N"]
     got = altsum.alternating_sum_via_weights(lambda t: t**N, 0, N)
     want = (-1) ** N * 2 ** (N * (N - 1) // 2) * math.factorial(N)
     return [exact_report("as1", params, got == want, got, want, 2**N)]
 
 
-def _run_as2(params, ctx):
+def _run_as2(params):
     N = params["N"]
     x = Fraction(params["x"])
     # an integral x keeps the exact sum in int arithmetic, as in _run_as1
@@ -438,14 +449,16 @@ def _run_as2(params, ctx):
     return [exact_report("as2", params, got == want, got, want, 2**N)]
 
 
-def _run_prouhet(params, ctx):
+def _run_prouhet(params):
     N = params["N"]
-    annihilated = altsum.polynomial_annihilation_check([1] * N, N)
-    survivor = not altsum.polynomial_annihilation_check([0] * N + [1], N)
-    return [exact_report("prouhet", params, annihilated and survivor, 0, 0, 2**N)]
+    # lhs counts the checks that hold: degree N - 1 is annihilated, x^N is not
+    held = altsum.polynomial_annihilation_check([1] * N, N) + (
+        not altsum.polynomial_annihilation_check([0] * N + [1], N)
+    )
+    return [exact_report("prouhet", params, held == 2, held, 2, 2**N)]
 
 
-def _run_weights(params, ctx):
+def _run_weights(params):
     N = params["N"]
     table = altsum.alpha_weights(N)
     oracle = altsum.alpha_weights_oracle(N)
@@ -454,14 +467,14 @@ def _run_weights(params, ctx):
     return [exact_report("weights", params, matched, sum(table.alpha), total, len(table.alpha))]
 
 
-def _run_zn_cumulants(params, ctx):
+def _run_zn_cumulants(params):
     N, order = params["N"], params["order"]
     lhs = altsum.standardized_cumulant(N, order)
     rhs = float(altsum.pmf_standardized_cumulant(N, order))
     return [build_report("zn-cumulants", params, lhs, rhs, rel_tol=1e-10)]
 
 
-def _run_mgf_consistency(params, ctx):
+def _run_mgf_consistency(params):
     z, N = params["z"], params["N"]
     by_level = altsum.zn_mgf(z, N, "product_over_i")
     by_scale = altsum.zn_mgf(z, N, "product_over_k")
@@ -478,32 +491,32 @@ def _run_mgf_consistency(params, ctx):
     ]
 
 
-def _run_thm62(params, ctx):
+def _run_thm62(params):
     n = params["n"]
     g = SequenceFn(
         eval=lambda m: m**-2.0 - (m + 1.0) ** -2.0,
         decay=(3.0, 3.0),
         partial_sum=lambda a, c: a**-2.0 - c**-2.0,
     )
-    lhs = solver.solve_implicit(2, g, n, ctx=ctx)
+    lhs = solver.solve_implicit(2, g, n)
     rhs = (n**-2.0 - (n + 1.0) ** -2.0) / (1.0 - 0.25)
     return [build_report("thm6.2", params, lhs, rhs, rel_tol=1e-11)]
 
 
-def _run_thm66(params, ctx):
+def _run_thm66(params):
     b = params["b"]
-    lhs = solver.weighted_digit_sum(b, _putnam_sequence(), ctx=ctx)
+    lhs = solver.weighted_digit_sum(b, _putnam_sequence())
     rhs = b / (b - 1.0) * math.log(b)
     return [build_report("thm6.6", params, lhs, rhs, rel_tol=1e-8)]
 
 
-def _run_putnam(params, ctx):
-    lhs = solver.weighted_digit_sum(2, _putnam_sequence(), ctx=ctx)
+def _run_putnam(params):
+    lhs = solver.weighted_digit_sum(2, _putnam_sequence())
     rhs = 2.0 * math.log(2.0)
     return [build_report("putnam-2log2", params, lhs, rhs, rel_tol=1e-8)]
 
 
-def _run_thm68(params, ctx):
+def _run_thm68(params):
     p = params["p"]
     g = lambda n: Fraction((7 * n**3 - 5 * n + 3) % 97 - 48, 11)
     lhs = solver.weighted_digit_sum(2, SequenceFn(eval=g, support_bound=2**p))
@@ -512,7 +525,7 @@ def _run_thm68(params, ctx):
     return [exact_report("thm6.8", params, lhs == rhs, lhs, rhs, 2**p)]
 
 
-def _run_base_relation(params, ctx):
+def _run_base_relation(params):
     b = params["b"]
     top = b**4 + 1
     g = SequenceFn(
@@ -522,16 +535,15 @@ def _run_base_relation(params, ctx):
     lhs, rhs = solver.base_relation_check(b, g)
     abs_err = abs(lhs - rhs)
     rel_err = abs_err / max(abs(lhs), abs(rhs), 1e-300)  # neither side is the reference
-    point = {"base": b, "support": top}
     return [
-        IdentityReport("base-relation", point, lhs, rhs, abs_err, rel_err, Criterion(1e-12), top)
+        IdentityReport("base-relation", params, lhs, rhs, abs_err, rel_err, Criterion(1e-12), top)
     ]
 
 
-def _run_recover_jinfty(params, ctx):
+def _run_recover_jinfty(params):
     x = params["x"]
-    lhs, terms, tail = solver.recover_j_infinity_check(x, ctx)
-    rhs = j_infinity(2, x, ctx)
+    lhs, terms, tail = solver.recover_j_infinity_check(x)
+    rhs = j_infinity(2, x)
     abs_err = abs(lhs - rhs)
     rel_err = abs_err / max(abs(lhs), abs(rhs), 1e-300)  # neither side is the reference
     criterion = Criterion(1e-9)
@@ -558,7 +570,10 @@ _REGISTRY: dict[str, _Entry] = {
     "jinfty": _Entry(_run_jinfty, {"b": [2, 3], "x": [0.5, 1.0, 2.0]}),
     "j-recurrence": _Entry(_run_j_recurrence, {"N": [3, 7, 15], "x": [0.7, 2.5]}),
     "inf-product": _Entry(_run_inf_product, {"b": [2, 3], "z": [0.3, 1.0, -0.6]}),
-    "pi-over-2": _Entry(_run_pi_over_2, {"case": ["half-circle"]}),
+    "pi-over-2": _Entry(
+        _run_pi_over_2,
+        {"case": ["half-circle", "quarter-family", "lemniscatic", "eighth-family"]},
+    ),
     "thm29-finite": _Entry(
         _run_thm29_finite,
         {"b": [2, 3], "p": [1, 2, 3], "alpha": [2.5, 4.0], "z": [0.0, 0.5]},
@@ -620,13 +635,14 @@ def _grid_points(entry: _Entry, overrides: dict) -> list[dict]:
     return [dict(zip(names, combo)) for combo in itertools.product(*ranges)]
 
 
-def run_suite(grid: GridSpec, ctx: PrecisionContext = DEFAULT_CTX) -> RunReport:
-    """Evaluate one identity over its grid; report order is the grid order."""
+def run_suite(grid: GridSpec) -> RunReport:
+    """Evaluate one identity over its grid; report order is the grid order.
+    Every criterion is calibrated to the evaluators' DEFAULT_CTX."""
     if grid.identity_id not in _REGISTRY:
         raise ValueError(f"unknown identity {grid.identity_id!r}")
     entry = _REGISTRY[grid.identity_id]
     points = _grid_points(entry, grid.ranges)
-    reports = [report for point in points for report in entry.runner(point, ctx)]
+    reports = [report for point in points for report in entry.runner(point)]
     if grid.tol is not None:
         # no runner sets a cap, so this only adds a condition: it can fail a
         # point but never pass one
@@ -634,11 +650,11 @@ def run_suite(grid: GridSpec, ctx: PrecisionContext = DEFAULT_CTX) -> RunReport:
     return RunReport(reports)
 
 
-def run_all(ctx: PrecisionContext = DEFAULT_CTX, tol: Optional[float] = None) -> RunReport:
+def run_all(tol: Optional[float] = None) -> RunReport:
     """Every registered identity on its compiled-in default grid."""
     reports = []
     for identity_id in identity_ids():
-        suite = run_suite(GridSpec(identity_id, {}, tol), ctx)
+        suite = run_suite(GridSpec(identity_id, {}, tol))
         reports.extend(suite.reports)
     return RunReport(reports)
 

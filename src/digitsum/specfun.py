@@ -8,6 +8,9 @@ the complete elliptic integral K.
 Everything works in native double precision.  Each evaluator truncates by
 an explicit first-omitted-correction estimate controlled by a
 PrecisionContext, so accuracy claims are budgeted rather than hoped for.
+The asymptotic expansions run at the fixed order EM_ORDER once the
+argument passes SHIFT_THRESHOLD, and a relative tolerance is taken of a
+magnitude no smaller than ABS_FLOOR.
 """
 
 from __future__ import annotations
@@ -37,7 +40,9 @@ __all__ = [
     "elliptic_K",
 ]
 
-EULER_GAMMA = 0.5772156649015328606
+EM_ORDER = 8  # highest Bernoulli index in the asymptotic corrections
+SHIFT_THRESHOLD = 16.0  # argument size where the asymptotics engage
+ABS_FLOOR = 1e-300  # smallest magnitude a relative tolerance is taken of
 
 
 # ---------------------------------------------------------------------------
@@ -50,21 +55,14 @@ class PrecisionContext:
     """Numerical policy shared by every evaluator in the package."""
 
     rel_tol: float = 1e-12
-    abs_floor: float = 1e-300
     max_terms: int = 10**7
     tail_safety: float = 10.0  # multiplies tail estimates before comparing
-    em_order: int = 8  # highest Bernoulli index in asymptotic corrections
-    shift_threshold: float = 16.0  # argument size where asymptotics engage
 
     def __post_init__(self) -> None:
         if not self.rel_tol > 0:
             raise ValueError("rel_tol must be positive")
         if self.max_terms < 1:
             raise ValueError("max_terms must be >= 1")
-        if self.em_order < 2 or self.em_order % 2:
-            raise ValueError("em_order must be even and >= 2")
-        if self.em_order > 60:
-            raise ValueError("em_order beyond 60 exceeds the Bernoulli table")
         if self.tail_safety < 1:
             raise ValueError("tail_safety must be >= 1")
 
@@ -110,7 +108,7 @@ def _level_series(
 
     term(l) is called once per level, in order.  After adding t = term(l) the
     series stops once tail_safety * tail(l, t) <= rel_tol * max(|total|,
-    abs_floor), or rel_tol * scale if a fixed scale is given; tail(l, t) bounds
+    ABS_FLOOR), or rel_tol * scale if a fixed scale is given; tail(l, t) bounds
     the terms past level l, or is inf until their decay law holds.  Levels end
     at min(max_terms, _level_cap(b)), so term and tail may form b^(l+1); a
     series open there, or a non-finite total, raises TruncationBudgetError.
@@ -122,7 +120,7 @@ def _level_series(
         if not math.isfinite(total):
             raise TruncationBudgetError(f"{name}: not finite at level {l}", l + 1 - start, bound)
         bound = tail(l, t)
-        size = max(abs(total), ctx.abs_floor) if scale is None else scale
+        size = max(abs(total), ABS_FLOOR) if scale is None else scale
         if ctx.tail_safety * bound <= ctx.rel_tol * size:
             return total
     raise TruncationBudgetError(f"{name}: no convergence by level {last}", last + 1 - start, bound)
@@ -175,8 +173,8 @@ def digamma(z: float, ctx: PrecisionContext = DEFAULT_CTX) -> float:
     if not z > 0:
         raise ValueError("digamma requires z > 0")
     bern = _bernoulli_float()
-    half = ctx.em_order // 2
-    target = ctx.shift_threshold
+    half = EM_ORDER // 2
+    target = SHIFT_THRESHOLD
     omitted = math.inf
     while True:
         if target - z > ctx.max_terms:  # hurwitz_zeta's budget on the recurrence steps
@@ -196,7 +194,7 @@ def digamma(z: float, ctx: PrecisionContext = DEFAULT_CTX) -> float:
             wp *= w2
         omitted = abs(bern[2 * half + 2]) / ((2 * half + 2) * wp)
         value -= shift
-        if ctx.tail_safety * omitted <= ctx.rel_tol * max(abs(value), ctx.abs_floor):
+        if ctx.tail_safety * omitted <= ctx.rel_tol * max(abs(value), ABS_FLOOR):
             return value
         target *= 2.0
 
@@ -210,7 +208,7 @@ def hurwitz_zeta(alpha: float, z: float, ctx: PrecisionContext = DEFAULT_CTX) ->
     """zeta(alpha, z) for alpha > 0, alpha != 1, z > 0 by Euler-Maclaurin.
 
     Direct sum over z..z+N-1, integral term w^(1-alpha)/(alpha-1) at
-    w = z+N, half term, and Bernoulli corrections up to ctx.em_order.  N
+    w = z+N, half term, and Bernoulli corrections up to EM_ORDER.  N
     grows until the first omitted correction clears rel_tol; for
     alpha in (0,1) this is the analytic continuation.
     """
@@ -221,12 +219,12 @@ def hurwitz_zeta(alpha: float, z: float, ctx: PrecisionContext = DEFAULT_CTX) ->
     if not z > 0:
         raise ValueError("hurwitz_zeta requires z > 0")
     coef = _em_coefficients()
-    half = ctx.em_order // 2
+    half = EM_ORDER // 2
 
     direct = 0.0
     n_used = 0
     w = z
-    target = ctx.shift_threshold
+    target = SHIFT_THRESHOLD
     while True:
         while w < target:
             direct += w ** (-alpha)
@@ -246,7 +244,7 @@ def hurwitz_zeta(alpha: float, z: float, ctx: PrecisionContext = DEFAULT_CTX) ->
             poch *= (alpha + 2 * j - 1) * (alpha + 2 * j)
             wp /= w * w
         omitted = abs(coef[half + 1]) * poch * wp
-        if ctx.tail_safety * omitted <= ctx.rel_tol * max(abs(value), ctx.abs_floor):
+        if ctx.tail_safety * omitted <= ctx.rel_tol * max(abs(value), ABS_FLOOR):
             return value
         target *= 2.0
 
@@ -303,12 +301,12 @@ _HALF_LOG_2PI = 0.5 * math.log(2.0 * math.pi)
 
 
 def log_gamma(z: float, ctx: PrecisionContext = DEFAULT_CTX) -> float:
-    """ln Gamma(z) for z > 0: recurrence past shift_threshold, then Stirling."""
+    """ln Gamma(z) for z > 0: recurrence past SHIFT_THRESHOLD, then Stirling."""
     if not z > 0:
         raise ValueError("log_gamma requires z > 0")
     bern = _bernoulli_float()
-    half = ctx.em_order // 2
-    target = ctx.shift_threshold
+    half = EM_ORDER // 2
+    target = SHIFT_THRESHOLD
     omitted = math.inf
     while True:
         if target - z > ctx.max_terms:  # hurwitz_zeta's budget on the recurrence steps
@@ -351,11 +349,11 @@ def barnes_zeta2(params: BarnesParams, ctx: PrecisionContext = DEFAULT_CTX) -> f
     if not a > 2:
         raise ValueError("barnes_zeta2 requires alpha > 2 (order-2 finite part is separate)")
     coef = _em_coefficients()
-    half = ctx.em_order // 2
+    half = EM_ORDER // 2
 
     # outer terms m2 = 0 .. M-1 summed directly; start M where the scaled
     # argument (x + omega2 M)/omega1 reaches the asymptotic regime
-    m_start = max(1, math.ceil((ctx.shift_threshold * w1 - x) / w2))
+    m_start = max(1, math.ceil((SHIFT_THRESHOLD * w1 - x) / w2))
     direct = 0.0
     m_done = 0
     M = m_start
@@ -384,7 +382,7 @@ def barnes_zeta2(params: BarnesParams, ctx: PrecisionContext = DEFAULT_CTX) -> f
             * hurwitz_zeta(a + 2 * half + 1, u, ctx)
         )
         value = direct + tail
-        if ctx.tail_safety * omitted <= ctx.rel_tol * max(abs(value), ctx.abs_floor):
+        if ctx.tail_safety * omitted <= ctx.rel_tol * max(abs(value), ABS_FLOOR):
             return value
         M *= 2
         if M > ctx.max_terms:
@@ -416,10 +414,10 @@ def barnes_psi2_2(
     if not (z > 0 and omega1 > 0 and omega2 > 0):
         raise ValueError("barnes_psi2_2 requires positive arguments")
     bern = _bernoulli_float()
-    half = ctx.em_order // 2
+    half = EM_ORDER // 2
 
     base = -(1.0 + math.log(omega2) + digamma(z / omega2, ctx)) / (omega1 * omega2)
-    m_start = max(1, math.ceil((ctx.shift_threshold * omega1 - z) / omega2))
+    m_start = max(1, math.ceil((SHIFT_THRESHOLD * omega1 - z) / omega2))
     direct = 0.0
     m_done = 0
     M = m_start
@@ -447,7 +445,7 @@ def barnes_psi2_2(
             * hurwitz_zeta(2 * half + 3.0, v, ctx)
         )
         value = base + direct + tail
-        if ctx.tail_safety * omitted <= ctx.rel_tol * max(abs(value), ctx.abs_floor):
+        if ctx.tail_safety * omitted <= ctx.rel_tol * max(abs(value), ABS_FLOOR):
             return value
         M *= 2
         if M > ctx.max_terms:

@@ -19,8 +19,6 @@ from digitsum.altsum import (
     pmf_standardized_cumulant,
     polynomial_annihilation_check,
     standardized_cumulant,
-    weights_first_moment,
-    zn_mean_variance,
     zn_mgf,
     zn_pmf,
 )
@@ -186,9 +184,25 @@ class TestAlphaWeights:
 
     def test_rejects_out_of_budget(self):
         with pytest.raises(ValueError):
-            alpha_weights(25)
+            alpha_weights(altsum._ALPHA_BUDGET + 1)
         with pytest.raises(ValueError):
             alpha_weights_oracle(13)
+
+
+class TestTableBudgets:
+    """Past its budget a table builder raises before it builds anything."""
+
+    def test_alpha_weights_budget_plus_one(self, monkeypatch):
+        # the weight-table workload of perfbench builds every N up to 20
+        assert altsum._ALPHA_BUDGET >= 20
+        monkeypatch.setattr(altsum, "_alpha_tuple", lambda N: pytest.fail("built a table"))
+        with pytest.raises(ValueError):
+            alpha_weights(altsum._ALPHA_BUDGET + 1)
+
+    def test_zn_pmf_budget_plus_one(self, monkeypatch):
+        monkeypatch.setattr(altsum, "_bounded_sum_counts", lambda b: pytest.fail("built a pmf"))
+        with pytest.raises(ValueError):
+            zn_pmf(altsum._PMF_BUDGET + 1)
 
 
 class TestWeightTableType:
@@ -233,15 +247,12 @@ class TestPolynomialAnnihilation:
         assert polynomial_annihilation_check([1], 1)
 
     def test_quadratic_under_three_blocks_exact(self):
-        # float shift is converted to its exact binary rational, so the sum
-        # is compared against zero with no tolerance at all
-        assert polynomial_annihilation_check([1, 3, 1], 3, 0.7)
+        # integer coefficients at x = 0: the sum is compared against zero
+        # with no tolerance at all
+        assert polynomial_annihilation_check([1, 3, 1], 3)
 
     def test_cubic_survives_three_blocks(self):
         assert not polynomial_annihilation_check([0, 0, 0, 1], 3)
-
-    def test_float_coefficients_use_scaled_tolerance(self):
-        assert polynomial_annihilation_check([1.5, -2.25, 0.5], 4, 1.3)
 
     def test_rejects_out_of_budget(self):
         with pytest.raises(ValueError):
@@ -290,24 +301,33 @@ class TestZnPmf:
 
     def test_rejects_out_of_budget(self):
         with pytest.raises(ValueError):
-            zn_pmf(25)
+            zn_pmf(altsum._PMF_BUDGET + 1)
+
+
+def pmf_mean_variance(N):
+    pmf = zn_pmf(N)
+    mean = sum(Fraction(k) * m for k, m in enumerate(pmf.mass))
+    second = sum(Fraction(k) ** 2 * m for k, m in enumerate(pmf.mass))
+    return mean, second - mean**2
 
 
 class TestZnMeanVariance:
+    """The law of Z_N has mean 2^N - N/2 - 1 and variance (4^N - 3N/4 - 1)/9,
+    the variance standardized_cumulant divides by."""
+
     def test_anchors(self):
-        assert zn_mean_variance(1) == (Fraction(1, 2), Fraction(1, 4))
-        assert zn_mean_variance(2) == (Fraction(2), Fraction(3, 2))
+        assert pmf_mean_variance(1) == (Fraction(1, 2), Fraction(1, 4))
+        assert pmf_mean_variance(2) == (Fraction(2), Fraction(3, 2))
 
     @pytest.mark.parametrize("N", list(range(1, 13)))
     def test_matches_pmf_moments_exactly(self, N):
-        pmf = zn_pmf(N)
-        mean = sum(Fraction(k) * m for k, m in enumerate(pmf.mass))
-        second = sum(Fraction(k) ** 2 * m for k, m in enumerate(pmf.mass))
-        assert zn_mean_variance(N) == (mean, second - mean**2)
+        mean = 2**N - Fraction(N, 2) - 1
+        variance = (Fraction(4) ** N - Fraction(3, 4) * N - 1) / 9
+        assert pmf_mean_variance(N) == (mean, variance)
 
     def test_rejects_nonpositive(self):
         with pytest.raises(ValueError):
-            zn_mean_variance(0)
+            zn_pmf(-1)
 
 
 class TestZnMgf:
@@ -427,15 +447,21 @@ class TestLimitCumulant:
             limit_cumulant(5)
 
 
+def table_mean(N):
+    # the mean of the normalized level N - 1 weight table
+    table = alpha_weights(N - 1).alpha
+    return Fraction(sum(k * a for k, a in enumerate(table)), 2 ** ((N - 1) * N // 2))
+
+
 class TestWeightsFirstMoment:
     def test_anchors(self):
-        assert weights_first_moment(2) == Fraction(1, 2)
-        assert weights_first_moment(3) == Fraction(2)
-        assert weights_first_moment(4) == Fraction(11, 2)
+        assert table_mean(2) == Fraction(1, 2)
+        assert table_mean(3) == Fraction(2)
+        assert table_mean(4) == Fraction(11, 2)
 
     @pytest.mark.parametrize("N", list(range(1, 11)))
     def test_closed_form_and_unnormalized_reading(self, N):
-        assert weights_first_moment(N) == Fraction(2**N - N - 1, 2)
+        assert table_mean(N) == Fraction(2**N - N - 1, 2)
         # the same moment before dividing by the table total
         table = alpha_weights(N - 1).alpha
         raw = sum(k * a for k, a in enumerate(table))
@@ -443,7 +469,7 @@ class TestWeightsFirstMoment:
 
     def test_rejects_nonpositive(self):
         with pytest.raises(ValueError):
-            weights_first_moment(0)
+            alpha_weights(-1)
 
 
 class TestTypeValidation:

@@ -22,7 +22,6 @@ from digitsum.harness import (
     run_suite,
 )
 from digitsum.lambert import lambert_gf_finite
-from digitsum.specfun import DEFAULT_CTX
 
 EXPECTED_IDS = [
     "thm2.1",
@@ -103,11 +102,13 @@ class TestRunSuite:
         assert run.worst_rel_err <= 1e-9
 
     def test_half_circle_default_is_a_single_report(self):
+        # the default grid runs all four special values, one report each
         run = run_suite(GridSpec("pi-over-2", {}))
-        assert len(run.reports) == 1
+        cases = [r.params["case"] for r in run.reports]
+        assert cases == ["half-circle", "quarter-family", "lemniscatic", "eighth-family"]
         report = run.reports[0]
         assert report.rhs == pytest.approx(math.pi / 2.0, rel=1e-12)
-        assert report.passed
+        assert all(r.passed for r in run.reports)
 
     def test_weight_tables_exact(self):
         run = run_suite(GridSpec("weights", {"N": [1, 2, 3]}))
@@ -150,7 +151,7 @@ class TestRunSuite:
     def test_as1_integer_sum_is_the_fraction_sum(self, N):
         # summed from int 0, the exact total and its report bytes are those of
         # the same sum carried in Fraction
-        (report,) = harness._run_as1({"N": N}, DEFAULT_CTX)
+        (report,) = harness._run_as1({"N": N})
         want = altsum.alternating_sum_via_weights(lambda t: t**N, Fraction(0), N)
         assert type(report.lhs) is int
         assert report.lhs == want
@@ -161,7 +162,7 @@ class TestRunSuite:
     @pytest.mark.parametrize("N", range(1, 7))
     def test_as2_sum_is_the_fraction_sum(self, N, x):
         # an integral x is summed in int, a fractional one stays in Fraction
-        (report,) = harness._run_as2({"N": N, "x": x}, DEFAULT_CTX)
+        (report,) = harness._run_as2({"N": N, "x": x})
         want = altsum.alternating_sum_via_weights(lambda t: t ** (N + 1), Fraction(x), N)
         assert type(report.lhs) is (int if x.is_integer() else Fraction)
         assert report.lhs == want
@@ -182,7 +183,7 @@ class TestRunAll:
     def test_tolerance_only_adds_a_condition(self):
         plain = run_all()
         tight = run_all(tol=1e-9)
-        assert len(tight.reports) == len(plain.reports) == 321
+        assert len(tight.reports) == len(plain.reports) == 324
         for before, after in zip(plain.reports, tight.reports):
             assert (after.identity_id, after.params) == (before.identity_id, before.params)
             assert before.criterion.cap == math.inf  # so --tol can only tighten
@@ -216,6 +217,22 @@ class TestPassRule:
         assert [r.passed for r in run.reports] == [False, True]
         # abs_err still reports the recurrence leg, which is untouched
         assert run.reports[0].abs_err <= 1e-12
+
+    def test_thm31_fails_on_the_double_sum_leg(self, monkeypatch):
+        real = harness.double_sum_alternate
+        monkeypatch.setattr(
+            harness, "double_sum_alternate", lambda p, alpha, z: real(p, alpha, z) * (1.0 + 1e-6)
+        )
+        run = run_suite(GridSpec("thm3.1", {"p": [2], "alpha": [2.5], "z": [0.5]}))
+        assert run.summary == {"pass": 0, "fail": 1}
+        # abs_err still reports the half-shift leg, which is untouched
+        assert run.reports[0].abs_err <= 1e-12
+
+    def test_prouhet_counts_the_checks_that_hold(self, monkeypatch):
+        # a check that calls everything annihilated fails the survivor check only
+        monkeypatch.setattr(altsum, "polynomial_annihilation_check", lambda c, N: True)
+        (report,) = run_suite(GridSpec("prouhet", {"N": [3]})).reports
+        assert (report.lhs, report.rhs, report.passed) == (1, 2, False)
 
     def test_mgf_consistency_fails_on_the_scale_leg(self, monkeypatch):
         real = altsum.zn_mgf
@@ -300,7 +317,7 @@ class TestEmitReport:
 
     @pytest.mark.parametrize(
         "suite, points",
-        [("eta-bridge", 3), ("cor30", 6), ("all", 321)],
+        [("eta-bridge", 3), ("cor30", 6), ("all", 324)],
         ids=["eta-bridge", "cor30", "all"],
     )
     def test_report_bytes_do_not_depend_on_blas_threads(self, suite, points):
@@ -368,6 +385,19 @@ class TestCli:
         assert report["params"]["p"] == 2
         assert report["pass"] is True
 
+    def test_eval_reproduces_a_row_of_every_suite(self):
+        # the last row of each suite, fed back as name=value through its grid
+        # parameters, comes out of eval byte for byte
+        last = {report.identity_id: report for report in run_all().reports}
+        assert list(last) == identity_ids()
+        for identity_id, report in last.items():
+            row = harness._report_json(report)
+            params = json.loads(row)["params"]
+            args = [a for k in default_grid(identity_id) for a in ("-p", f"{k}={params[k]}")]
+            result = self.invoke("eval", identity_id, *args)
+            assert result.exit_code == 0, identity_id
+            assert row in result.output.splitlines(), identity_id
+
     def test_eval_unknown_identity(self):
         assert self.invoke("eval", "nope").exit_code != 0
 
@@ -406,14 +436,21 @@ class TestCli:
             data, _ = json.JSONDecoder().raw_decode(result.output)
             assert data["summary"] == {"pass": 0, "fail": 8}, extra
 
-    @pytest.mark.parametrize("suite", ["prouhet", "rankwise"])
+    @pytest.mark.parametrize("suite", ["lambert-finite", "rankwise"])
     def test_verify_tol_cannot_pass_an_exact_mismatch_with_equal_totals(
         self, suite, monkeypatch
     ):
         # both sides report the same total, so abs_err = 0 while rel_err = 1:
         # only the abs > 0 guard keeps the absolute leg from passing them
-        if suite == "prouhet":
-            monkeypatch.setattr(altsum, "polynomial_annihilation_check", lambda c, N: True)
+        if suite == "lambert-finite":
+            real = harness.finite_gf_coefficients
+
+            def swapped(b, p):
+                coeffs = list(real(b, p))
+                coeffs[0], coeffs[1] = coeffs[1], coeffs[0]
+                return coeffs
+
+            monkeypatch.setattr(harness, "finite_gf_coefficients", swapped)
         else:
             real = harness.rankwise_coefficients
 

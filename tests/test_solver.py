@@ -258,7 +258,8 @@ class TestBaseRelationCheck:
         # the registered suite's sequence at b = 3: support 82, n <= 81
         (report,) = run_suite(GridSpec("base-relation", {"b": [3]})).reports
         assert report.identity_id == "base-relation"
-        assert report.params == {"base": 3, "support": 82}
+        assert report.params == {"b": 3}
+        assert report.terms == 82  # the support bound 3^4 + 1
         assert report.passed and report.rel_err <= 1e-12
 
     def test_zero_sequence(self):
