@@ -131,11 +131,16 @@ def _level_series(
 # ---------------------------------------------------------------------------
 
 
+# the last Bernoulli index any caller reads: the expansions stop at
+# EM_ORDER + 2 = 10, and altsum's cumulants at order 16
+BERNOULLI_LIMIT = 16
+
+
 @lru_cache(maxsize=1)
-def _bernoulli_table(limit: int = 64) -> tuple[Fraction, ...]:
-    """B_0 .. B_limit as exact rationals via the convolution recurrence."""
+def _bernoulli_table() -> tuple[Fraction, ...]:
+    """B_0 .. B_BERNOULLI_LIMIT as exact rationals via the convolution recurrence."""
     table = [Fraction(1)]
-    for m in range(1, limit + 1):
+    for m in range(1, BERNOULLI_LIMIT + 1):
         acc = Fraction(0)
         for j in range(m):
             acc += math.comb(m + 1, j) * table[j]
@@ -144,9 +149,9 @@ def _bernoulli_table(limit: int = 64) -> tuple[Fraction, ...]:
 
 
 def bernoulli_even(n2: int) -> Fraction:
-    """Exact B_{n2} for even n2 with 2 <= n2 <= 64."""
-    if n2 % 2 or not 2 <= n2 <= 64:
-        raise ValueError("bernoulli_even requires even n2 with 2 <= n2 <= 64")
+    """Exact B_{n2} for even n2 with 2 <= n2 <= BERNOULLI_LIMIT."""
+    if n2 % 2 or not 2 <= n2 <= BERNOULLI_LIMIT:
+        raise ValueError(f"bernoulli_even requires even n2 with 2 <= n2 <= {BERNOULLI_LIMIT}")
     return _bernoulli_table()[n2]
 
 
@@ -157,8 +162,8 @@ def _bernoulli_float() -> tuple[float, ...]:
 
 @lru_cache(maxsize=1)
 def _em_coefficients() -> tuple[float, ...]:
-    """B_2j / (2j)! for j = 0 .. 32: the Euler-Maclaurin weights, formed once
-    as the same doubles an inline float(B_2j) / (2j)! gives."""
+    """B_2j / (2j)! for j = 0 .. BERNOULLI_LIMIT/2: the Euler-Maclaurin weights,
+    formed once as the same doubles an inline float(B_2j) / (2j)! gives."""
     bern = _bernoulli_float()
     return tuple(bern[2 * j] / math.factorial(2 * j) for j in range(len(bern) // 2 + 1))
 
@@ -344,6 +349,16 @@ def barnes_zeta2(params: BarnesParams, ctx: PrecisionContext = DEFAULT_CTX) -> f
     Euler-Maclaurin tail in m2 (integral term via the (alpha-1)-Hurwitz
     antiderivative, half term, Bernoulli corrections).  M grows until the
     first omitted correction clears rel_tol.
+
+    The value is symmetric in (omega1, omega2), so the direction is free.
+    When the larger period is at least 2 SHIFT_THRESHOLD times the smaller,
+    they are ordered so that omega1 is the long one: the Hurwitz values run
+    along it, and the outer sum along the short omega2 starts where its
+    argument in short periods, x/omega2 + M, reaches SHIFT_THRESHOLD.  For
+    x >= SHIFT_THRESHOLD omega2 that is M = 0, and the whole sum is the
+    tail's Hurwitz values at x/omega1.  Otherwise the periods keep the
+    caller's order, and M starts where the Hurwitz argument
+    (x + omega2 M)/omega1 reaches SHIFT_THRESHOLD.
     """
     a, x, w1, w2 = params.alpha, params.x, params.omega1, params.omega2
     if not a > 2:
@@ -351,12 +366,14 @@ def barnes_zeta2(params: BarnesParams, ctx: PrecisionContext = DEFAULT_CTX) -> f
     coef = _em_coefficients()
     half = EM_ORDER // 2
 
-    # outer terms m2 = 0 .. M-1 summed directly; start M where the scaled
-    # argument (x + omega2 M)/omega1 reaches the asymptotic regime
-    m_start = max(1, math.ceil((SHIFT_THRESHOLD * w1 - x) / w2))
+    if max(w1, w2) >= 2.0 * SHIFT_THRESHOLD * min(w1, w2):
+        w1, w2 = max(w1, w2), min(w1, w2)
+        M = max(0, math.ceil(SHIFT_THRESHOLD - x / w2))
+    else:
+        M = max(1, math.ceil((SHIFT_THRESHOLD * w1 - x) / w2))
+    # outer terms m2 = 0 .. M-1 summed directly
     direct = 0.0
     m_done = 0
-    M = m_start
     while True:
         while m_done < M:
             direct += w1 ** (-a) * hurwitz_zeta(a, (x + w2 * m_done) / w1, ctx)
@@ -384,7 +401,7 @@ def barnes_zeta2(params: BarnesParams, ctx: PrecisionContext = DEFAULT_CTX) -> f
         value = direct + tail
         if ctx.tail_safety * omitted <= ctx.rel_tol * max(abs(value), ABS_FLOOR):
             return value
-        M *= 2
+        M = max(1, 2 * M)
         if M > ctx.max_terms:
             raise TruncationBudgetError(
                 "barnes_zeta2 outer sum exhausted max_terms", m_done, abs(tail)

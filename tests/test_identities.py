@@ -34,6 +34,7 @@ from digitsum.identities import (
 )
 from digitsum.specfun import (
     DEFAULT_CTX,
+    BarnesParams,
     PrecisionContext,
     TruncationBudgetError,
     elliptic_K,
@@ -547,19 +548,50 @@ class TestFiniteBarnes:
         with pytest.raises(ValueError):
             finite_barnes_closed(2, 2, 2.0, 0.0)
 
-    @pytest.mark.parametrize("b, p", [(2, 1), (2, 4), (3, 3)])
+    @pytest.mark.parametrize("b, p", [(2, 1), (2, 4), (3, 3), (10, 3)])
     def test_each_level_bracket_once(self, monkeypatch, b, p):
-        # p + 1 levels, two Barnes values each, none repeated
-        real, seen = identities.barnes_zeta2, []
+        # a level below the switch sums its b^(p-l) Hurwitz values and makes no
+        # Barnes call; a level above it takes two distinct Barnes values
+        alpha, z, top = 3.0, 0.5, float(b**p)
+        real_barnes, real_hurwitz = identities.barnes_zeta2, identities.hurwitz_zeta
+        barnes, hurwitz = [], []
 
-        def counted(params, ctx=DEFAULT_CTX):
-            seen.append(params)
-            return real(params, ctx)
+        def counted_barnes(params, ctx=DEFAULT_CTX):
+            barnes.append(params)
+            return real_barnes(params, ctx)
 
-        monkeypatch.setattr(identities, "barnes_zeta2", counted)
-        finite_barnes_closed(b, p, 3.0, 0.5)
-        assert len(seen) == 2 * (p + 1)
-        assert len(set(seen)) == len(seen)
+        def counted_hurwitz(a, x, ctx=DEFAULT_CTX):
+            hurwitz.append(x)
+            return real_hurwitz(a, x, ctx)
+
+        monkeypatch.setattr(identities, "barnes_zeta2", counted_barnes)
+        monkeypatch.setattr(identities, "hurwitz_zeta", counted_hurwitz)
+        finite_barnes_closed(b, p, alpha, z)
+        want_hurwitz, want_barnes = [], []
+        for l in range(p + 1):
+            step, count = float(b) ** l, b ** (p - l)
+            if count < identities._BRACKET_TERMS:
+                want_hurwitz += [z + k * step for k in range(1, count + 1)]
+            else:
+                want_barnes += [
+                    BarnesParams(alpha, z + step, 1.0, step),
+                    BarnesParams(alpha, z + step + top, 1.0, step),
+                ]
+        assert sorted(hurwitz) == sorted(want_hurwitz)
+        assert barnes == want_barnes  # two distinct values per level above the switch
+        assert bool(want_barnes) == (b**p >= identities._BRACKET_TERMS)
+
+    @pytest.mark.parametrize(
+        "b, p, alpha, z", [(10, 3, 2.5, 0.5), (10, 3, 4.0, 0.0), (16, 4, 3.0, 0.0)]
+    )
+    def test_both_routes_against_mpmath(self, b, p, alpha, z):
+        # the low levels take the Barnes difference, the high ones the finite
+        # sum; the bound is the evaluators' rel_tol, fixed before measuring
+        with mp.workdps(30):
+            x, a = mp.mpf(z), mp.mpf(alpha)
+            want = mp.fsum(digit_sum(n, b) * (n + x) ** -a for n in range(1, b**p))
+        got = finite_barnes_closed(b, p, alpha, z)
+        assert abs(got - want) <= DEFAULT_CTX.rel_tol * abs(want), float(abs(got - want) / want)
 
 
 class TestInfiniteBarnes:

@@ -17,8 +17,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from digitsum import specfun
+from digitsum.altsum import _CUMULANT_BUDGET
 from digitsum.specfun import (
     ABS_FLOOR,
+    BERNOULLI_LIMIT,
     DEFAULT_CTX,
     EM_ORDER,
     SHIFT_THRESHOLD,
@@ -414,6 +417,92 @@ class TestBarnesZeta2:
             barnes_zeta2(BarnesParams(2.0, 1.0, 1.0, 1.0))
 
 
+def _barnes_level_reference(alpha, x, h):
+    """zeta_2(alpha, x; 1, h) at 30 digits for an integer h, from the exact doubles.
+
+    Split m1 = r + h q with r < h; the q and m2 sums then give
+    sum_n (n + 1) (v_r + n)^-alpha with v_r = (x + r)/h, so the value is
+    h^-alpha sum_{r<h} [zeta(alpha-1, v_r) - (v_r - 1) zeta(alpha, v_r)].
+    No Euler-Maclaurin summation is involved.
+    """
+    a, x = mp.mpf(alpha), mp.mpf(x)
+    total = mp.mpf(0)
+    for r in range(h):
+        v = (x + r) / h
+        total += mp.zeta(a - 1, v) - (v - 1) * mp.zeta(a, v)
+    return total * mp.mpf(h) ** -a
+
+
+# fixed before measuring: the truncation the stop rule admits
+# (rel_tol / tail_safety), and as much again for rounding
+LEVEL_BOUND = 2 * DEFAULT_CTX.rel_tol / DEFAULT_CTX.tail_safety
+SWITCH = 2 * SHIFT_THRESHOLD  # period ratio from which the long period goes first
+
+# h on both sides of the switch; the full alpha x z grid up to 64, and one
+# point per alpha and per z above it, where each reference costs 2h zetas
+_LEVEL_CASES = [
+    (h, alpha, z)
+    for h in (8, 16, 27, 31, 32, 33, 64)
+    for alpha in (2.5, 3.5, 4.0)
+    for z in (0.0, 0.5, 1.0)
+] + [(243, 2.5, 0.5), (243, 4.0, 0.0), (729, 3.5, 1.0)]
+
+
+class TestBarnesDirection:
+    """Level terms zeta_2(alpha, z + h; 1, h) on both sides of the direction switch."""
+
+    @pytest.mark.parametrize("h, alpha, z", _LEVEL_CASES)
+    def test_level_term_against_mpmath(self, h, alpha, z):
+        got = barnes_zeta2(BarnesParams(alpha, z + h, 1.0, float(h)))
+        want = _barnes_level_reference(alpha, z + h, h)
+        assert abs(got - want) <= LEVEL_BOUND * abs(want), float(abs(got - want) / want)
+
+    @pytest.mark.parametrize("h", [16, 31, 32, 33, 100])
+    @pytest.mark.parametrize("x", [0.1, 1.5, 40.5])
+    def test_period_swap_across_the_switch(self, h, x):
+        a = barnes_zeta2(BarnesParams(3.5, x, 1.0, float(h)))
+        b = barnes_zeta2(BarnesParams(3.5, x, float(h), 1.0))
+        assert abs(a - b) <= LEVEL_BOUND * abs(a)
+
+    def test_small_argument_at_ratio_one_hundred(self):
+        # x / omega_short = 0.1: the long-first sum starts at M = 16
+        for alpha in (2.5, 4.0):
+            got = barnes_zeta2(BarnesParams(alpha, 0.1, 1.0, 100.0))
+            want = _barnes_level_reference(alpha, 0.1, 100)
+            assert abs(got - want) <= LEVEL_BOUND * abs(want)
+
+    def _counted(self, monkeypatch, params):
+        seen = []
+
+        def counted(alpha, u, ctx=DEFAULT_CTX):
+            seen.append(u)
+            return hurwitz_zeta(alpha, u, ctx)
+
+        monkeypatch.setattr(specfun, "hurwitz_zeta", counted)
+        return barnes_zeta2(params), seen
+
+    @pytest.mark.parametrize("alpha", [2.5, 4.0])
+    def test_long_ratio_converges_at_m_zero(self, monkeypatch, alpha):
+        # x / omega_short >= SHIFT_THRESHOLD: no outer term is summed directly;
+        # the tail's EM_ORDER/2 + 2 values and the first omitted correction's
+        # one, all at x / omega_long
+        h = SWITCH
+        value, seen = self._counted(monkeypatch, BarnesParams(alpha, 1.0 + h, 1.0, h))
+        assert len(seen) == EM_ORDER // 2 + 3
+        assert set(seen) == {(1.0 + h) / h}
+        assert value == barnes_zeta2(BarnesParams(alpha, 1.0 + h, h, 1.0))
+
+    def test_doubling_leaves_m_zero(self, monkeypatch):
+        # at x / omega_short = SHIFT_THRESHOLD exactly, M = 0 does not converge
+        # for alpha = 3, so M must move on to 1, 2, 4, ...
+        value, seen = self._counted(
+            monkeypatch, BarnesParams(3.0, SHIFT_THRESHOLD, 1.0, SWITCH)
+        )
+        assert len(seen) > EM_ORDER // 2 + 3
+        want = _barnes_level_reference(3.0, SHIFT_THRESHOLD, int(SWITCH))
+        assert abs(value - want) <= LEVEL_BOUND * abs(want)
+
+
 class TestBarnesFinitePart:
     def test_unit_periods_closed_form(self):
         """At (1,1) the finite part is -psi(z) + (1-z) psi'(z)."""
@@ -486,9 +575,16 @@ class TestBernoulli:
         with pytest.raises(ValueError):
             bernoulli_even(3)
         with pytest.raises(ValueError):
-            bernoulli_even(66)
+            bernoulli_even(18)
         with pytest.raises(ValueError):
             bernoulli_even(0)
+
+    def test_table_covers_every_index_read(self):
+        # the expansions read B_(EM_ORDER + 2), the cumulants B_(_CUMULANT_BUDGET)
+        assert BERNOULLI_LIMIT >= EM_ORDER + 2
+        assert BERNOULLI_LIMIT >= _CUMULANT_BUDGET
+        for n2 in (EM_ORDER + 2, _CUMULANT_BUDGET):
+            assert bernoulli_even(n2) == Fraction(*mp.bernfrac(n2))
 
     def test_zeta_bridge(self):
         """zeta(2n) == (-1)^(n+1) B_2n (2 pi)^(2n) / (2 (2n)!)."""
@@ -505,7 +601,7 @@ class TestBernoulli:
 
 def _factorial_loop_hurwitz(alpha, z, ctx):
     # hurwitz_zeta as written with an inline B_2j / (2j)! per correction term
-    bern = [float(bernoulli_even(n)) if n else 1.0 for n in range(0, 65, 2)]
+    bern = [float(bernoulli_even(n)) if n else 1.0 for n in range(0, 17, 2)]
     half = EM_ORDER // 2
     direct, w, target = 0.0, z, SHIFT_THRESHOLD
     while True:
@@ -526,7 +622,7 @@ def _factorial_loop_hurwitz(alpha, z, ctx):
 
 def _factorial_loop_barnes(a, x, w1, w2, ctx):
     # barnes_zeta2 as written with an inline B_2j / (2j)!, on the loop above
-    bern = [float(bernoulli_even(n)) if n else 1.0 for n in range(0, 65, 2)]
+    bern = [float(bernoulli_even(n)) if n else 1.0 for n in range(0, 17, 2)]
     half = EM_ORDER // 2
     direct, m_done = 0.0, 0
     M = max(1, math.ceil((SHIFT_THRESHOLD * w1 - x) / w2))
