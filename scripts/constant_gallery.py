@@ -9,7 +9,7 @@ import math
 
 from digitsum.identities import infinite_product, j_infinity
 from digitsum.solver import SequenceFn, weighted_digit_sum
-from digitsum.specfun import DEFAULT_CTX, elliptic_K
+from digitsum.specfun import elliptic_K
 
 
 def harmonic_pair() -> SequenceFn:
@@ -40,7 +40,7 @@ def main() -> None:
     print(f"{'pi/2':>22s} {math.pi / 2.0:>22.15g} {half_circle:>22.15g} {gap:>10.1e}")
 
     quarter = infinite_product(2, 0.5) / infinite_product(2, 0.25)
-    lemniscatic = elliptic_K(1.0 / math.sqrt(2.0), DEFAULT_CTX) / math.sqrt(2.0)
+    lemniscatic = elliptic_K(1.0 / math.sqrt(2.0)) / math.sqrt(2.0)
     gap = abs(quarter - lemniscatic) / lemniscatic
     print(f"{'K(1/sqrt2)/sqrt2':>22s} {lemniscatic:>22.15g} {quarter:>22.15g} {gap:>10.1e}")
 

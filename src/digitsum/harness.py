@@ -25,7 +25,6 @@ from .digitseq import (
     valuation2_range,
 )
 from .identities import (
-    FiniteSumParams,
     binary_corollary_closed,
     digit_zeta_2,
     direct_digit_zeta,
@@ -195,10 +194,10 @@ def _putnam_sequence() -> SequenceFn:
 
 
 def _run_thm21(params):
-    fp = FiniteSumParams(params["b"], params["p"], params["alpha"], params["z"])
-    lhs = finite_zeta_diff_closed(fp)
-    rhs = finite_zeta_diff_direct(fp)
-    return [build_report("thm2.1", params, lhs, rhs, rel_tol=1e-9, terms=fp.b**fp.p)]
+    b, p, alpha, z = params["b"], params["p"], params["alpha"], params["z"]
+    lhs = finite_zeta_diff_closed(b, p, alpha, z)
+    rhs = finite_zeta_diff_direct(b, p, alpha, z)
+    return [build_report("thm2.1", params, lhs, rhs, rel_tol=1e-9, terms=b**p)]
 
 
 def _run_cor_eq_zeta(params):
@@ -213,7 +212,7 @@ def _run_cor_eq_zeta(params):
 def _run_thm31(params):
     p, alpha, z = params["p"], params["alpha"], params["z"]
     lhs = binary_corollary_closed(p, alpha, z)
-    rhs = finite_zeta_diff_direct(FiniteSumParams(2, p, alpha, z))
+    rhs = finite_zeta_diff_direct(2, p, alpha, z)
     # the worse of the half-shift and the alternating double-sum form decides
     legs = (lhs, double_sum_alternate(p, alpha, z))
     rel_err = max(abs(a - rhs) / max(abs(rhs), 1e-300) for a in legs)
@@ -399,7 +398,7 @@ def _run_eta_bridge(params):
     eta = dirichlet_eta(s)
     lhs = 1.0 / (1.0 - 2.0**-s)
     # the tail bracket carried through the division, plus 1e-12 relative
-    # for rounding: the accuracy DEFAULT_CTX promises for eta(s), well
+    # for rounding: the accuracy REL_TOL promises for eta(s), well
     # above the float64 rounding of the partial sum (about 1e-14 relative)
     budget = half / abs(eta) + 1e-12 * abs(lhs)
     return [build_report("eta-bridge", params, lhs, mid / eta, 0.0, budget, terms, half)]
@@ -637,7 +636,7 @@ def _grid_points(entry: _Entry, overrides: dict) -> list[dict]:
 
 def run_suite(grid: GridSpec) -> RunReport:
     """Evaluate one identity over its grid; report order is the grid order.
-    Every criterion is calibrated to the evaluators' DEFAULT_CTX."""
+    Every criterion is calibrated to the evaluators' fixed REL_TOL."""
     if grid.identity_id not in _REGISTRY:
         raise ValueError(f"unknown identity {grid.identity_id!r}")
     entry = _REGISTRY[grid.identity_id]

@@ -12,7 +12,6 @@ two routes stay independent end to end.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -22,9 +21,7 @@ from .digitseq import _inverse_power, digit_sum, digit_weighted_sum
 # in perfbench/tests checks that it is wrapped under this module's name too
 from .digitseq import digit_sum_range  # noqa: F401
 from .specfun import (
-    DEFAULT_CTX,
-    BarnesParams,
-    PrecisionContext,
+    REL_TOL,
     TruncationBudgetError,
     _level_series,
     alternating_hurwitz,
@@ -35,12 +32,10 @@ from .specfun import (
     elliptic_K,
     hurwitz_zeta,
     log_gamma,
-    riemann_zeta,
     stirling_beta,
 )
 
 __all__ = [
-    "FiniteSumParams",
     "finite_zeta_diff_direct",
     "finite_zeta_diff_closed",
     "binary_corollary_closed",
@@ -61,38 +56,26 @@ __all__ = [
 
 
 # ---------------------------------------------------------------------------
-# Domain types
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class FiniteSumParams:
-    """Parameters of the finite sums over 1 <= n < b^p."""
-
-    b: int
-    p: int
-    alpha: float
-    z: float
-
-    def __post_init__(self) -> None:
-        if self.b < 2:
-            raise ValueError("base must be >= 2")
-        if self.p < 1:
-            raise ValueError("p must be >= 1")
-        if not self.z >= 0:
-            raise ValueError("z must be >= 0")
-        if not self.alpha > 0:
-            raise ValueError("alpha must be > 0")
-
-
-# ---------------------------------------------------------------------------
 # Finite telescoped sums (order p over base b)
 # ---------------------------------------------------------------------------
 
 
-def finite_zeta_diff_direct(params: FiniteSumParams) -> float:
-    """sum_{n=1}^{b^p - 1} s_b(n) [(z+n)^-a - (z+n+1)^-a], term by term."""
-    b, limit, alpha, z = params.b, params.b**params.p, params.alpha, params.z
+def _check_finite_sum(b: int, p: int, alpha: float, z: float) -> None:
+    """The domain of the finite sums over 1 <= n < b^p."""
+    if b < 2:
+        raise ValueError("base must be >= 2")
+    if p < 1:
+        raise ValueError("p must be >= 1")
+    if not z >= 0:
+        raise ValueError("z must be >= 0")
+    if not alpha > 0:
+        raise ValueError("alpha must be > 0")
+
+
+def finite_zeta_diff_direct(b: int, p: int, alpha: float, z: float) -> float:
+    """sum_{n=1}^{b^p - 1} s_b(n) [(z+n)^-a - (z+n+1)^-a], term by term,
+    for b >= 2, p >= 1, alpha > 0 and z >= 0."""
+    _check_finite_sum(b, p, alpha, z)
 
     def fill(n, out):
         # (z+n+1)^-a needs a buffer apart from its base n
@@ -103,31 +86,29 @@ def finite_zeta_diff_direct(params: FiniteSumParams) -> float:
         _inverse_power(n, alpha, later)
         out -= later
 
-    return digit_weighted_sum(limit, b, fill)
+    return digit_weighted_sum(b**p, b, fill)
 
 
-def finite_zeta_diff_closed(
-    params: FiniteSumParams, ctx: PrecisionContext = DEFAULT_CTX
-) -> float:
-    """Telescoped closed form of finite_zeta_diff_direct.
+def finite_zeta_diff_closed(b: int, p: int, alpha: float, z: float) -> float:
+    """Telescoped closed form of finite_zeta_diff_direct, on the same domain.
 
     Generic order: sum_{l=0}^{p-1} b^(-a l) D_l - sum_{l=1}^{p} b^(1-a l) D_l
     with D_l = zeta(a, 1 + z/b^l) - zeta(a, 1 + (z+b^p)/b^l); at a = 1 the
     differences collapse to digamma values instead.
     """
-    b, p, alpha, z = params.b, params.p, params.alpha, params.z
+    _check_finite_sum(b, p, alpha, z)
     top = float(b**p)
 
     if alpha == 1.0:
         # order-1 collapse: the zeta difference becomes a reversed digamma one
         def diff(l: int) -> float:
             scale = float(b) ** l
-            return digamma(1.0 + (z + top) / scale, ctx) - digamma(1.0 + z / scale, ctx)
+            return digamma(1.0 + (z + top) / scale) - digamma(1.0 + z / scale)
     else:
         def diff(l: int) -> float:
             scale = float(b) ** l
-            return hurwitz_zeta(alpha, 1.0 + z / scale, ctx) - hurwitz_zeta(
-                alpha, 1.0 + (z + top) / scale, ctx
+            return hurwitz_zeta(alpha, 1.0 + z / scale) - hurwitz_zeta(
+                alpha, 1.0 + (z + top) / scale
             )
 
     # levels 1 .. p-1 enter both sums: compute each difference once
@@ -137,9 +118,7 @@ def finite_zeta_diff_closed(
     return first - second
 
 
-def binary_corollary_closed(
-    p: int, alpha: float, z: float, ctx: PrecisionContext = DEFAULT_CTX
-) -> float:
+def binary_corollary_closed(p: int, alpha: float, z: float) -> float:
     """Base-2 half-shift form of the finite closed sum."""
     if p < 1:
         raise ValueError("p must be >= 1")
@@ -151,34 +130,32 @@ def binary_corollary_closed(
         scale = float(2 ** (l + 1))
         if alpha == 1.0:
             bracket = (
-                -digamma(0.5 + z / scale, ctx)
-                + digamma(1.0 + z / scale, ctx)
-                + digamma(0.5 + (z + top) / scale, ctx)
-                - digamma(1.0 + (z + top) / scale, ctx)
+                -digamma(0.5 + z / scale)
+                + digamma(1.0 + z / scale)
+                + digamma(0.5 + (z + top) / scale)
+                - digamma(1.0 + (z + top) / scale)
             )
             total += bracket / scale
         else:
             bracket = (
-                hurwitz_zeta(alpha, 0.5 + z / scale, ctx)
-                - hurwitz_zeta(alpha, 1.0 + z / scale, ctx)
-                - hurwitz_zeta(alpha, 0.5 + (z + top) / scale, ctx)
-                + hurwitz_zeta(alpha, 1.0 + (z + top) / scale, ctx)
+                hurwitz_zeta(alpha, 0.5 + z / scale)
+                - hurwitz_zeta(alpha, 1.0 + z / scale)
+                - hurwitz_zeta(alpha, 0.5 + (z + top) / scale)
+                + hurwitz_zeta(alpha, 1.0 + (z + top) / scale)
             )
             total += scale**-alpha * bracket
     return total
 
 
-def _signed_power_sum(alpha: float, c: float, h: float, ctx: PrecisionContext) -> float:
+def _signed_power_sum(alpha: float, c: float, h: float) -> float:
     """sum_{n>=1} (-1)^n (c + n h)^-alpha for c >= 0, h > 0."""
     w = c / h  # c below the subnormal floor of h counts as zero
     if w == 0.0:
-        return -(h**-alpha) * dirichlet_eta(alpha, ctx)
-    return h**-alpha * alternating_hurwitz(alpha, w, ctx)
+        return -(h**-alpha) * dirichlet_eta(alpha)
+    return h**-alpha * alternating_hurwitz(alpha, w)
 
 
-def double_sum_alternate(
-    p: int, alpha: float, z: float, ctx: PrecisionContext = DEFAULT_CTX
-) -> float:
+def double_sum_alternate(p: int, alpha: float, z: float) -> float:
     """Alternating double-sum form of the base-2 finite closed sum.
 
     sum_{l=0}^{p-1} sum_{n>=1} (-1)^n [(z + 2^p + n 2^l)^-a - (z + n 2^l)^-a],
@@ -192,17 +169,11 @@ def double_sum_alternate(
     total = 0.0
     for l in range(p):
         h = float(2**l)
-        total += _signed_power_sum(alpha, z + top, h, ctx) - _signed_power_sum(
-            alpha, z, h, ctx
-        )
+        total += _signed_power_sum(alpha, z + top, h) - _signed_power_sum(alpha, z, h)
     return total
 
 
-def j_recurrence_check(
-    N: int,
-    x: float,
-    ctx: PrecisionContext = DEFAULT_CTX,
-) -> list[tuple[float, float]]:
+def j_recurrence_check(N: int, x: float) -> list[tuple[float, float]]:
     """Both sides of the odd-index recurrence of the binary harmonic-difference sum.
 
     J_N(x) = sum_{n=1}^N s_2(n)[1/(x+n) - 1/(x+n+1)] satisfies
@@ -223,13 +194,11 @@ def j_recurrence_check(
         )
 
     lhs = j_direct(2 * N + 1, x)
-    rhs = 0.5 * j_direct(N, x / 2.0) + stirling_beta(x + 1.0, ctx) - stirling_beta(
-        x + 2.0 * N + 3.0, ctx
-    )
+    rhs = 0.5 * j_direct(N, x / 2.0) + stirling_beta(x + 1.0) - stirling_beta(x + 2.0 * N + 3.0)
     pairs = [(lhs, rhs)]
     p = (N + 1).bit_length() - 1
     if N + 1 == 2**p:
-        pairs.append((j_direct(N, x), binary_corollary_closed(p, 1.0, x, ctx)))
+        pairs.append((j_direct(N, x), binary_corollary_closed(p, 1.0, x)))
     return pairs
 
 
@@ -238,9 +207,7 @@ def j_recurrence_check(
 # ---------------------------------------------------------------------------
 
 
-def infinite_zeta_diff(
-    b: int, alpha: float, z: float, ctx: PrecisionContext = DEFAULT_CTX
-) -> float:
+def infinite_zeta_diff(b: int, alpha: float, z: float) -> float:
     """sum_{n>=1} s_b(n) [(z+n)^-a - (z+n+1)^-a] in closed form.
 
     zeta(a, 1+z) + (1-b) sum_{l>=1} b^(-l a) zeta(a, 1 + z/b^l); the
@@ -249,7 +216,7 @@ def infinite_zeta_diff(
     |zeta(a, 1)| + 1 + (1+w)^(1-a)/(1-a) for a < 1, where the level terms
     grow with z and may cancel to a far smaller total.  So the sum raises
     TruncationBudgetError when kappa = sum |term| / |total| puts its rounding,
-    kappa 2^-52, above rel_tol.
+    kappa 2^-52, above REL_TOL.
     """
     if b < 2:
         raise ValueError("base must be >= 2")
@@ -257,12 +224,12 @@ def infinite_zeta_diff(
         raise ValueError("alpha must be positive and != 1")
     if not z >= 0:
         raise ValueError("z must be >= 0")
-    total = hurwitz_zeta(alpha, 1.0 + z, ctx)
-    limit = abs(hurwitz_zeta(alpha, 1.0, ctx))  # the level zetas tend to zeta(a, 1)
+    total = hurwitz_zeta(alpha, 1.0 + z)
+    limit = abs(hurwitz_zeta(alpha, 1.0))  # the level zetas tend to zeta(a, 1)
     sizes = [abs(total)]  # |term| of each level so far, level 0 first
 
     def term(l: int) -> float:
-        t = (1 - b) * (float(b) ** (-l * alpha) * hurwitz_zeta(alpha, 1.0 + z / b**l, ctx))
+        t = (1 - b) * (float(b) ** (-l * alpha) * hurwitz_zeta(alpha, 1.0 + z / b**l))
         sizes.append(abs(t))
         return t
 
@@ -272,9 +239,9 @@ def infinite_zeta_diff(
             bound += 1.0 + (1.0 + z / float(b) ** (l + 1)) ** (1.0 - alpha) / (1.0 - alpha)
         return (b - 1) * (float(b) ** (-(l + 1) * alpha) * bound) / (1 - b**-alpha)
 
-    total = _level_series("infinite_zeta_diff", b, term, tail, 1, total, ctx)
+    total = _level_series("infinite_zeta_diff", b, term, tail, 1, total)
     rounding = math.fsum(sizes) * 2.0**-52
-    if rounding > ctx.rel_tol * abs(total):
+    if rounding > REL_TOL * abs(total):
         raise TruncationBudgetError(
             f"infinite_zeta_diff: the levels cancel, rounding {rounding:.3g} on {total:.3g}",
             len(sizes) - 1,
@@ -283,7 +250,7 @@ def infinite_zeta_diff(
     return total
 
 
-def j_infinity(b: int, x: float, ctx: PrecisionContext = DEFAULT_CTX) -> float:
+def j_infinity(b: int, x: float) -> float:
     """sum_{n>=1} s_b(n)/((x+n)(x+n+1)) in closed digamma form.
 
     (b/(b-1)) log b + sum_{l>=0} b^-l [psi(x/b^(l+1)) - psi(x/b^l)
@@ -300,20 +267,18 @@ def j_infinity(b: int, x: float, ctx: PrecisionContext = DEFAULT_CTX) -> float:
     base_value = b / (b - 1.0) * math.log(b)
     if x == 0.0:
         return base_value
-    psi = [digamma(x, ctx)]  # psi(x / b^l) at the levels so far, each taken once
+    psi = [digamma(x)]  # psi(x / b^l) at the levels so far, each taken once
 
     def term(l: int) -> float:
-        psi.append(digamma(x / float(b) ** (l + 1), ctx))
+        psi.append(digamma(x / float(b) ** (l + 1)))
         return float(b) ** (-l) * (psi[-1] - psi[-2] + (b - 1.0) * float(b) ** l / x)
 
     # once in the small-argument regime the terms shrink like b^-2l
     tail = lambda l, t: abs(t) / (b * b - 1.0) if x / float(b) ** l < 1.0 else math.inf
-    return _level_series("j_infinity", b, term, tail, 0, base_value, ctx)
+    return _level_series("j_infinity", b, term, tail, 0, base_value)
 
 
-def j_infinity_taylor_coeff(
-    b: int, n: int, ctx: PrecisionContext = DEFAULT_CTX
-) -> float:
+def j_infinity_taylor_coeff(b: int, n: int) -> float:
     """Taylor coefficient of the closed j_infinity form at x = 0.
 
     Order 0 is (b/(b-1)) log b; order n >= 1 is
@@ -326,7 +291,7 @@ def j_infinity_taylor_coeff(
     if n == 0:
         return b / (b - 1.0) * math.log(b)
     bn = float(b) ** (n + 1)
-    return (-1.0) ** n * riemann_zeta(n + 1.0, ctx) * (bn - b) / (bn - 1.0)
+    return (-1.0) ** n * hurwitz_zeta(n + 1.0, 1.0) * (bn - b) / (bn - 1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -334,7 +299,7 @@ def j_infinity_taylor_coeff(
 # ---------------------------------------------------------------------------
 
 
-def infinite_product(b: int, z: float, ctx: PrecisionContext = DEFAULT_CTX) -> float:
+def infinite_product(b: int, z: float) -> float:
     """prod_{n>=1} ((1+z/n)/(1+z/(n+1)))^{s_b(n)} in closed gamma form.
 
     Log-space evaluation of
@@ -347,22 +312,20 @@ def infinite_product(b: int, z: float, ctx: PrecisionContext = DEFAULT_CTX) -> f
         raise ValueError("z must exceed -1")
     if z == 0.0:
         return 1.0
-    lg = [log_gamma(1.0 + z, ctx)]  # log Gamma(1 + z/b^l) at the levels so far, each taken once
+    lg = [log_gamma(1.0 + z)]  # log Gamma(1 + z/b^l) at the levels so far, each taken once
 
     def term(l: int) -> float:
-        lg.append(log_gamma(1.0 + z / float(b) ** (l + 1), ctx))
+        lg.append(log_gamma(1.0 + z / float(b) ** (l + 1)))
         return b * lg[-1] - lg[-2]
 
     tail = lambda l, t: abs(t) / (b * b - 1.0) if abs(z) / float(b) ** l < 1.0 else math.inf
     # the promise is on exp(log P), whose relative error is the absolute error
-    # of log P: the tail is compared with rel_tol itself, at the fixed scale 1
+    # of log P: the tail is compared with REL_TOL itself, at the fixed scale 1
     log_base = z * b / (b - 1.0) * math.log(b)
-    return math.exp(_level_series("infinite_product", b, term, tail, 0, log_base, ctx, 1.0))
+    return math.exp(_level_series("infinite_product", b, term, tail, 0, log_base, 1.0))
 
 
-def product_special_values(
-    case: str, ctx: PrecisionContext = DEFAULT_CTX
-) -> tuple[float, float]:
+def product_special_values(case: str) -> tuple[float, float]:
     """Both sides of one special value of the base-2 product family
     F_p = P(2^-p)/P(2^-p-1).
 
@@ -372,21 +335,19 @@ def product_special_values(
     """
 
     def family(p: int) -> float:
-        return infinite_product(2, 2.0**-p, ctx) / infinite_product(
-            2, 2.0 ** -(p + 1), ctx
-        )
+        return infinite_product(2, 2.0**-p) / infinite_product(2, 2.0 ** -(p + 1))
 
     def quarter_closed() -> float:
-        return 2.0 * math.sqrt(2.0 / math.pi) * math.exp(log_gamma(1.25, ctx)) ** 2
+        return 2.0 * math.sqrt(2.0 / math.pi) * math.exp(log_gamma(1.25)) ** 2
 
     if case == "half-circle":
         return family(0), math.pi / 2.0
     if case == "quarter-family":
         return family(1), quarter_closed()
     if case == "lemniscatic":
-        return quarter_closed(), elliptic_K(1.0 / math.sqrt(2.0), ctx) / math.sqrt(2.0)
+        return quarter_closed(), elliptic_K(1.0 / math.sqrt(2.0)) / math.sqrt(2.0)
     if case == "eighth-family":
-        closed = 2.0 ** 0.25 * math.exp(2.0 * log_gamma(1.125, ctx) - log_gamma(1.25, ctx))
+        closed = 2.0 ** 0.25 * math.exp(2.0 * log_gamma(1.125) - log_gamma(1.25))
         return family(2), closed
     raise ValueError(f"unknown special-value case {case!r}")
 
@@ -404,9 +365,7 @@ def product_special_values(
 _BRACKET_TERMS = 64
 
 
-def finite_barnes_closed(
-    b: int, p: int, alpha: float, z: float, ctx: PrecisionContext = DEFAULT_CTX
-) -> float:
+def finite_barnes_closed(b: int, p: int, alpha: float, z: float) -> float:
     """sum_{n=1}^{b^p-1} s_b(n)/(n+z)^alpha via two-dimensional telescoping.
 
     sum_{l=0}^{p-1} [zeta_2(a, z+b^l, (1,b^l)) - zeta_2(a, z+b^l+b^p, (1,b^l))]
@@ -429,9 +388,9 @@ def finite_barnes_closed(
         step = float(b) ** l
         count = b ** (p - l)
         if count < _BRACKET_TERMS:
-            return math.fsum(hurwitz_zeta(alpha, z + k * step, ctx) for k in range(1, count + 1))
-        left = barnes_zeta2(BarnesParams(alpha, z + step, 1.0, step), ctx)
-        right = barnes_zeta2(BarnesParams(alpha, z + step + top, 1.0, step), ctx)
+            return math.fsum(hurwitz_zeta(alpha, z + k * step) for k in range(1, count + 1))
+        left = barnes_zeta2(alpha, z + step, 1.0, step)
+        right = barnes_zeta2(alpha, z + step + top, 1.0, step)
         return left - right
 
     # levels 1 .. p-1 enter both sums: evaluate each bracket once
@@ -439,9 +398,7 @@ def finite_barnes_closed(
     return sum(brackets[:p]) - b * sum(brackets[1:])
 
 
-def infinite_barnes(
-    b: int, alpha: float, z: float, ctx: PrecisionContext = DEFAULT_CTX
-) -> float:
+def infinite_barnes(b: int, alpha: float, z: float) -> float:
     """sum_{n>=1} s_b(n)/(n+z)^alpha in closed form, alpha > 2.
 
     -z zeta(a, z+1) + zeta(a-1, z+1) + (1-b) sum_{l>=1} zeta_2(a, z+b^l, (1,b^l));
@@ -453,17 +410,17 @@ def infinite_barnes(
         raise ValueError("alpha must exceed 2")
     if not z >= 0:
         raise ValueError("z must be >= 0")
-    total = -z * hurwitz_zeta(alpha, z + 1.0, ctx) + hurwitz_zeta(alpha - 1.0, z + 1.0, ctx)
+    total = -z * hurwitz_zeta(alpha, z + 1.0) + hurwitz_zeta(alpha - 1.0, z + 1.0)
 
     def term(l: int) -> float:
         step = float(b) ** l
-        return (1 - b) * barnes_zeta2(BarnesParams(alpha, z + step, 1.0, step), ctx)
+        return (1 - b) * barnes_zeta2(alpha, z + step, 1.0, step)
 
     def tail(l: int, t: float) -> float:
         probe = (z + float(b) ** (l + 1)) ** (1.0 - alpha) / (alpha - 1.0)
         return (b - 1) * probe / (1.0 - float(b) ** (1.0 - alpha))
 
-    return _level_series("infinite_barnes", b, term, tail, 1, total, ctx)
+    return _level_series("infinite_barnes", b, term, tail, 1, total)
 
 
 # ---------------------------------------------------------------------------
@@ -471,9 +428,7 @@ def infinite_barnes(
 # ---------------------------------------------------------------------------
 
 
-def _regularized_order2_assembly(
-    b: int, z: float, ctx: PrecisionContext
-) -> float:
+def _regularized_order2_assembly(b: int, z: float) -> float:
     """Pole-cancelled order-2 assembly from the Barnes finite parts.
 
     FP(z+1, 1, 1) + (1-b) sum_{l>=1} FP(z+b^l, 1, b^l), the term-by-term
@@ -482,25 +437,25 @@ def _regularized_order2_assembly(
     of the printed formula is not usable: its level terms tend to -1 - psi(z)
     instead of 0, so that series diverges.
     """
-    total = barnes_psi2_2(z + 1.0, 1.0, 1.0, ctx)
+    total = barnes_psi2_2(z + 1.0, 1.0, 1.0)
 
     def term(l: int) -> float:
         step = float(b) ** l
-        return (1 - b) * barnes_psi2_2(z + step, 1.0, step, ctx)
+        return (1 - b) * barnes_psi2_2(z + step, 1.0, step)
 
     # terms decay like (1 + l log b) b^-l: the (1-b)-weighted rest past level l
     # is about b times the size (2 + (l+1) log b) b^-(l+1) of the next one
     tail = lambda l, t: (2.0 + (l + 1) * math.log(b)) / float(b) ** l
-    return _level_series("order-2", b, term, tail, 1, total, ctx)
+    return _level_series("order-2", b, term, tail, 1, total)
 
 
-def digit_zeta_2(b: int, z: float, ctx: PrecisionContext = DEFAULT_CTX) -> float:
+def digit_zeta_2(b: int, z: float) -> float:
     """sum_{n>=1} s_b(n)/(n+z)^2 from the regularized Barnes assembly."""
     if b < 2:
         raise ValueError("base must be >= 2")
     if not z > 0:
         raise ValueError("z must be positive")
-    return _regularized_order2_assembly(b, z, ctx)
+    return _regularized_order2_assembly(b, z)
 
 
 # ---------------------------------------------------------------------------

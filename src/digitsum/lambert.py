@@ -16,7 +16,7 @@ from .digitseq import (
     valuation2,
     valuation2_range,
 )
-from .specfun import DEFAULT_CTX, PrecisionContext, _level_series
+from .specfun import _level_series
 
 __all__ = [
     "lambert_gf",
@@ -44,7 +44,7 @@ def _rank_kernel(b: int, u: float) -> float:
     return (u - b * ub + (b - 1) * u * ub) / ((1.0 - u) * (1.0 - ub))
 
 
-def lambert_gf(b: int, z: float, ctx: PrecisionContext = DEFAULT_CTX) -> float:
+def lambert_gf(b: int, z: float) -> float:
     """sum_{n>=1} s_b(n) z^n for |z| < 1, one closed term per digit rank.
 
     (1/(1-z)) sum_{l>=0} kernel(z^(b^l)); the levels decay doubly
@@ -60,7 +60,7 @@ def lambert_gf(b: int, z: float, ctx: PrecisionContext = DEFAULT_CTX) -> float:
         return 0.0
     term = lambda l: _rank_kernel(b, z ** (b**l))
     tail = lambda l, t: 2.0 * abs(z) ** (b ** (l + 1))
-    return _level_series("lambert_gf", b, term, tail, 0, 0.0, ctx) / (1.0 - z)
+    return _level_series("lambert_gf", b, term, tail, 0, 0.0) / (1.0 - z)
 
 
 def _poly_mul(a: list[int], c: list[int]) -> list[int]:

@@ -11,7 +11,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .digitseq import digit_sum
-from .specfun import DEFAULT_CTX, PrecisionContext, TruncationBudgetError, hurwitz_zeta
+from .specfun import REL_TOL, TAIL_SAFETY, TruncationBudgetError, hurwitz_zeta
 
 __all__ = [
     "SequenceFn",
@@ -57,12 +57,7 @@ _MAX_LEVELS = 60  # the decay series gives up after levels 0 .. _MAX_LEVELS
 _OUTER_TERMS = 1500
 
 
-def solve_implicit(
-    b: int,
-    g: SequenceFn,
-    n: int,
-    ctx: PrecisionContext = DEFAULT_CTX,
-):
+def solve_implicit(b: int, g: SequenceFn, n: int):
     """f(n) = sum_{k>=0} sum_{l<b^k} g(b^k n + l), the series inverse of
     g(n) = f(n) - sum_{j<b} f(bn+j)."""
     if b < 2:
@@ -79,7 +74,7 @@ def solve_implicit(
         return total
     if g.decay is None:
         raise ValueError("g needs support_bound or decay for the series solution")
-    return float(_solve_series(b, g, np.array([n]), ctx)[0])
+    return float(_solve_series(b, g, np.array([n]))[0])
 
 
 def _level_bounds(scale: int, ns: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -94,12 +89,7 @@ def _level_bounds(scale: int, ns: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     )
 
 
-def _solve_series(
-    b: int,
-    g: SequenceFn,
-    ns: np.ndarray,
-    ctx: PrecisionContext,
-) -> np.ndarray:
+def _solve_series(b: int, g: SequenceFn, ns: np.ndarray) -> np.ndarray:
     """The decay series of solve_implicit for every start point in ns at once.
 
     Level k adds the block [b^k n, b^k (n+1)) to each point still active; a
@@ -117,7 +107,7 @@ def _solve_series(
         totals[active] = totals[active] + block
         tail = scale_floor[active] * ratio ** (k + 1) / (1.0 - ratio)
         size = np.maximum(np.abs(totals[active]), scale_floor[active])
-        done = ctx.tail_safety * tail <= ctx.rel_tol * size
+        done = TAIL_SAFETY * tail <= REL_TOL * size
         active = active[~done]
         if active.size == 0:
             return totals
@@ -128,11 +118,7 @@ def _solve_series(
     )
 
 
-def weighted_digit_sum(
-    b: int,
-    g: SequenceFn,
-    ctx: PrecisionContext = DEFAULT_CTX,
-):
+def weighted_digit_sum(b: int, g: SequenceFn):
     """sum_{n>=1} (digit sum of n in base b) * g(n), evaluated through the
     series inverse as sum_{j=1}^{b-1} j sum_{n>=0} f(bn+j)."""
     if b < 2:
@@ -141,7 +127,7 @@ def weighted_digit_sum(
         total = 0
         for j in range(1, b):
             for m in range(j, g.support_bound, b):
-                total = total + j * solve_implicit(b, g, m, ctx)
+                total = total + j * solve_implicit(b, g, m)
         return total
     if g.decay is None:
         raise ValueError("g needs support_bound or decay for the series solution")
@@ -152,7 +138,7 @@ def weighted_digit_sum(
         # would round differently and change the reported value
         ns = np.arange(start, count, dtype=np.int64)
         ms = (b * ns[:, None] + np.arange(1, b, dtype=np.int64)).ravel()
-        values = _solve_series(b, g, ms, ctx).tolist()
+        values = _solve_series(b, g, ms).tolist()
         for j, value in zip(itertools.cycle(range(1, b)), values):
             acc = acc + j * value
         return acc
@@ -194,10 +180,7 @@ def base_relation_check(b: int, g: SequenceFn) -> tuple:
     return lhs, rhs
 
 
-def recover_j_infinity_check(
-    x: float,
-    ctx: PrecisionContext = DEFAULT_CTX,
-) -> tuple[float, int, float]:
+def recover_j_infinity_check(x: float) -> tuple[float, int, float]:
     """The infinite digit-sum bracket sum sum_{n>=1} s_2(n)/((x+n)(x+n+1)),
     rebuilt from the series inverse of g(n) = 1/((x+n)(x+n+1)).
 
@@ -221,7 +204,7 @@ def recover_j_infinity_check(
         # sum_{r>=0} 2^-r zeta(r+2, w + M + 1)
         edge = w + inner_terms + 1.0
         for r in range(64):
-            piece = 2.0**-r * hurwitz_zeta(r + 2.0, edge, ctx)
+            piece = 2.0**-r * hurwitz_zeta(r + 2.0, edge)
             inner += piece
             if piece <= 1e-18 * inner:
                 break
@@ -229,6 +212,6 @@ def recover_j_infinity_check(
         total += contribution
         # every remaining inner sum is below the w -> 0 limit of 4 log 2
         tail_bound = 2.0 ** (-k - 2) * (4.0 * math.log(2.0) + 1.0)
-        if tail_bound <= 0.05 * ctx.rel_tol * abs(total):
+        if tail_bound <= 0.05 * REL_TOL * abs(total):
             break
     return total, terms_used, tail_bound

@@ -1,16 +1,18 @@
 """Real special functions used by the closed forms.
 
-Digamma, Hurwitz zeta (analytically continued in the order), Riemann
-zeta, Dirichlet eta, Stirling beta, log-gamma, the two-parameter Barnes
-zeta with its order-2 finite part, exact even-index Bernoulli numbers, and
-the complete elliptic integral K.
+Digamma, Hurwitz zeta (analytically continued in the order; the Riemann
+zeta is hurwitz_zeta(s, 1)), Dirichlet eta, Stirling beta, log-gamma, the
+two-parameter Barnes zeta with its order-2 finite part, exact even-index
+Bernoulli numbers, and the complete elliptic integral K.
 
-Everything works in native double precision.  Each evaluator truncates by
-an explicit first-omitted-correction estimate controlled by a
-PrecisionContext, so accuracy claims are budgeted rather than hoped for.
-The asymptotic expansions run at the fixed order EM_ORDER once the
-argument passes SHIFT_THRESHOLD, and a relative tolerance is taken of a
-magnitude no smaller than ABS_FLOOR.
+Everything works in native double precision under one fixed policy.  Each
+evaluator truncates by an explicit first-omitted-correction estimate and
+stops once TAIL_SAFETY times it is at most REL_TOL of the value, so
+accuracy claims are budgeted rather than hoped for; a loop that would pass
+MAX_TERMS steps raises TruncationBudgetError instead.  The asymptotic
+expansions run at the fixed order EM_ORDER once the argument passes
+SHIFT_THRESHOLD, and a relative tolerance is taken of a magnitude no
+smaller than ABS_FLOOR.
 """
 
 from __future__ import annotations
@@ -18,19 +20,14 @@ from __future__ import annotations
 import math
 import sys
 from collections.abc import Callable
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
 __all__ = [
-    "PrecisionContext",
-    "BarnesParams",
     "TruncationBudgetError",
-    "DEFAULT_CTX",
     "bernoulli_even",
     "digamma",
     "hurwitz_zeta",
-    "riemann_zeta",
     "dirichlet_eta",
     "stirling_beta",
     "alternating_hurwitz",
@@ -40,46 +37,17 @@ __all__ = [
     "elliptic_K",
 ]
 
+REL_TOL = 1e-12  # relative accuracy every evaluator promises
+MAX_TERMS = 10**7  # steps a loop may take chasing REL_TOL before it raises
+TAIL_SAFETY = 10.0  # multiplies tail estimates before comparing
 EM_ORDER = 8  # highest Bernoulli index in the asymptotic corrections
 SHIFT_THRESHOLD = 16.0  # argument size where the asymptotics engage
 ABS_FLOOR = 1e-300  # smallest magnitude a relative tolerance is taken of
 
 
 # ---------------------------------------------------------------------------
-# Contexts and shared plumbing
+# Shared plumbing
 # ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class PrecisionContext:
-    """Numerical policy shared by every evaluator in the package."""
-
-    rel_tol: float = 1e-12
-    max_terms: int = 10**7
-    tail_safety: float = 10.0  # multiplies tail estimates before comparing
-
-    def __post_init__(self) -> None:
-        if not self.rel_tol > 0:
-            raise ValueError("rel_tol must be positive")
-        if self.max_terms < 1:
-            raise ValueError("max_terms must be >= 1")
-        if self.tail_safety < 1:
-            raise ValueError("tail_safety must be >= 1")
-
-
-DEFAULT_CTX = PrecisionContext()
-
-
-@dataclass(frozen=True)
-class BarnesParams:
-    alpha: float
-    x: float
-    omega1: float
-    omega2: float
-
-    def __post_init__(self) -> None:
-        if not (self.x > 0 and self.omega1 > 0 and self.omega2 > 0):
-            raise ValueError("x, omega1, omega2 must be positive")
 
 
 class TruncationBudgetError(RuntimeError):
@@ -102,18 +70,18 @@ def _level_cap(b: int) -> int:
 
 def _level_series(
     name: str, b: int, term: Callable[[int], float], tail: Callable[[int, float], float],
-    start: int, total: float, ctx: PrecisionContext, scale: float | None = None,
+    start: int, total: float, scale: float | None = None,
 ) -> float:
     """total + sum_{l >= start} term(l), the level series of a closed form.
 
     term(l) is called once per level, in order.  After adding t = term(l) the
-    series stops once tail_safety * tail(l, t) <= rel_tol * max(|total|,
-    ABS_FLOOR), or rel_tol * scale if a fixed scale is given; tail(l, t) bounds
+    series stops once TAIL_SAFETY * tail(l, t) <= REL_TOL * max(|total|,
+    ABS_FLOOR), or REL_TOL * scale if a fixed scale is given; tail(l, t) bounds
     the terms past level l, or is inf until their decay law holds.  Levels end
-    at min(max_terms, _level_cap(b)), so term and tail may form b^(l+1); a
-    series open there, or a non-finite total, raises TruncationBudgetError.
+    at _level_cap(b), so term and tail may form b^(l+1); a series open there,
+    or a non-finite total, raises TruncationBudgetError.
     """
-    last, bound = min(ctx.max_terms, _level_cap(b)), math.inf
+    last, bound = _level_cap(b), math.inf
     for l in range(start, last + 1):
         t = term(l)
         total += t
@@ -121,7 +89,7 @@ def _level_series(
             raise TruncationBudgetError(f"{name}: not finite at level {l}", l + 1 - start, bound)
         bound = tail(l, t)
         size = max(abs(total), ABS_FLOOR) if scale is None else scale
-        if ctx.tail_safety * bound <= ctx.rel_tol * size:
+        if TAIL_SAFETY * bound <= REL_TOL * size:
             return total
     raise TruncationBudgetError(f"{name}: no convergence by level {last}", last + 1 - start, bound)
 
@@ -173,7 +141,7 @@ def _em_coefficients() -> tuple[float, ...]:
 # ---------------------------------------------------------------------------
 
 
-def digamma(z: float, ctx: PrecisionContext = DEFAULT_CTX) -> float:
+def digamma(z: float) -> float:
     """psi(z) for z > 0: upward recurrence, then Bernoulli asymptotics."""
     if not z > 0:
         raise ValueError("digamma requires z > 0")
@@ -182,9 +150,9 @@ def digamma(z: float, ctx: PrecisionContext = DEFAULT_CTX) -> float:
     target = SHIFT_THRESHOLD
     omitted = math.inf
     while True:
-        if target - z > ctx.max_terms:  # hurwitz_zeta's budget on the recurrence steps
+        if target - z > MAX_TERMS:  # hurwitz_zeta's budget on the recurrence steps
             raise TruncationBudgetError(
-                "digamma recurrence past max_terms", ctx.max_terms, omitted
+                "digamma recurrence past MAX_TERMS", MAX_TERMS, omitted
             )
         shift = 0.0
         w = z
@@ -199,7 +167,7 @@ def digamma(z: float, ctx: PrecisionContext = DEFAULT_CTX) -> float:
             wp *= w2
         omitted = abs(bern[2 * half + 2]) / ((2 * half + 2) * wp)
         value -= shift
-        if ctx.tail_safety * omitted <= ctx.rel_tol * max(abs(value), ABS_FLOOR):
+        if TAIL_SAFETY * omitted <= REL_TOL * max(abs(value), ABS_FLOOR):
             return value
         target *= 2.0
 
@@ -209,12 +177,12 @@ def digamma(z: float, ctx: PrecisionContext = DEFAULT_CTX) -> float:
 # ---------------------------------------------------------------------------
 
 
-def hurwitz_zeta(alpha: float, z: float, ctx: PrecisionContext = DEFAULT_CTX) -> float:
+def hurwitz_zeta(alpha: float, z: float) -> float:
     """zeta(alpha, z) for alpha > 0, alpha != 1, z > 0 by Euler-Maclaurin.
 
     Direct sum over z..z+N-1, integral term w^(1-alpha)/(alpha-1) at
     w = z+N, half term, and Bernoulli corrections up to EM_ORDER.  N
-    grows until the first omitted correction clears rel_tol; for
+    grows until the first omitted correction clears REL_TOL; for
     alpha in (0,1) this is the analytic continuation.
     """
     if alpha == 1:
@@ -235,9 +203,9 @@ def hurwitz_zeta(alpha: float, z: float, ctx: PrecisionContext = DEFAULT_CTX) ->
             direct += w ** (-alpha)
             w += 1.0
             n_used += 1
-            if n_used > ctx.max_terms:
+            if n_used > MAX_TERMS:
                 raise TruncationBudgetError(
-                    "hurwitz_zeta direct sum exhausted max_terms",
+                    "hurwitz_zeta direct sum exhausted MAX_TERMS",
                     n_used,
                     w ** (1.0 - alpha) / abs(alpha - 1.0),
                 )
@@ -249,36 +217,28 @@ def hurwitz_zeta(alpha: float, z: float, ctx: PrecisionContext = DEFAULT_CTX) ->
             poch *= (alpha + 2 * j - 1) * (alpha + 2 * j)
             wp /= w * w
         omitted = abs(coef[half + 1]) * poch * wp
-        if ctx.tail_safety * omitted <= ctx.rel_tol * max(abs(value), ABS_FLOOR):
+        if TAIL_SAFETY * omitted <= REL_TOL * max(abs(value), ABS_FLOOR):
             return value
         target *= 2.0
 
 
-def riemann_zeta(alpha: float, ctx: PrecisionContext = DEFAULT_CTX) -> float:
-    if alpha == 1:
-        raise ValueError("riemann_zeta has a pole at alpha = 1")
-    return hurwitz_zeta(alpha, 1.0, ctx)
-
-
-def dirichlet_eta(alpha: float, ctx: PrecisionContext = DEFAULT_CTX) -> float:
+def dirichlet_eta(alpha: float) -> float:
     """eta(alpha) = (1 - 2^(1-alpha)) zeta(alpha); eta(1) = ln 2."""
     if not alpha > 0:
         raise ValueError("dirichlet_eta requires alpha > 0")
     if alpha == 1:
         return math.log(2.0)
-    return (1.0 - 2.0 ** (1.0 - alpha)) * hurwitz_zeta(alpha, 1.0, ctx)
+    return (1.0 - 2.0 ** (1.0 - alpha)) * hurwitz_zeta(alpha, 1.0)
 
 
-def stirling_beta(x: float, ctx: PrecisionContext = DEFAULT_CTX) -> float:
+def stirling_beta(x: float) -> float:
     """beta(x) = (psi((x+1)/2) - psi(x/2)) / 2 for x > 0."""
     if not x > 0:
         raise ValueError("stirling_beta requires x > 0")
-    return 0.5 * (digamma((x + 1.0) / 2.0, ctx) - digamma(x / 2.0, ctx))
+    return 0.5 * (digamma((x + 1.0) / 2.0) - digamma(x / 2.0))
 
 
-def alternating_hurwitz(
-    alpha: float, w: float, ctx: PrecisionContext = DEFAULT_CTX
-) -> float:
+def alternating_hurwitz(alpha: float, w: float) -> float:
     """sum_{n>=1} (-1)^n / (w+n)^alpha for alpha > 0, w > 0.
 
     Splitting the sum into even and odd n gives
@@ -292,9 +252,9 @@ def alternating_hurwitz(
         raise ValueError("alternating_hurwitz requires w > 0")
     if alpha == 1.0:
         # telescoped even/odd split; the zeta poles cancel in the bracket
-        return 0.5 * (digamma((w + 1.0) / 2.0, ctx) - digamma(w / 2.0 + 1.0, ctx))
+        return 0.5 * (digamma((w + 1.0) / 2.0) - digamma(w / 2.0 + 1.0))
     return 2.0 ** (-alpha) * (
-        hurwitz_zeta(alpha, w / 2.0 + 1.0, ctx) - hurwitz_zeta(alpha, (w + 1.0) / 2.0, ctx)
+        hurwitz_zeta(alpha, w / 2.0 + 1.0) - hurwitz_zeta(alpha, (w + 1.0) / 2.0)
     )
 
 
@@ -305,7 +265,7 @@ def alternating_hurwitz(
 _HALF_LOG_2PI = 0.5 * math.log(2.0 * math.pi)
 
 
-def log_gamma(z: float, ctx: PrecisionContext = DEFAULT_CTX) -> float:
+def log_gamma(z: float) -> float:
     """ln Gamma(z) for z > 0: recurrence past SHIFT_THRESHOLD, then Stirling."""
     if not z > 0:
         raise ValueError("log_gamma requires z > 0")
@@ -314,9 +274,9 @@ def log_gamma(z: float, ctx: PrecisionContext = DEFAULT_CTX) -> float:
     target = SHIFT_THRESHOLD
     omitted = math.inf
     while True:
-        if target - z > ctx.max_terms:  # hurwitz_zeta's budget on the recurrence steps
+        if target - z > MAX_TERMS:  # hurwitz_zeta's budget on the recurrence steps
             raise TruncationBudgetError(
-                "log_gamma recurrence past max_terms", ctx.max_terms, omitted
+                "log_gamma recurrence past MAX_TERMS", MAX_TERMS, omitted
             )
         log_shift = 0.0
         w = z
@@ -330,7 +290,7 @@ def log_gamma(z: float, ctx: PrecisionContext = DEFAULT_CTX) -> float:
             wp *= w * w
         omitted = abs(bern[2 * half + 2]) / ((2 * half + 2) * (2 * half + 1) * wp)
         value -= log_shift
-        if ctx.tail_safety * omitted <= ctx.rel_tol * max(abs(value), 1.0):
+        if TAIL_SAFETY * omitted <= REL_TOL * max(abs(value), 1.0):
             return value
         target *= 2.0
 
@@ -340,80 +300,79 @@ def log_gamma(z: float, ctx: PrecisionContext = DEFAULT_CTX) -> float:
 # ---------------------------------------------------------------------------
 
 
-def barnes_zeta2(params: BarnesParams, ctx: PrecisionContext = DEFAULT_CTX) -> float:
+def barnes_zeta2(alpha: float, x: float, omega1: float, omega2: float) -> float:
     """zeta_2(alpha; x; (omega1, omega2)) = sum_{m1,m2>=0} (x+omega1 m1+omega2 m2)^(-alpha).
 
-    Evaluated as a single sum of Hurwitz values along omega1,
-    sum_{m2>=0} omega1^(-alpha) zeta(alpha, (x + omega2 m2)/omega1),
+    For alpha > 2 and positive x, omega1, omega2.  Evaluated as a single sum
+    of Hurwitz values along one period w1, with w2 the other,
+    sum_{m2>=0} w1^(-alpha) zeta(alpha, (x + w2 m2)/w1),
     truncated after M outer terms with the remainder restored by the
     Euler-Maclaurin tail in m2 (integral term via the (alpha-1)-Hurwitz
     antiderivative, half term, Bernoulli corrections).  M grows until the
-    first omitted correction clears rel_tol.
+    first omitted correction clears REL_TOL.
 
-    The value is symmetric in (omega1, omega2), so the direction is free.
+    The value is symmetric in (omega1, omega2), so the direction is free and
+    the caller's order does not matter: both orders give the same bits.
     When the larger period is at least 2 SHIFT_THRESHOLD times the smaller,
-    they are ordered so that omega1 is the long one: the Hurwitz values run
-    along it, and the outer sum along the short omega2 starts where its
-    argument in short periods, x/omega2 + M, reaches SHIFT_THRESHOLD.  For
-    x >= SHIFT_THRESHOLD omega2 that is M = 0, and the whole sum is the
-    tail's Hurwitz values at x/omega1.  Otherwise the periods keep the
-    caller's order, and M starts where the Hurwitz argument
-    (x + omega2 M)/omega1 reaches SHIFT_THRESHOLD.
+    w1 is the long one: the Hurwitz values run along it, and the outer sum
+    along the short w2 starts where its argument in short periods,
+    x/w2 + M, reaches SHIFT_THRESHOLD.  For x >= SHIFT_THRESHOLD w2 that is
+    M = 0, and the whole sum is the tail's Hurwitz values at x/w1.
+    Otherwise w1 is the short one, and M starts where the Hurwitz argument
+    (x + w2 M)/w1 reaches SHIFT_THRESHOLD.
     """
-    a, x, w1, w2 = params.alpha, params.x, params.omega1, params.omega2
-    if not a > 2:
+    if not (x > 0 and omega1 > 0 and omega2 > 0):
+        raise ValueError("x, omega1, omega2 must be positive")
+    if not alpha > 2:
         raise ValueError("barnes_zeta2 requires alpha > 2 (order-2 finite part is separate)")
     coef = _em_coefficients()
     half = EM_ORDER // 2
 
-    if max(w1, w2) >= 2.0 * SHIFT_THRESHOLD * min(w1, w2):
-        w1, w2 = max(w1, w2), min(w1, w2)
+    short, long = min(omega1, omega2), max(omega1, omega2)
+    if long >= 2.0 * SHIFT_THRESHOLD * short:
+        w1, w2 = long, short
         M = max(0, math.ceil(SHIFT_THRESHOLD - x / w2))
     else:
+        w1, w2 = short, long
         M = max(1, math.ceil((SHIFT_THRESHOLD * w1 - x) / w2))
     # outer terms m2 = 0 .. M-1 summed directly
     direct = 0.0
     m_done = 0
     while True:
         while m_done < M:
-            direct += w1 ** (-a) * hurwitz_zeta(a, (x + w2 * m_done) / w1, ctx)
+            direct += w1 ** (-alpha) * hurwitz_zeta(alpha, (x + w2 * m_done) / w1)
             m_done += 1
         u = (x + w2 * M) / w1
-        tail = w1 ** (1.0 - a) * hurwitz_zeta(a - 1.0, u, ctx) / (w2 * (a - 1.0))
-        tail += 0.5 * w1 ** (-a) * hurwitz_zeta(a, u, ctx)
-        poch = a
+        tail = w1 ** (1.0 - alpha) * hurwitz_zeta(alpha - 1.0, u) / (w2 * (alpha - 1.0))
+        tail += 0.5 * w1 ** (-alpha) * hurwitz_zeta(alpha, u)
+        poch = alpha
         for j in range(1, half + 1):
             tail += (
                 coef[j]
                 * poch
                 * w2 ** (2 * j - 1)
-                / w1 ** (a + 2 * j - 1)
-                * hurwitz_zeta(a + 2 * j - 1, u, ctx)
+                / w1 ** (alpha + 2 * j - 1)
+                * hurwitz_zeta(alpha + 2 * j - 1, u)
             )
-            poch *= (a + 2 * j - 1) * (a + 2 * j)
+            poch *= (alpha + 2 * j - 1) * (alpha + 2 * j)
         omitted = (
             abs(coef[half + 1])
             * poch
             * w2 ** (2 * half + 1)
-            / w1 ** (a + 2 * half + 1)
-            * hurwitz_zeta(a + 2 * half + 1, u, ctx)
+            / w1 ** (alpha + 2 * half + 1)
+            * hurwitz_zeta(alpha + 2 * half + 1, u)
         )
         value = direct + tail
-        if ctx.tail_safety * omitted <= ctx.rel_tol * max(abs(value), ABS_FLOOR):
+        if TAIL_SAFETY * omitted <= REL_TOL * max(abs(value), ABS_FLOOR):
             return value
         M = max(1, 2 * M)
-        if M > ctx.max_terms:
+        if M > MAX_TERMS:
             raise TruncationBudgetError(
-                "barnes_zeta2 outer sum exhausted max_terms", m_done, abs(tail)
+                "barnes_zeta2 outer sum exhausted MAX_TERMS", m_done, abs(tail)
             )
 
 
-def barnes_psi2_2(
-    z: float,
-    omega1: float,
-    omega2: float,
-    ctx: PrecisionContext = DEFAULT_CTX,
-) -> float:
+def barnes_psi2_2(z: float, omega1: float, omega2: float) -> float:
     """Finite part of the order-2 pole of the two-parameter Barnes zeta.
 
     Computed from the regularized representation
@@ -433,7 +392,7 @@ def barnes_psi2_2(
     bern = _bernoulli_float()
     half = EM_ORDER // 2
 
-    base = -(1.0 + math.log(omega2) + digamma(z / omega2, ctx)) / (omega1 * omega2)
+    base = -(1.0 + math.log(omega2) + digamma(z / omega2)) / (omega1 * omega2)
     m_start = max(1, math.ceil((SHIFT_THRESHOLD * omega1 - z) / omega2))
     direct = 0.0
     m_done = 0
@@ -442,32 +401,32 @@ def barnes_psi2_2(
     while True:
         while m_done < M:
             arg = z + omega2 * m_done
-            direct += inv_w1sq * hurwitz_zeta(2.0, arg / omega1, ctx) - 1.0 / (
+            direct += inv_w1sq * hurwitz_zeta(2.0, arg / omega1) - 1.0 / (
                 omega1 * arg
             )
             m_done += 1
         v = z / omega2 + M
-        tail = 0.5 / (omega2 * omega2) * hurwitz_zeta(2.0, v, ctx)
+        tail = 0.5 / (omega2 * omega2) * hurwitz_zeta(2.0, v)
         for j in range(1, half + 1):
             tail += (
                 bern[2 * j]
                 * omega1 ** (2 * j - 1)
                 / omega2 ** (2 * j + 1)
-                * hurwitz_zeta(2 * j + 1.0, v, ctx)
+                * hurwitz_zeta(2 * j + 1.0, v)
             )
         omitted = (
             abs(bern[2 * half + 2])
             * omega1 ** (2 * half + 1)
             / omega2 ** (2 * half + 3)
-            * hurwitz_zeta(2 * half + 3.0, v, ctx)
+            * hurwitz_zeta(2 * half + 3.0, v)
         )
         value = base + direct + tail
-        if ctx.tail_safety * omitted <= ctx.rel_tol * max(abs(value), ABS_FLOOR):
+        if TAIL_SAFETY * omitted <= REL_TOL * max(abs(value), ABS_FLOOR):
             return value
         M *= 2
-        if M > ctx.max_terms:
+        if M > MAX_TERMS:
             raise TruncationBudgetError(
-                "barnes_psi2_2 m-sum exhausted max_terms", m_done, abs(tail)
+                "barnes_psi2_2 m-sum exhausted MAX_TERMS", m_done, abs(tail)
             )
 
 
@@ -476,14 +435,14 @@ def barnes_psi2_2(
 # ---------------------------------------------------------------------------
 
 
-def elliptic_K(k: float, ctx: PrecisionContext = DEFAULT_CTX) -> float:
+def elliptic_K(k: float) -> float:
     """Complete elliptic integral K(k), 0 < k < 1, by AGM iteration."""
     if not 0.0 < k < 1.0:
         raise ValueError("elliptic_K requires 0 < k < 1")
     a = 1.0
     g = math.sqrt(1.0 - k * k)
     for _ in range(64):  # quadratic convergence; 64 is far beyond need
-        if abs(a - g) <= ctx.rel_tol * a:
+        if abs(a - g) <= REL_TOL * a:
             break
         a, g = 0.5 * (a + g), math.sqrt(a * g)
     return math.pi / (2.0 * a)

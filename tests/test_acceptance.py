@@ -25,7 +25,6 @@ from digitsum.cli import main
 from digitsum.digitseq import digit_sum_range, valuation2_range
 from digitsum.harness import GridSpec, emit_report, run_all, run_suite
 from digitsum.identities import (
-    FiniteSumParams,
     binary_corollary_closed,
     digit_zeta_2,
     direct_digit_zeta,
@@ -42,7 +41,7 @@ from digitsum.lambert import (
     mobius_inverse_check,
 )
 from digitsum.solver import SequenceFn, solve_implicit, weighted_digit_sum
-from digitsum.specfun import DEFAULT_CTX, elliptic_K, hurwitz_zeta
+from digitsum.specfun import elliptic_K, hurwitz_zeta
 
 
 def relerr(got: float, want: float) -> float:
@@ -81,9 +80,9 @@ def test_criterion_03_finite_difference_closed_form_full_grid():
         for p in range(1, 6):
             for alpha in (0.5, 1.0, 2.0, 2.5, 3.5):
                 for z in (0.0, 0.5, 1.0, 3.75):
-                    params = FiniteSumParams(b, p, alpha, z)
+                    params = (b, p, alpha, z)
                     err = relerr(
-                        finite_zeta_diff_closed(params), finite_zeta_diff_direct(params)
+                        finite_zeta_diff_closed(*params), finite_zeta_diff_direct(*params)
                     )
                     assert err <= 1e-9, (b, p, alpha, z, err)
                     worst = max(worst, err)
@@ -96,7 +95,7 @@ def test_criterion_04_binary_half_shift_and_double_sum_forms():
     for p in range(1, 6):
         for alpha in (0.5, 1.0, 2.0, 2.5, 3.5):
             for z in (0.0, 0.5, 1.0, 3.75):
-                direct = finite_zeta_diff_direct(FiniteSumParams(2, p, alpha, z))
+                direct = finite_zeta_diff_direct(2, p, alpha, z)
                 assert relerr(binary_corollary_closed(p, alpha, z), direct) <= 1e-9
                 assert relerr(double_sum_alternate(p, alpha, z), direct) <= 1e-9
 
@@ -106,7 +105,7 @@ def test_criterion_05_product_special_values():
         return infinite_product(2, 2.0**-p) / infinite_product(2, 2.0 ** -(p + 1))
 
     assert relerr(family(0), math.pi / 2.0) <= 1e-8
-    lemniscatic = elliptic_K(1.0 / math.sqrt(2.0), DEFAULT_CTX) / math.sqrt(2.0)
+    lemniscatic = elliptic_K(1.0 / math.sqrt(2.0)) / math.sqrt(2.0)
     assert relerr(family(1), lemniscatic) <= 1e-8
 
 

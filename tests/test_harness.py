@@ -210,7 +210,7 @@ class TestPassRule:
         monkeypatch.setattr(
             identities,
             "binary_corollary_closed",
-            lambda p, alpha, z, ctx: real(p, alpha, z, ctx) * (1.0 + 1e-6),
+            lambda p, alpha, z: real(p, alpha, z) * (1.0 + 1e-6),
         )
         # N = 3 = 2^2 - 1 carries the closed-form leg, N = 12 does not
         run = run_suite(GridSpec("j-recurrence", {"N": [3, 12], "x": [0.7]}))
@@ -412,6 +412,12 @@ class TestCli:
 
     def test_eval_unknown_parameter(self):
         assert self.invoke("eval", "thm2.1", "--param", "gamma=1").exit_code != 0
+
+    def test_eval_out_of_domain_parameter_message(self):
+        # the evaluator checks its own inputs, and the command group prints the message
+        result = self.invoke("eval", "thm2.1", "-p", "p=0")
+        assert result.exit_code == 1
+        assert result.output == "Error: p must be >= 1\n"
 
     def test_verify_json(self):
         result = self.invoke("verify", "--suite", "weights")

@@ -14,7 +14,6 @@ from digitsum import identities
 from digitsum.digitseq import _block_length, digit_sum, digit_sum_range, digit_weighted_sum
 from digitsum.harness import Criterion, GridSpec, build_report, exact_report, run_suite
 from digitsum.identities import (
-    FiniteSumParams,
     binary_corollary_closed,
     digit_zeta_2,
     direct_digit_zeta,
@@ -33,10 +32,9 @@ from digitsum.identities import (
     product_special_values,
 )
 from digitsum.specfun import (
-    DEFAULT_CTX,
-    BarnesParams,
-    PrecisionContext,
+    REL_TOL,
     TruncationBudgetError,
+    barnes_zeta2,
     elliptic_K,
     log_gamma,
     stirling_beta,
@@ -99,20 +97,38 @@ class TestCriterion:
         assert exact_report("prouhet", {}, True, 0, 0, 4).passed
 
 
-class TestFiniteSumParams:
-    """Validation of the shared finite-sum parameter bundle."""
+_FINITE_SUM_CHECKS = [
+    ("base", (1, 2, 2.0, 0.0), "base must be >= 2"),
+    ("p", (2, 0, 2.0, 0.0), "p must be >= 1"),
+    ("z", (2, 2, 2.0, -0.5), "z must be >= 0"),
+    ("z-nan", (2, 2, 2.0, math.nan), "z must be >= 0"),
+    ("alpha", (2, 2, 0.0, 0.0), "alpha must be > 0"),
+    ("alpha-negative", (2, 2, -1.5, 0.0), "alpha must be > 0"),
+]
+_BARNES_CHECKS = [
+    ("x", (3.0, 0.0, 1.0, 1.0), "x, omega1, omega2 must be positive"),
+    ("omega1", (3.0, 1.0, 0.0, 1.0), "x, omega1, omega2 must be positive"),
+    ("omega2", (3.0, 1.0, 1.0, -2.0), "x, omega1, omega2 must be positive"),
+]
 
-    def test_rejects_bad_base(self):
-        with pytest.raises(ValueError):
-            FiniteSumParams(1, 2, 2.0, 0.0)
 
-    def test_rejects_bad_depth(self):
-        with pytest.raises(ValueError):
-            FiniteSumParams(2, 0, 2.0, 0.0)
-
-    def test_rejects_negative_shift(self):
-        with pytest.raises(ValueError):
-            FiniteSumParams(2, 2, 2.0, -0.5)
+@pytest.mark.parametrize(
+    "fn, args, message",
+    [
+        pytest.param(fn, args, message, id=f"{fn.__name__}-{name}")
+        for fn, checks in [
+            (finite_zeta_diff_closed, _FINITE_SUM_CHECKS),
+            (finite_zeta_diff_direct, _FINITE_SUM_CHECKS),
+            (barnes_zeta2, _BARNES_CHECKS),
+        ]
+        for name, args, message in checks
+    ],
+)
+def test_evaluators_check_their_own_inputs(fn, args, message):
+    # each input the finite sums and the Barnes zeta reject, with its text
+    with pytest.raises(ValueError) as info:
+        fn(*args)
+    assert str(info.value) == message
 
 
 class TestFiniteClosedForm:
@@ -123,7 +139,7 @@ class TestFiniteClosedForm:
         for alpha in (0.5, 1.0, 2.5):
             for z in (0.0, 1.0, 3.75):
                 want = (z + 1.0) ** -alpha - (z + 2.0) ** -alpha
-                got = finite_zeta_diff_closed(FiniteSumParams(2, 1, alpha, z))
+                got = finite_zeta_diff_closed(2, 1, alpha, z)
                 assert rel_err(got, want) < 1e-12
 
     def test_matches_direct_on_grid(self):
@@ -132,18 +148,17 @@ class TestFiniteClosedForm:
             for p in (1, 2, 3):
                 for alpha in (0.5, 1.0, 2.0, 3.5):
                     for z in (0.0, 0.5, 3.75):
-                        params = FiniteSumParams(b, p, alpha, z)
-                        got = finite_zeta_diff_closed(params)
-                        want = finite_zeta_diff_direct(params)
+                        got = finite_zeta_diff_closed(b, p, alpha, z)
+                        want = finite_zeta_diff_direct(b, p, alpha, z)
                         worst = max(worst, rel_err(got, want))
         assert worst < 5e-12
 
     def test_order_one_branch_is_the_limit_of_generic_orders(self):
         # the digamma collapse must join continuously across alpha = 1
         for (b, p, z) in [(2, 3, 0.5), (3, 2, 1.0)]:
-            at_one = finite_zeta_diff_closed(FiniteSumParams(b, p, 1.0, z))
+            at_one = finite_zeta_diff_closed(b, p, 1.0, z)
             for eps in (1e-6, -1e-6):
-                near = finite_zeta_diff_closed(FiniteSumParams(b, p, 1.0 + eps, z))
+                near = finite_zeta_diff_closed(b, p, 1.0 + eps, z)
                 assert rel_err(near, at_one) < 1e-4
 
     @pytest.mark.parametrize("alpha, name", [(2.5, "hurwitz_zeta"), (1.0, "digamma")])
@@ -157,7 +172,7 @@ class TestFiniteClosedForm:
             return real(*call)
 
         monkeypatch.setattr(identities, name, counted)
-        finite_zeta_diff_closed(FiniteSumParams(b, p, alpha, 0.5))
+        finite_zeta_diff_closed(b, p, alpha, 0.5)
         assert len(args) == 2 * (p + 1)
         assert len(set(args)) == len(args)
 
@@ -169,9 +184,8 @@ class TestFiniteClosedForm:
     )
     @settings(max_examples=40, deadline=None)
     def test_matches_direct_property(self, b, p, alpha, z):
-        params = FiniteSumParams(b, p, alpha, z)
-        got = finite_zeta_diff_closed(params)
-        want = finite_zeta_diff_direct(params)
+        got = finite_zeta_diff_closed(b, p, alpha, z)
+        want = finite_zeta_diff_direct(b, p, alpha, z)
         assert rel_err(got, want) < 1e-9
 
 
@@ -189,7 +203,7 @@ class TestBinaryCorollary:
         worst = 0.0
         for p, alpha, z in self.GRID:
             got = binary_corollary_closed(p, alpha, z)
-            want = finite_zeta_diff_closed(FiniteSumParams(2, p, alpha, z))
+            want = finite_zeta_diff_closed(2, p, alpha, z)
             worst = max(worst, rel_err(got, want))
         assert worst < 1e-10
 
@@ -197,7 +211,7 @@ class TestBinaryCorollary:
         worst = 0.0
         for p, alpha, z in self.GRID:
             got = binary_corollary_closed(p, alpha, z)
-            want = finite_zeta_diff_direct(FiniteSumParams(2, p, alpha, z))
+            want = finite_zeta_diff_direct(2, p, alpha, z)
             worst = max(worst, rel_err(got, want))
         assert worst < 1e-9
 
@@ -215,7 +229,7 @@ class TestDoubleSumAlternate:
             for alpha in (0.5, 1.0, 2.0, 3.5):
                 for z in (0.0, 0.5, 3.75):
                     got = double_sum_alternate(p, alpha, z)
-                    want = finite_zeta_diff_direct(FiniteSumParams(2, p, alpha, z))
+                    want = finite_zeta_diff_direct(2, p, alpha, z)
                     worst = max(worst, rel_err(got, want))
         assert worst < 1e-9
 
@@ -228,7 +242,7 @@ class TestDoubleSumAlternate:
     def test_three_routes_agree_property(self, p, alpha, z):
         alt = double_sum_alternate(p, alpha, z)
         half = binary_corollary_closed(p, alpha, z)
-        general = finite_zeta_diff_closed(FiniteSumParams(2, p, alpha, z))
+        general = finite_zeta_diff_closed(2, p, alpha, z)
         assert rel_err(alt, general) < 1e-9
         assert rel_err(half, general) < 1e-9
 
@@ -352,11 +366,6 @@ class TestJInfinity:
             rhs = 0.5 * j_infinity(2, x / 2.0) + stirling_beta(x + 1.0)
             assert rel_err(lhs, rhs) < 1e-10, x
 
-    def test_budget_exhaustion_raises(self):
-        ctx = PrecisionContext(max_terms=3)
-        with pytest.raises(TruncationBudgetError):
-            j_infinity(2, 40.0, ctx)
-
     def test_level_past_the_float_range_raises(self):
         # x / b^l stays above 1 until b^l leaves the float range
         with pytest.raises(TruncationBudgetError):
@@ -367,9 +376,7 @@ class TestJInfinity:
         # digamma off by 1e-12 leaves each bracket a pole remainder that grows
         # with the level, so the series must fail loudly, not return -inf
         real = identities.digamma
-        monkeypatch.setattr(
-            identities, "digamma", lambda w, ctx=DEFAULT_CTX: real(w, ctx) * (1.0 + 1e-12)
-        )
+        monkeypatch.setattr(identities, "digamma", lambda w: real(w) * (1.0 + 1e-12))
         with pytest.raises(TruncationBudgetError):
             j_infinity(b, x)
 
@@ -378,9 +385,9 @@ class TestJInfinity:
         # one digamma per level boundary x / b^l, l = 0, 1, ..., none repeated
         real, seen = identities.digamma, []
 
-        def counted(w, ctx=DEFAULT_CTX):
+        def counted(w):
             seen.append(w)
-            return real(w, ctx)
+            return real(w)
 
         monkeypatch.setattr(identities, "digamma", counted)
         j_infinity(b, x)
@@ -478,9 +485,9 @@ class TestInfiniteProduct:
         # one log Gamma per level boundary 1 + z / b^l, l = 0, 1, ..., none repeated
         real, seen = identities.log_gamma, []
 
-        def counted(w, ctx=DEFAULT_CTX):
+        def counted(w):
             seen.append(w)
-            return real(w, ctx)
+            return real(w)
 
         monkeypatch.setattr(identities, "log_gamma", counted)
         infinite_product(b, z)
@@ -556,13 +563,13 @@ class TestFiniteBarnes:
         real_barnes, real_hurwitz = identities.barnes_zeta2, identities.hurwitz_zeta
         barnes, hurwitz = [], []
 
-        def counted_barnes(params, ctx=DEFAULT_CTX):
-            barnes.append(params)
-            return real_barnes(params, ctx)
+        def counted_barnes(*args):
+            barnes.append(args)
+            return real_barnes(*args)
 
-        def counted_hurwitz(a, x, ctx=DEFAULT_CTX):
+        def counted_hurwitz(a, x):
             hurwitz.append(x)
-            return real_hurwitz(a, x, ctx)
+            return real_hurwitz(a, x)
 
         monkeypatch.setattr(identities, "barnes_zeta2", counted_barnes)
         monkeypatch.setattr(identities, "hurwitz_zeta", counted_hurwitz)
@@ -574,8 +581,8 @@ class TestFiniteBarnes:
                 want_hurwitz += [z + k * step for k in range(1, count + 1)]
             else:
                 want_barnes += [
-                    BarnesParams(alpha, z + step, 1.0, step),
-                    BarnesParams(alpha, z + step + top, 1.0, step),
+                    (alpha, z + step, 1.0, step),
+                    (alpha, z + step + top, 1.0, step),
                 ]
         assert sorted(hurwitz) == sorted(want_hurwitz)
         assert barnes == want_barnes  # two distinct values per level above the switch
@@ -591,7 +598,7 @@ class TestFiniteBarnes:
             x, a = mp.mpf(z), mp.mpf(alpha)
             want = mp.fsum(digit_sum(n, b) * (n + x) ** -a for n in range(1, b**p))
         got = finite_barnes_closed(b, p, alpha, z)
-        assert abs(got - want) <= DEFAULT_CTX.rel_tol * abs(want), float(abs(got - want) / want)
+        assert abs(got - want) <= REL_TOL * abs(want), float(abs(got - want) / want)
 
 
 class TestInfiniteBarnes:
@@ -632,9 +639,7 @@ class TestDigitZeta2:
         assert rel_err(lhs, rhs) < 1e-10
 
     def test_wrong_closed_form_fails_cor30(self, monkeypatch):
-        monkeypatch.setattr(
-            identities, "_regularized_order2_assembly", lambda b, z, ctx: 1e6
-        )
+        monkeypatch.setattr(identities, "_regularized_order2_assembly", lambda b, z: 1e6)
         run = run_suite(GridSpec("cor30", {}))
         assert run.summary == {"pass": 0, "fail": 6}
 

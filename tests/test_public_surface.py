@@ -1,4 +1,5 @@
-"""Every top-level definition of the package is reached from an entry point.
+"""Every top-level definition of the package is reached from an entry point,
+and every defaulted parameter is passed by some caller.
 
 The entry points are ``src/digitsum/cli.py`` and ``scripts/*.py``.  The roots
 are their decorated definitions, which the decorators register as commands,
@@ -89,3 +90,75 @@ def test_scan_sees_the_package():
 
 def test_every_definition_is_reached():
     assert unreached_definitions() == set()
+
+
+def _defaulted_parameters(path: Path) -> list[tuple[str, int | None, str]]:
+    """(function, position or None if keyword-only, parameter) of every
+    defaulted parameter of every function in one file, nested ones too.  A
+    method's position counts from the first argument after self or cls."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    methods = {
+        id(node)
+        for cls in ast.walk(tree)
+        if isinstance(cls, ast.ClassDef)
+        for node in cls.body
+        if isinstance(node, ast.FunctionDef)
+        and not any(getattr(d, "id", None) == "staticmethod" for d in node.decorator_list)
+    }
+    found = []
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.FunctionDef):
+            continue
+        positional = node.args.posonlyargs + node.args.args
+        skip = 1 if id(node) in methods else 0
+        first = len(positional) - len(node.args.defaults)
+        for index, arg in enumerate(positional[first:], first):
+            found.append((node.name, index - skip, arg.arg))
+        for arg, default in zip(node.args.kwonlyargs, node.args.kw_defaults):
+            if default is not None:
+                found.append((node.name, None, arg.arg))
+    return found
+
+
+def _passes(call: ast.Call, position: int | None, name: str) -> bool:
+    """Whether the call passes that parameter, by position or by keyword."""
+    if any(kw.arg in (name, None) for kw in call.keywords):  # None is **kwargs
+        return True
+    return position is not None and (
+        len(call.args) > position or any(isinstance(arg, ast.Starred) for arg in call.args)
+    )
+
+
+def never_set_parameters() -> set[tuple[str, str, str]]:
+    """(file name, function, parameter) of every defaulted parameter of the
+    package that no call in the package or the scripts passes.  Calls match
+    by the called name, bare or as an attribute; calls in the tests do not
+    count."""
+    calls: dict[str, list[ast.Call]] = {}
+    for path in sorted(PACKAGE.glob("*.py")) + SCRIPTS:
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Call):
+                func = node.func
+                name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+                calls.setdefault(name, []).append(node)
+    return {
+        (path.name, function, name)
+        for path in sorted(PACKAGE.glob("*.py"))
+        for function, position, name in _defaulted_parameters(path)
+        if not any(_passes(call, position, name) for call in calls.get(function, []))
+    }
+
+
+def test_scan_sees_defaulted_parameters():
+    found = {
+        (function, position, name)
+        for path in sorted(PACKAGE.glob("*.py"))
+        for function, position, name in _defaulted_parameters(path)
+    }
+    assert ("_level_series", 6, "scale") in found
+    assert ("build_report", 5, "abs_tol") in found
+
+
+def test_every_defaulted_parameter_is_set_somewhere():
+    # a default that no caller overrides is a constant, and belongs in the body
+    assert never_set_parameters() == set()

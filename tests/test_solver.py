@@ -7,7 +7,8 @@ from hypothesis import strategies as st
 
 from digitsum.digitseq import digit_sum
 from digitsum.harness import GridSpec, run_suite
-from digitsum.identities import FiniteSumParams, finite_zeta_diff_direct
+from digitsum import solver
+from digitsum.identities import finite_zeta_diff_direct
 from digitsum.lambert import lambert_gf
 from digitsum.solver import (
     SequenceFn,
@@ -16,7 +17,7 @@ from digitsum.solver import (
     solve_implicit,
     weighted_digit_sum,
 )
-from digitsum.specfun import PrecisionContext, TruncationBudgetError
+from digitsum.specfun import REL_TOL, TAIL_SAFETY, TruncationBudgetError
 
 
 def telescoping_pair():
@@ -44,7 +45,7 @@ def geometric(z):
     )
 
 
-def scalar_series(b, g, n, ctx=PrecisionContext()):
+def scalar_series(b, g, n):
     # the one-point level loop the batched solver must reproduce bit for bit
     c, beta = g.decay
     ratio = float(b) ** (1.0 - beta)
@@ -53,7 +54,7 @@ def scalar_series(b, g, n, ctx=PrecisionContext()):
     for k in range(61):
         total = total + g.partial_sum(b**k * n, b**k * (n + 1))
         tail = c * float(n) ** (-beta) * ratio ** (k + 1) / (1.0 - ratio)
-        if ctx.tail_safety * tail <= ctx.rel_tol * max(abs(total), scale_floor):
+        if TAIL_SAFETY * tail <= REL_TOL * max(abs(total), scale_floor):
             return total
     raise AssertionError("reference loop ran out of levels")
 
@@ -115,10 +116,11 @@ class TestSolveImplicit:
         with pytest.raises(ValueError):
             solve_implicit(2, bare, 1)
 
-    def test_level_budget_raises(self):
+    def test_level_budget_raises(self, monkeypatch):
         # the tail halves per level, so 1e-30 is out of reach within 60 levels
+        monkeypatch.setattr(solver, "REL_TOL", 1e-30)
         with pytest.raises(TruncationBudgetError, match="within 60 levels"):
-            solve_implicit(2, reciprocal_product(), 1, ctx=PrecisionContext(rel_tol=1e-30))
+            solve_implicit(2, reciprocal_product(), 1)
 
     def test_rejects_bad_arguments(self):
         g = reciprocal_product()
@@ -155,9 +157,10 @@ class TestBatchedSeries:
         assert got != 0.0
         assert got.hex() == scalar_series(b, reciprocal_product(), n).hex()
 
-    def test_level_budget_raises_from_weighted_sum(self):
+    def test_level_budget_raises_from_weighted_sum(self, monkeypatch):
+        monkeypatch.setattr(solver, "REL_TOL", 1e-30)
         with pytest.raises(TruncationBudgetError):
-            weighted_digit_sum(2, reciprocal_product(), ctx=PrecisionContext(rel_tol=1e-30))
+            weighted_digit_sum(2, reciprocal_product())
 
 
 class TestFixedPoint:
@@ -340,7 +343,7 @@ class TestFiniteWeightedSum:
         # 1/((z+n)(z+n+1)) is the difference of first powers, so the window
         # sum equals the order-one finite difference-kernel sum
         got = weighted_digit_sum(2, window(5, lambda n: 1.0 / ((z + n) * (z + n + 1.0))))
-        want = finite_zeta_diff_direct(FiniteSumParams(2, 5, 1.0, z))
+        want = finite_zeta_diff_direct(2, 5, 1.0, z)
         assert got == pytest.approx(want, rel=1e-12)
 
 
