@@ -6,7 +6,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from typing import Callable, Sequence
 
 from .digitseq import digit_sum_range
@@ -14,7 +13,6 @@ from .specfun import bernoulli_even
 
 __all__ = [
     "WeightTable",
-    "DiscretePMF",
     "alternating_sum_direct",
     "forward_difference",
     "delta_product_form",
@@ -29,15 +27,20 @@ __all__ = [
     "limit_cumulant",
 ]
 
-_DIRECT_BUDGET = 30
-_OPERATOR_BUDGET = 20
-# The largest tables each builder makes within 10 s and a 1 GiB address space
-# (ulimit -v), measured one N per process on a 2-core Xeon VM with Python 3.11:
-# alpha_weights(21) takes 5.4-6.5 s and 605 MB peak RSS, and alpha_weights(22)
-# runs out of memory; zn_pmf(18) takes 5.1-5.8 s and 138 MB, zn_pmf(19) 12.1 s.
+# Each budget is the largest N that every function under it handles within
+# 10 s and a 1 GiB address space (ulimit -v), measured one N per process on a
+# 2-core Xeon VM with Python 3.11.
+# The three alternating-sum routes (and polynomial_annihilation_check), at
+# f(t) = 1/(t + 0.7): at N = 19 the weights route takes 5.8-5.9 s and 84 MB
+# peak RSS, the others under 1 s; at N = 20 it takes 11.3-11.9 s.
+_OPERATOR_BUDGET = 19
+# alpha_weights(21) takes 5.4-6.5 s and 605 MB, and alpha_weights(22) runs out
+# of memory.
 _ALPHA_BUDGET = 21
-_PMF_BUDGET = 18
-_ORACLE_BUDGET = 12
+# alpha_weights_oracle and the two readers of its counts, zn_pmf and
+# pmf_standardized_cumulant(N, 16): at N = 19 zn_pmf takes 4.4-5.0 s and
+# 262 MB, the others under 4.4 s; at N = 20 zn_pmf takes 10.4-11.0 s.
+_COMPOSITION_BUDGET = 19
 _CUMULANT_BUDGET = 16
 
 
@@ -63,18 +66,6 @@ class WeightTable:
             raise ValueError("weights must sum to 2^(N(N+1)/2)")
 
 
-@dataclass(frozen=True)
-class DiscretePMF:
-    N: int
-    mass: tuple[Fraction, ...]  # support 0 .. 2^(N+1) - N - 2
-
-    def __post_init__(self) -> None:
-        if sum(self.mass) != 1:
-            raise ValueError("masses must sum to one")
-        if any(m < 0 for m in self.mass):
-            raise ValueError("masses must be non-negative")
-
-
 # ---------------------------------------------------------------------------
 # Three routes to the alternating sum
 # ---------------------------------------------------------------------------
@@ -82,8 +73,8 @@ class DiscretePMF:
 
 def alternating_sum_direct(f: Callable, x, N: int):
     """sum_{n=0}^{2^N - 1} (-1)^(binary digit sum of n) f(x + n)."""
-    if not 1 <= N <= _DIRECT_BUDGET:
-        raise ValueError(f"N must be within [1, {_DIRECT_BUDGET}]")
+    if not 1 <= N <= _OPERATOR_BUDGET:
+        raise ValueError(f"N must be within [1, {_OPERATOR_BUDGET}]")
     parity = digit_sum_range(2**N, 2) & 1
     total = 0
     for n in range(2**N):
@@ -131,7 +122,6 @@ def delta_product_form(f: Callable, x, N: int):
 # ---------------------------------------------------------------------------
 
 
-@lru_cache(maxsize=None)
 def _alpha_tuple(N: int) -> tuple[int, ...]:
     # coefficients of prod_{i=0}^{N-1} (1 + x^(2^i))^(N-i), packed into one
     # big integer with a field per coefficient; fields cannot carry into each
@@ -183,10 +173,8 @@ def _bounded_sum_counts(bounds: Sequence[int]) -> list[int]:
 
 def alpha_weights_oracle(N: int) -> WeightTable:
     """Weights recounted as bounded compositions, part i capped at 2^i - 1."""
-    if not 0 <= N <= _ORACLE_BUDGET:
-        raise ValueError(f"N must be within [0, {_ORACLE_BUDGET}]")
-    if N == 0:
-        return WeightTable(0, (1,))
+    if not 0 <= N <= _COMPOSITION_BUDGET:
+        raise ValueError(f"N must be within [0, {_COMPOSITION_BUDGET}]")
     counts = _bounded_sum_counts([2**i - 1 for i in range(1, N + 1)])
     return WeightTable(N, tuple(counts))
 
@@ -223,13 +211,16 @@ def polynomial_annihilation_check(coeffs: Sequence[int], N: int) -> bool:
 # ---------------------------------------------------------------------------
 
 
-def zn_pmf(N: int) -> DiscretePMF:
-    """Law of a sum of independent uniforms on {0..2^k-1}, k = 1..N, exact."""
-    if not 0 <= N <= _PMF_BUDGET:
-        raise ValueError(f"N must be within [0, {_PMF_BUDGET}]")
-    counts = _bounded_sum_counts([2**k - 1 for k in range(1, N + 1)])
+def zn_pmf(N: int) -> tuple[Fraction, ...]:
+    """Law of a sum of independent uniforms on {0..2^k-1}, k = 1..N, exact.
+
+    The masses of 0 .. 2^(N+1) - N - 2 are the bounded-composition counts of
+    alpha_weights_oracle(N) over their total 2^(N(N+1)/2); the table's own
+    checks (positive counts, that total) make them non-negative and sum to one.
+    """
+    counts = alpha_weights_oracle(N).alpha
     denom = 2 ** (N * (N + 1) // 2)
-    return DiscretePMF(N, tuple(Fraction(c, denom) for c in counts))
+    return tuple(Fraction(c, denom) for c in counts)
 
 
 def _log_expm1_abs(u: float) -> float:
@@ -239,30 +230,27 @@ def _log_expm1_abs(u: float) -> float:
     return math.log(-math.expm1(u))
 
 
-def zn_mgf(z: float, N: int, form: str = "product_over_i") -> float:
-    """Moment transform E[e^(z Z_N)], in either closed product form.
+def zn_mgf(z: float, N: int) -> tuple[float, float]:
+    """Moment transform E[e^(z Z_N)] in both closed product forms, as
+    (by_level, by_scale):
 
-    product_over_i: prod_{i<N} ((1+e^(2^i z))/2)^(N-i);
-    product_over_k: prod_{k=1..N} 2^(-k) (1-e^(2^k z))/(1-e^z).
+    by_level: prod_{i<N} ((1+e^(2^i z))/2)^(N-i);
+    by_scale: prod_{k=1..N} 2^(-k) (1-e^(2^k z))/(1-e^z).
     Both run in log space so large 2^N z stays in range.
     """
     if N < 1:
         raise ValueError("N must be >= 1")
     if z == 0.0:
-        return 1.0
-    if form == "product_over_i":
-        log_total = 0.0
-        for i in range(N):
-            u = 2.0**i * z
-            log_total += (N - i) * (max(u, 0.0) + math.log1p(math.exp(-abs(u))) - math.log(2.0))
-        return math.exp(log_total)
-    if form == "product_over_k":
-        base = _log_expm1_abs(z)
-        log_total = 0.0
-        for k in range(1, N + 1):
-            log_total += _log_expm1_abs(2.0**k * z) - base - k * math.log(2.0)
-        return math.exp(log_total)
-    raise ValueError("form must be 'product_over_i' or 'product_over_k'")
+        return 1.0, 1.0
+    by_level = 0.0
+    for i in range(N):
+        u = 2.0**i * z
+        by_level += (N - i) * (max(u, 0.0) + math.log1p(math.exp(-abs(u))) - math.log(2.0))
+    base = _log_expm1_abs(z)
+    by_scale = 0.0
+    for k in range(1, N + 1):
+        by_scale += _log_expm1_abs(2.0**k * z) - base - k * math.log(2.0)
+    return math.exp(by_level), math.exp(by_scale)
 
 
 def standardized_cumulant(N: int, order: int) -> float:
@@ -291,26 +279,22 @@ def pmf_standardized_cumulant(N: int, order: int) -> Fraction:
     """Oracle value: exact cumulant extracted from the pmf, then standardized.
 
     The raw moments are the integer power sums S_j = sum_k c_k k^j over the
-    bounded-composition counts c_k of the pmf, each divided once by the
-    total mass 2^(N(N+1)/2); the pmf's invariants are checked on the
-    integers (S_0 is the total, no count is negative).
+    bounded-composition counts c_k of alpha_weights_oracle(N), each divided
+    once by their total 2^(N(N+1)/2), which the table has checked along with
+    the positivity of every count.
     """
     if N < 1:
         raise ValueError("N must be >= 1")
     if order < 2 or order > _CUMULANT_BUDGET:
         raise ValueError(f"order must be within [2, {_CUMULANT_BUDGET}]")
-    counts = _bounded_sum_counts([2**k - 1 for k in range(1, N + 1)])
+    counts = alpha_weights_oracle(N).alpha
     denom = 2 ** (N * (N + 1) // 2)
-    if any(c < 0 for c in counts):
-        raise ValueError("masses must be non-negative")
     power_sums = [0] * (order + 1)
     for k, c in enumerate(counts):
         term = c
         for j in range(order + 1):
             power_sums[j] += term
             term *= k
-    if power_sums[0] != denom:
-        raise ValueError("masses must sum to one")
     raw = [Fraction(total, denom) for total in power_sums]
     cumulants = [Fraction(0)] * (order + 1)
     for m in range(1, order + 1):

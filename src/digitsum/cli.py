@@ -146,12 +146,14 @@ def verify(suite, grid_path, tol, fmt, out) -> None:
 def weights(n_levels: int, normalized: bool) -> None:
     """Exact finite-difference weight table, as CSV."""
     if normalized:
+        masses = zn_pmf(n_levels)
         click.echo("k,mass")
-        for k, mass in enumerate(zn_pmf(n_levels).mass):
+        for k, mass in enumerate(masses):
             click.echo(f"{k},{mass}")
     else:
+        table = alpha_weights(n_levels).alpha
         click.echo("k,weight")
-        for k, value in enumerate(alpha_weights(n_levels).alpha):
+        for k, value in enumerate(table):
             click.echo(f"{k},{value}")
 
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 import itertools
 import json
 import math
+import sys
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from typing import Callable, Optional
@@ -475,17 +476,16 @@ def _run_zn_cumulants(params):
 
 def _run_mgf_consistency(params):
     z, N = params["z"], params["N"]
-    by_level = altsum.zn_mgf(z, N, "product_over_i")
-    by_scale = altsum.zn_mgf(z, N, "product_over_k")
-    pmf = altsum.zn_pmf(N)
-    transform = sum(float(m) * math.exp(z * k) for k, m in enumerate(pmf.mass))
+    by_level, by_scale = altsum.zn_mgf(z, N)
+    masses = altsum.zn_pmf(N)
+    transform = sum(float(m) * math.exp(z * k) for k, m in enumerate(masses))
     scale = max(abs(by_level), abs(by_scale), abs(transform))
     # the worse of the two comparisons decides
     worst = max(abs(by_level - by_scale), abs(by_level - transform))
     return [
         IdentityReport(
             "mgf-consistency", params, by_level, transform, worst, worst / scale,
-            Criterion(1e-12), len(pmf.mass),
+            Criterion(1e-12), len(masses),
         )
     ]
 
@@ -629,6 +629,21 @@ def _grid_points(entry: _Entry, overrides: dict) -> list[dict]:
     unknown = set(overrides) - set(entry.defaults)
     if unknown:
         raise ValueError(f"parameters not in the identity schema: {sorted(unknown)}")
+    for name, values in overrides.items():
+        defaults = entry.defaults[name]
+        # a parameter takes the type of its defaults: an int, a finite
+        # number, or a case name
+        if all(type(v) is int for v in defaults):
+            kind, fits = "an integer", lambda v: type(v) is int
+        elif all(type(v) is str for v in defaults):
+            kind, fits = "a string", lambda v: type(v) is str
+        else:
+            kind = "a finite number"
+            # an int too large for a float is not finite either
+            fits = lambda v: type(v) in (int, float) and abs(v) <= sys.float_info.max
+        for value in values:
+            if not fits(value):
+                raise ValueError(f"parameter {name!r} must be {kind}, got {value!r}")
     names = list(entry.defaults)
     ranges = [list(overrides.get(name, entry.defaults[name])) for name in names]
     return [dict(zip(names, combo)) for combo in itertools.product(*ranges)]

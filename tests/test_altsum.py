@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from digitsum import altsum
 from digitsum.altsum import (
-    DiscretePMF,
     WeightTable,
     alpha_weights,
     alpha_weights_oracle,
@@ -38,7 +37,7 @@ def fraction_mass_cumulant(N, order):
     # reference: raw moments summed over the Fraction masses of the pmf, then
     # the same moment-to-cumulant recursion
     raw = [Fraction(0)] * (order + 1)
-    for k, m in enumerate(zn_pmf(N).mass):
+    for k, m in enumerate(zn_pmf(N)):
         power = Fraction(1)
         for j in range(order + 1):
             raw[j] += m * power
@@ -74,6 +73,12 @@ class TestAlternatingSumDirect:
     def test_rejects_out_of_budget(self, N):
         with pytest.raises(ValueError):
             alternating_sum_direct(lambda t: t, 0, N)
+
+    def test_budget_plus_one_builds_nothing(self, monkeypatch):
+        # the direct route shares the budget of the other two routes
+        monkeypatch.setattr(altsum, "digit_sum_range", lambda n, b: pytest.fail("built parities"))
+        with pytest.raises(ValueError, match=f"within \\[1, {altsum._OPERATOR_BUDGET}\\]"):
+            alternating_sum_direct(lambda t: t, 0, altsum._OPERATOR_BUDGET + 1)
 
 
 class TestForwardDifference:
@@ -186,7 +191,7 @@ class TestAlphaWeights:
         with pytest.raises(ValueError):
             alpha_weights(altsum._ALPHA_BUDGET + 1)
         with pytest.raises(ValueError):
-            alpha_weights_oracle(13)
+            alpha_weights_oracle(altsum._COMPOSITION_BUDGET + 1)
 
 
 class TestTableBudgets:
@@ -202,7 +207,12 @@ class TestTableBudgets:
     def test_zn_pmf_budget_plus_one(self, monkeypatch):
         monkeypatch.setattr(altsum, "_bounded_sum_counts", lambda b: pytest.fail("built a pmf"))
         with pytest.raises(ValueError):
-            zn_pmf(altsum._PMF_BUDGET + 1)
+            zn_pmf(altsum._COMPOSITION_BUDGET + 1)
+
+    def test_pmf_cumulant_budget_plus_one(self, monkeypatch):
+        monkeypatch.setattr(altsum, "_bounded_sum_counts", lambda b: pytest.fail("built counts"))
+        with pytest.raises(ValueError):
+            pmf_standardized_cumulant(altsum._COMPOSITION_BUDGET + 1, 4)
 
 
 class TestWeightTableType:
@@ -217,6 +227,11 @@ class TestWeightTableType:
     def test_rejects_wrong_length(self):
         with pytest.raises(ValueError):
             WeightTable(2, (1, 2, 2, 1))
+
+    def test_rejects_nonpositive(self):
+        # symmetric, of the right length and total, but with zero entries
+        with pytest.raises(ValueError, match="positive"):
+            WeightTable(2, (0, 4, 0, 4, 0))
 
 
 class TestClosedPolynomialValues:
@@ -278,11 +293,11 @@ class TestIntroReindexing:
 
 class TestZnPmf:
     def test_single_uniform(self):
-        assert zn_pmf(1).mass == (Fraction(1, 2), Fraction(1, 2))
+        assert zn_pmf(1) == (Fraction(1, 2), Fraction(1, 2))
 
     def test_two_summands(self):
         want = (Fraction(1, 8), Fraction(1, 4), Fraction(1, 4), Fraction(1, 4), Fraction(1, 8))
-        assert zn_pmf(2).mass == want
+        assert zn_pmf(2) == want
 
     def test_four_summands_by_enumeration(self):
         import itertools
@@ -291,23 +306,30 @@ class TestZnPmf:
         for parts in itertools.product(range(2), range(4), range(8), range(16)):
             counts[sum(parts)] += 1
         denom = 2**10
-        assert zn_pmf(4).mass == tuple(Fraction(c, denom) for c in counts)
+        assert zn_pmf(4) == tuple(Fraction(c, denom) for c in counts)
 
     @pytest.mark.parametrize("N", list(range(0, 13)))
     def test_equals_normalized_weights(self, N):
         denom = 2 ** (N * (N + 1) // 2)
         want = tuple(Fraction(a, denom) for a in alpha_weights(N).alpha)
-        assert zn_pmf(N).mass == want
+        assert zn_pmf(N) == want
 
     def test_rejects_out_of_budget(self):
         with pytest.raises(ValueError):
-            zn_pmf(altsum._PMF_BUDGET + 1)
+            zn_pmf(altsum._COMPOSITION_BUDGET + 1)
+
+    @pytest.mark.parametrize("N", [10**6, -(10**6)])
+    def test_far_out_of_range_builds_nothing(self, N):
+        # the budget is checked before the total 2^(N(N+1)/2), a number of
+        # about 5e11 bits here, is built
+        with pytest.raises(ValueError):
+            zn_pmf(N)
 
 
 def pmf_mean_variance(N):
-    pmf = zn_pmf(N)
-    mean = sum(Fraction(k) * m for k, m in enumerate(pmf.mass))
-    second = sum(Fraction(k) ** 2 * m for k, m in enumerate(pmf.mass))
+    masses = zn_pmf(N)
+    mean = sum(Fraction(k) * m for k, m in enumerate(masses))
+    second = sum(Fraction(k) ** 2 * m for k, m in enumerate(masses))
     return mean, second - mean**2
 
 
@@ -332,32 +354,24 @@ class TestZnMeanVariance:
 
 class TestZnMgf:
     def test_unit_at_zero(self):
-        assert zn_mgf(0.0, 5) == 1.0
-        assert zn_mgf(0.0, 5, "product_over_k") == 1.0
+        assert zn_mgf(0.0, 5) == (1.0, 1.0)
 
     @pytest.mark.parametrize("z", [-2.0, -0.5, 0.1, 0.3, 1.0])
     @pytest.mark.parametrize("N", [1, 2, 3, 5, 6])
     def test_forms_agree(self, z, N):
-        a = zn_mgf(z, N, "product_over_i")
-        b = zn_mgf(z, N, "product_over_k")
-        assert a == pytest.approx(b, rel=1e-12)
+        by_level, by_scale = zn_mgf(z, N)
+        assert by_level == pytest.approx(by_scale, rel=1e-12)
 
     @pytest.mark.parametrize("z", [-1.0, 0.2])
     @pytest.mark.parametrize("N", [1, 2, 4])
     def test_matches_pmf_transform(self, z, N):
-        pmf = zn_pmf(N)
-        want = sum(float(m) * math.exp(z * k) for k, m in enumerate(pmf.mass))
-        assert zn_mgf(z, N, "product_over_k") == pytest.approx(want, rel=1e-12)
+        want = sum(float(m) * math.exp(z * k) for k, m in enumerate(zn_pmf(N)))
+        assert zn_mgf(z, N) == pytest.approx((want, want), rel=1e-12)
 
     def test_far_negative_argument_isolates_smallest_value(self):
         # e^(zZ) concentrates all weight on Z = 0, whose mass is 2^-21
         want = 2.0**-21
-        assert zn_mgf(-40.0, 6, "product_over_i") == pytest.approx(want, rel=1e-9)
-        assert zn_mgf(-40.0, 6, "product_over_k") == pytest.approx(want, rel=1e-9)
-
-    def test_rejects_unknown_form(self):
-        with pytest.raises(ValueError):
-            zn_mgf(0.5, 3, "termwise")
+        assert zn_mgf(-40.0, 6) == pytest.approx((want, want), rel=1e-9)
 
     def test_rejects_nonpositive_level(self):
         with pytest.raises(ValueError):
@@ -385,27 +399,32 @@ class TestStandardizedCumulants:
     def test_oracle_checks_total_mass(self, monkeypatch):
         counts = altsum._bounded_sum_counts
 
-        def one_extra(bounds):
+        def two_extra(bounds):
+            # still positive and symmetric, but the total is 2 too large
             out = counts(bounds)
+            out[0] += 1
             out[-1] += 1
             return out
 
-        monkeypatch.setattr(altsum, "_bounded_sum_counts", one_extra)
-        with pytest.raises(ValueError, match="sum to one"):
+        monkeypatch.setattr(altsum, "_bounded_sum_counts", two_extra)
+        with pytest.raises(ValueError, match="sum to 2"):
             pmf_standardized_cumulant(4, 4)
 
     def test_oracle_checks_nonnegative_counts(self, monkeypatch):
         counts = altsum._bounded_sum_counts
 
         def shifted(bounds):
-            # same total mass, but the count of k = 0 (which is 1) goes negative
+            # same total and still symmetric, but the counts of k = 0 and of
+            # the last k (each 1) go negative
             out = counts(bounds)
-            out[0] -= 2
-            out[1] += 2
+            for k in (0, -1):
+                out[k] -= 2
+            for k in (1, -2):
+                out[k] += 2
             return out
 
         monkeypatch.setattr(altsum, "_bounded_sum_counts", shifted)
-        with pytest.raises(ValueError, match="non-negative"):
+        with pytest.raises(ValueError, match="positive"):
             pmf_standardized_cumulant(4, 4)
 
     def test_selected_higher_orders(self):
@@ -470,9 +489,3 @@ class TestWeightsFirstMoment:
     def test_rejects_nonpositive(self):
         with pytest.raises(ValueError):
             alpha_weights(-1)
-
-
-class TestTypeValidation:
-    def test_pmf_masses_must_sum_to_one(self):
-        with pytest.raises(ValueError):
-            DiscretePMF(1, (Fraction(1, 2), Fraction(1, 4)))

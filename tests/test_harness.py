@@ -90,7 +90,38 @@ class TestGridSpec:
             GridSpec("thm2.1", {}, rel)
 
 
+def _off_type_values():
+    # every (suite, parameter) with each non-finite float, and 2.5 where the
+    # defaults are integers
+    cases = []
+    for identity_id in identity_ids():
+        for name, defaults in default_grid(identity_id).items():
+            values = [math.inf, -math.inf, math.nan]
+            if all(type(v) is int for v in defaults):
+                values.append(2.5)
+            cases += [
+                pytest.param(identity_id, name, v, id=f"{identity_id}-{name}-{v}") for v in values
+            ]
+    return cases
+
+
 class TestRunSuite:
+    @pytest.mark.parametrize("identity_id,name,value", _off_type_values())
+    def test_grid_value_must_match_its_parameter_type(self, identity_id, name, value):
+        with pytest.raises(ValueError, match=f"parameter '{name}' must be"):
+            run_suite(GridSpec(identity_id, {name: [value]}))
+
+    def test_grid_type_follows_the_defaults(self):
+        # an int fills a float parameter, a bool is not an int, a case is a string
+        assert run_suite(GridSpec("jinfty", {"b": [2], "x": [1]})).summary["fail"] == 0
+        with pytest.raises(ValueError, match="'N' must be an integer"):
+            run_suite(GridSpec("weights", {"N": [True]}))
+        with pytest.raises(ValueError, match="'case' must be a string"):
+            run_suite(GridSpec("pi-over-2", {"case": [1]}))
+        # an int past the float range is not a finite number
+        with pytest.raises(ValueError, match="'alpha' must be a finite number"):
+            run_suite(GridSpec("thm2.1", {"alpha": [10**400]}))
+
     def test_finite_difference_grid_all_pass(self):
         grid = GridSpec(
             "thm2.1",
@@ -237,9 +268,9 @@ class TestPassRule:
     def test_mgf_consistency_fails_on_the_scale_leg(self, monkeypatch):
         real = altsum.zn_mgf
 
-        def skewed(z, N, form="product_over_i"):
-            value = real(z, N, form)
-            return value * (1.0 + 1e-9) if form == "product_over_k" else value
+        def skewed(z, N):
+            by_level, by_scale = real(z, N)
+            return by_level, by_scale * (1.0 + 1e-9)
 
         monkeypatch.setattr(altsum, "zn_mgf", skewed)
         run = run_suite(GridSpec("mgf-consistency", {"z": [0.5], "N": [4]}))
@@ -419,6 +450,15 @@ class TestCli:
         assert result.exit_code == 1
         assert result.output == "Error: p must be >= 1\n"
 
+    @pytest.mark.parametrize(
+        "args", [("inf-product", "z=inf"), ("thm2.1", "p=2.5"), ("thm5.1", "x=inf")]
+    )
+    def test_eval_off_type_parameter_message(self, args):
+        identity_id, param = args
+        result = self.invoke("eval", identity_id, "-p", param)
+        assert result.exit_code == 1
+        assert result.output.startswith(f"Error: parameter '{param.split('=')[0]}' must be")
+
     def test_verify_json(self):
         result = self.invoke("verify", "--suite", "weights")
         assert result.exit_code == 0
@@ -530,6 +570,12 @@ class TestCli:
         lines = result.output.splitlines()
         assert lines[0] == "k,mass"
         assert lines[1] == "0,1/8"
+
+    @pytest.mark.parametrize("N", ["1000000", "-1000000"])
+    def test_weights_normalized_out_of_budget(self, N):
+        result = self.invoke("weights", "--N", N, "--normalized")
+        assert result.exit_code == 1
+        assert result.output.startswith("Error: N must be within")
 
     def test_cumulants_with_levels(self):
         result = self.invoke("cumulants", "--N", "3", "--orders", "2,4")

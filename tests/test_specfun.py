@@ -140,19 +140,19 @@ class TestLevelSeries:
 
 
 class TestTermBudget:
-    """At a tolerance no double meets, each Euler-Maclaurin loop raises once
-    its recurrence would pass MAX_TERMS steps, instead of running on."""
+    """At a tolerance no double meets, each Euler-Maclaurin loop that can
+    grow raises once its recurrence would pass MAX_TERMS steps, instead of
+    running on.  log_gamma takes one pass (TestLogGammaAndBeta)."""
 
     @pytest.mark.parametrize(
         "call",
         [
             lambda: digamma(0.5),
-            lambda: log_gamma(0.5),
             lambda: barnes_psi2_2(0.5, 1.0, 2.0),
             lambda: hurwitz_zeta(2.0, 0.5),
             lambda: barnes_zeta2(3.0, 0.5, 1.0, 2.0),
         ],
-        ids=["digamma", "log_gamma", "barnes_psi2_2", "hurwitz_zeta", "barnes_zeta2"],
+        ids=["digamma", "barnes_psi2_2", "hurwitz_zeta", "barnes_zeta2"],
     )
     def test_unreachable_tolerance_raises(self, monkeypatch, call):
         monkeypatch.setattr(specfun, "REL_TOL", 1e-300)
@@ -160,7 +160,7 @@ class TestTermBudget:
         with pytest.raises(TruncationBudgetError):
             call()
 
-    @pytest.mark.parametrize("fn", [digamma, log_gamma])
+    @pytest.mark.parametrize("fn", [digamma])
     def test_budget_counts_recurrence_steps_only(self, monkeypatch, fn):
         # past SHIFT_THRESHOLD no recurrence step is taken, so one step of budget
         # gives the default value; below it, 15 steps do not reach 16 from 0.5
@@ -359,6 +359,22 @@ class TestLogGammaAndBeta:
             np.testing.assert_allclose(
                 log_gamma(z + 1.0), log_gamma(z) + math.log(z), rtol=1e-12
             )
+
+    def test_one_pass_meets_the_stop_rule(self):
+        # log_gamma stops after one pass: at w >= SHIFT_THRESHOLD the first
+        # omitted Stirling term, |B_(EM_ORDER+2)| / ((EM_ORDER+2)(EM_ORDER+1)
+        # w^(EM_ORDER+1)), times TAIL_SAFETY is within REL_TOL, the least
+        # that REL_TOL * max(|value|, 1) can be
+        n = EM_ORDER + 2
+        omitted = abs(bernoulli_even(n)) / (
+            n * (n - 1) * Fraction(SHIFT_THRESHOLD) ** (n - 1)
+        )
+        assert Fraction(TAIL_SAFETY) * omitted <= Fraction(REL_TOL)
+
+    @pytest.mark.parametrize("z", [math.inf, math.nan, -math.inf, 0.0])
+    def test_rejects_non_finite_and_non_positive(self, z):
+        with pytest.raises(ValueError):
+            log_gamma(z)
 
 
 class TestBarnesZeta2:
