@@ -8,6 +8,7 @@ meant for the bulk scans in the verification harness.
 
 from __future__ import annotations
 
+from itertools import groupby
 from typing import Callable
 
 import numpy as np
@@ -96,17 +97,18 @@ def digit_sum_range(limit: int, b: int = 2) -> np.ndarray:
     return out
 
 
-# A weighted-sum block holds at most this many terms.  The kernel streams five
-# float64 rows of one block each (s_b(m), m, n, w and the position sums acc),
-# 40 bytes a term, through six numpy passes per block for an order-2 weight,
-# so the cap is the largest power of two whose rows fit a 2 MB per-core L2:
-# 2^15 terms are 1.25 MB, 2^16 are 2.5 MB.  A smaller cap lets the per-block
-# Python cost take over.
+# A weighted-sum block holds at most this many terms.  The kernel holds six
+# float64 rows of one block each, and each block streams four of them (the
+# position row m + shift, the points x, w and the group sums part, 32 bytes a
+# term) through four numpy passes for an order-2 weight, so the cap is the
+# largest power of two whose block rows fit a 2 MB per-core L2 with room to
+# spare: 2^15 terms are 1 MB, 2^16 are 2 MB.  A smaller cap lets the
+# per-block Python cost take over.
 # direct_digit_zeta(b, 2.0, 0.5, 10^7) for b = 2 and 3, median of 15
 # interleaved runs (numpy 2.4, a 2-core x86-64 VM with 2 MB L2 per core):
-# 2^13 30 and 35 ms, 2^14 26 and 35 ms, 2^15 26 and 26 ms, 2^16 28 and
-# 28 ms, 2^17 35 and 28 ms.  The 200k-term oracles take 0.8-1.0 ms at 2^15
-# and 1.1-1.2 ms at 2^16.
+# 2^13 26 and 28 ms, 2^14 21 and 27 ms, 2^15 20 and 21 ms, 2^16 26 and
+# 25 ms, 2^17 35 and 25 ms.  The 200k-term oracles take 0.9-1.1 ms at 2^15
+# and 1.4 ms at 2^16.
 _BLOCK_CAP = 2**15
 
 
@@ -119,23 +121,35 @@ def _block_length(b: int) -> int:
 
 
 def digit_weighted_sum(
-    limit: int, b: int, fill: Callable[[np.ndarray, np.ndarray], None]
+    limit: int,
+    b: int,
+    fill: Callable[[np.ndarray, np.ndarray], None],
+    shift: float,
 ) -> float:
-    """sum_{1 <= n < limit} s_b(n) w(n), one block of B = b^k terms at a time.
+    """sum_{1 <= n < limit} s_b(n) w(n + shift), one block of B = b^k terms at a time.
 
-    ``fill(n, out)`` writes w(n) into ``out`` for a float64 array ``n`` of
-    consecutive integers; both arrays have the same length, at most B, and
-    ``fill`` may use ``n`` as scratch, since the kernel rewrites it for every
-    block.  Each array starts on a 64-byte boundary, except that block 0
-    starts at n = 1, 8 bytes in.  With n = cB + m, m < B, the digit sums split
-    as s_b(n) = s_b(c) + s_b(m), so the sum is sum_m s_b(m) acc[m] +
-    sum_c s_b(c) W_c, with acc[m] = sum_c w(cB + m) and W_c = sum_m w(cB + m):
-    no product s w is formed per term and no array of length ``limit`` is
-    held.  Each block adds its w to acc, in block order, and its W_c, a
-    pairwise ``np.add.reduce``, times s_b(c) to a scalar; at the end acc is
-    multiplied by s_b(m) and reduced pairwise once.  n and s are exact in
-    float64 (n < 2^53).  So the result is within gamma_(C + d + 1) sum
-    s_b(n) |w(n)| of the exact sum over the doubles w, for C blocks and d the
+    ``fill(x, out)`` writes w(x) into ``out`` for the float64 array x of the
+    shifted points n + shift of consecutive integers n; both arrays have the
+    same length, at most B, and ``fill`` may use x as scratch, since the kernel
+    rewrites it for every block.  Each array starts on a 64-byte boundary,
+    except that block 0 starts at n = 1, 8 bytes in.  With n = cB + m, m < B,
+    the kernel builds the row pos[m] = fl(m + shift) once and hands block c
+    x = fl(pos + cB): one rounding more than fl(n + shift), and none when m +
+    shift is exact, as for shift 0 or a dyadic shift such as 0.25.
+
+    The digit sums split as s_b(n) = s_b(c) + s_b(m), so the sum is
+    sum_m s_b(m) acc[m] + sum_c s_b(c) W_c, with acc[m] = sum_c w(cB + m) and
+    W_c = sum_m w(cB + m): no product s w is formed per term and no array of
+    length ``limit`` is held.  Block 0 writes acc.  The blocks c >= 1 are
+    visited grouped by k = s_b(c), k ascending, and c ascending within a group;
+    each block adds its w to the group's row part.  When group k ends, k times
+    the pairwise ``np.add.reduce`` of part goes to a scalar and part is added to
+    acc.  At the end acc is multiplied by s_b(m) and reduced pairwise once.
+    cB and the digit sums are exact in float64 (n < 2^53).  A term in a group
+    of C_k blocks takes at most C_k - 1 roundings in part, then one for each
+    group from its own on, in acc or in the scalar; no group is empty, so that
+    is at most C - 1 in all.  So the result is within gamma_(C + d + 1)
+    sum s_b(n) |w| of the exact sum over the doubles w, for C blocks and d the
     most roundings on one term's path through a pairwise sum of B terms.  No
     sum goes through the BLAS, so the result does not depend on its threads.
     """
@@ -144,23 +158,27 @@ def digit_weighted_sum(
     if b < 2:
         raise ValueError("digit_weighted_sum requires base >= 2")
     block = _block_length(b)
-    size = min(block, limit)  # below one block, buffers of length limit do
-    low, m, n, w, acc = _aligned_rows(5, size)
+    size = min(block, limit)  # below one block, rows of length limit do
+    low, pos, x, w, part, acc = _aligned_rows(6, size)
     low[...] = digit_sum_range(size, b)
-    m[...] = np.arange(size, dtype=np.float64)
+    pos[...] = np.arange(size, dtype=np.float64)
+    pos += shift
     high = digit_sum_range(-(-limit // block), b).tolist()
     # block 0: s_b(c) = 0, and the sum starts at n = 1, where w may first be finite
-    np.copyto(n[1:], m[1:])
-    fill(n[1:], acc[1:])
+    np.copyto(x[1:], pos[1:])
+    fill(x[1:], acc[1:])
     acc[0] = 0.0  # its slot is unwritten memory, and s_b(0) = 0 keeps it out of the sum
     total = 0.0
-    for c in range(1, len(high)):
-        start = c * block
-        stop = min(size, limit - start)
-        np.add(m[:stop], start, out=n[:stop])
-        fill(n[:stop], w[:stop])
-        acc[:stop] += w[:stop]
-        total += high[c] * float(np.add.reduce(w[:stop]))
+    for k, group in groupby(sorted(range(1, len(high)), key=high.__getitem__), high.__getitem__):
+        part[...] = 0.0
+        for c in group:
+            start = c * block
+            stop = min(size, limit - start)
+            np.add(pos[:stop], start, out=x[:stop])
+            fill(x[:stop], w[:stop])
+            part[:stop] += w[:stop]
+        total += k * float(np.add.reduce(part))
+        acc += part
     acc *= low
     return float(np.add.reduce(acc)) + total
 

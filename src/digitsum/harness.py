@@ -179,11 +179,10 @@ class RunReport:
 
 
 def _plain_finite_direct(b: int, p: int, alpha: float, z: float) -> float:
-    def fill(n, out):
-        n += z
-        _inverse_power(n, alpha, out)
+    def fill(x, out):
+        _inverse_power(x, alpha, out)
 
-    return digit_weighted_sum(b**p, b, fill)
+    return digit_weighted_sum(b**p, b, fill, z)
 
 
 def _putnam_sequence() -> SequenceFn:
@@ -323,7 +322,7 @@ def _run_thm41(params):
     b, z = params["b"], params["z"]
     lhs = lambert_gf(b, z)
     cut = 600
-    rhs = digit_weighted_sum(cut + 1, b, lambda n, out: np.power(z, n, out=out))
+    rhs = digit_weighted_sum(cut + 1, b, lambda n, out: np.power(z, n, out=out), 0.0)
     digits_per_term = (b - 1) * (math.log(cut) / math.log(b) + 2.0)
     tail = digits_per_term * abs(z) ** (cut + 1) / (1.0 - abs(z)) ** 2
     return [

@@ -77,16 +77,15 @@ def finite_zeta_diff_direct(b: int, p: int, alpha: float, z: float) -> float:
     for b >= 2, p >= 1, alpha > 0 and z >= 0."""
     _check_finite_sum(b, p, alpha, z)
 
-    def fill(n, out):
-        # (z+n+1)^-a needs a buffer apart from its base n
-        later = np.empty_like(n)
-        n += z
-        _inverse_power(n, alpha, out)
-        n += 1.0
-        _inverse_power(n, alpha, later)
+    def fill(x, out):
+        # (x+1)^-a needs a buffer apart from its base x
+        later = np.empty_like(x)
+        _inverse_power(x, alpha, out)
+        x += 1.0
+        _inverse_power(x, alpha, later)
         out -= later
 
-    return digit_weighted_sum(b**p, b, fill)
+    return digit_weighted_sum(b**p, b, fill, z)
 
 
 def finite_zeta_diff_closed(b: int, p: int, alpha: float, z: float) -> float:
@@ -480,11 +479,10 @@ def direct_digit_zeta(b: int, alpha: float, z: float, limit: int) -> tuple[float
         raise ValueError("direct oracle needs a finite alpha > 1 for a convergent tail")
     _check_oracle_shift(z)
 
-    def fill(n, out):
-        n += z
-        _inverse_power(n, alpha, out)
+    def fill(x, out):
+        _inverse_power(x, alpha, out)
 
-    partial = digit_weighted_sum(limit, b, fill)
+    partial = digit_weighted_sum(limit, b, fill, z)
     edge = float(limit) + z
     low = edge ** (1.0 - alpha) / (alpha - 1.0)
     log_term = math.log(limit) / math.log(b) + 1.0 + 1.0 / ((alpha - 1.0) * math.log(b))
@@ -496,12 +494,12 @@ def direct_j_infinity(b: int, x: float, limit: int) -> tuple[float, float]:
     """Partial sum of s_b(n)/((x+n)(x+n+1)) with mid-tail model."""
     _check_oracle_shift(x)
 
-    def fill(n, out):
-        np.add(n, x, out=out)
-        out *= out + 1.0
+    def fill(y, out):
+        np.add(y, 1.0, out=out)
+        out *= y
         np.divide(1.0, out, out=out)
 
-    partial = digit_weighted_sum(limit, b, fill)
+    partial = digit_weighted_sum(limit, b, fill, x)
     edge = float(limit) + x
     low = 1.0 / edge
     high = (b - 1.0) * (math.log(limit) / math.log(b) + 1.0 + 1.0 / math.log(b)) / edge
@@ -519,7 +517,7 @@ def direct_product_log(b: int, z: float, limit: int) -> tuple[float, float]:
         np.divide(z, out, out=out)
         np.log1p(out, out=out)
 
-    partial = digit_weighted_sum(limit, b, fill)
+    partial = digit_weighted_sum(limit, b, fill, 0.0)
     edge = float(limit)
     low = z / (edge + abs(z) + 1.0)
     high = (

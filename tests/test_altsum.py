@@ -373,6 +373,23 @@ class TestZnMgf:
         want = 2.0**-21
         assert zn_mgf(-40.0, 6) == pytest.approx((want, want), rel=1e-9)
 
+    @pytest.mark.parametrize("z", [1e-17, -1e-17])
+    def test_unit_near_zero(self, z):
+        # e^-z rounds to 1 here: a log of 1 - e^-z fails, a difference of logs of |z| cancels
+        by_level, by_scale = zn_mgf(z, 3)
+        assert abs(by_level - 1.0) <= 1e-15 and abs(by_scale - 1.0) <= 1e-15
+
+    @pytest.mark.parametrize("z, N", [(-1e306, 10), (-1e308, 2)])
+    def test_scale_past_the_float_range(self, z, N):
+        # 2^k z overflows to -inf, where each factor (1 - e^(2^k z))/(1 - e^z) is 1
+        want = 2.0 ** -(N * (N + 1) // 2)
+        assert zn_mgf(z, N) == pytest.approx((want, want))
+
+    def test_factor_past_the_exp_range(self):
+        # e^(2z) overflows, but (e^(2z) - 1)/(2(e^z - 1)) = (1 + e^z)/2 does not
+        want = math.exp(360.0 - math.log(2.0))
+        assert zn_mgf(360.0, 1) == pytest.approx((want, want), rel=1e-13)
+
     def test_rejects_nonpositive_level(self):
         with pytest.raises(ValueError):
             zn_mgf(0.5, 0)
@@ -395,6 +412,21 @@ class TestStandardizedCumulants:
         # every even order up to the budget, compared as exact rationals
         for order in range(2, 17, 2):
             assert pmf_standardized_cumulant(N, order) == fraction_mass_cumulant(N, order)
+
+    def test_level_budget_raises_before_any_power(self, monkeypatch):
+        # the exact powers 4^(nN) are the cost the budget bounds
+        class Built(Exception):
+            pass
+
+        def no_fraction(*args):
+            raise Built
+
+        monkeypatch.setattr(altsum, "Fraction", no_fraction)
+        budget = altsum._CUMULANT_LEVEL_BUDGET
+        with pytest.raises(ValueError, match=f"within \\[1, {budget}\\], the level budget"):
+            standardized_cumulant(budget + 1, 16)
+        with pytest.raises(Built):
+            standardized_cumulant(budget, 16)
 
     def test_oracle_checks_total_mass(self, monkeypatch):
         counts = altsum._bounded_sum_counts

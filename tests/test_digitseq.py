@@ -171,15 +171,42 @@ class TestDigitWeightedSum:
 
     @pytest.mark.parametrize("b", [*range(2, 17), 70001])
     def test_integer_weights_are_exact(self, b):
-        """w = 1 and w = n: every partial sum is an integer below 2^53, so exact."""
+        """w = 1 and w = n, and w = n + 0.5 at the shift 0.5, where m + 0.5 is
+        exact: every partial sum is a multiple of 1/2 below 2^52, so exact."""
         block = _block_length(b)
         for limit in (1, 2, block - 1, block, block + 1, 2 * block + 7, 12345, 10**6):
             s = digit_sum_range(limit, b)
             n = np.arange(limit, dtype=np.int64)
-            assert digit_weighted_sum(limit, b, _fill_ones) == int(s.sum()), (b, limit)
+            assert digit_weighted_sum(limit, b, _fill_ones, 0.0) == int(s.sum()), (b, limit)
             # b = 70001 at 10^6: sum s(n) n is about 1.7e16 > 2^53, past exact doubles
             if b != 70001 or limit < 10**6:
-                assert digit_weighted_sum(limit, b, _fill_n) == int(np.dot(s, n)), (b, limit)
+                dot = int(np.dot(s, n))
+                assert digit_weighted_sum(limit, b, _fill_n, 0.0) == dot, (b, limit)
+                shifted = Fraction(digit_weighted_sum(limit, b, _fill_n, 0.5))
+                assert shifted == Fraction(2 * dot + int(s.sum()), 2), (b, limit)
+
+    @pytest.mark.parametrize("b", [2, 3])
+    def test_shifted_float_weights_within_bound(self, b):
+        """w(x) = x^-2 at the shift 0.1: fill gets x = fl(fl(m + 0.1) + cB), and the
+        sum stays within the docstring bound of fsum over the weights of those x."""
+        limit = 10**6
+        block = _block_length(b)
+        index = np.arange(limit)
+        x = ((index % block).astype(np.float64) + 0.1) + (index // block * block).astype(np.float64)
+        handed = np.full(limit, np.nan)
+
+        def fill(y, out):
+            start = int(y[0])
+            handed[start : start + y.size] = y
+            _inverse_power(y, 2.0, out)
+
+        got = digit_weighted_sum(limit, b, fill, 0.1)
+        assert np.array_equal(handed[1:], x[1:])
+        terms = (digit_sum_range(limit, b)[1:] * (1.0 / (x[1:] * x[1:]))).tolist()
+        exact = math.fsum(terms)
+        scale = math.fsum(map(abs, terms))
+        k = -(-limit // block) + 25 + math.ceil(math.log2(block)) + 1 + 2
+        assert abs(got - exact) <= k * 2.0**-53 / (1.0 - k * 2.0**-53) * scale
 
     def test_block_length(self):
         assert [_block_length(b) for b in (2, 3, 10, 16, 256, 257, 70001)] == [
@@ -198,14 +225,14 @@ class TestDigitWeightedSum:
         exact = math.fsum(terms.tolist())
         block = _block_length(b)
         bound = (block + -(-limit // block)) * 2.0**-52 * math.fsum(np.abs(terms).tolist())
-        assert abs(digit_weighted_sum(limit, b, fill) - exact) <= bound
+        assert abs(digit_weighted_sum(limit, b, fill, 0.0) - exact) <= bound
 
     def test_skips_zero(self):
         # w(0) = inf would poison the sum if n = 0 were filled
         def fill(n, out):
             np.divide(1.0, n, out=out)
 
-        assert digit_weighted_sum(2, 2, fill) == 1.0
+        assert digit_weighted_sum(2, 2, fill, 0.0) == 1.0
 
     @pytest.mark.parametrize("k", range(1, _MULTIPLY_MAX_ORDER + 1))
     def test_integer_order_weights_within_float64_bound(self, k):
@@ -221,16 +248,17 @@ class TestDigitWeightedSum:
         exact = math.fsum(terms.tolist())
         block = _block_length(b)
         bound = (block + -(-limit // block) + k + 2) * 2.0**-52 * exact
-        assert abs(digit_weighted_sum(limit, b, fill) - exact) <= bound
+        assert abs(digit_weighted_sum(limit, b, fill, 0.0) - exact) <= bound
 
     @pytest.mark.parametrize("limit, b", [(0, 2), (-3, 2), (10, 1), (10, 0)])
     def test_rejects_bad_arguments(self, limit, b):
         with pytest.raises(ValueError):
-            digit_weighted_sum(limit, b, _fill_ones)
+            digit_weighted_sum(limit, b, _fill_ones, 0.0)
 
     @pytest.mark.parametrize("b", [2, 3, 10])
     def test_fill_gets_64_byte_aligned_rows(self, b):
-        """Every row starts on a 64-byte boundary; block 0 is handed from n = 1 on."""
+        """Every row starts on a 64-byte boundary; block 0 is handed from n = 1 on,
+        then the blocks c >= 1 by s_b(c), and by c within one digit sum."""
         block = _block_length(b)
         limit = 3 * block + 5
         starts = []
@@ -243,8 +271,10 @@ class TestDigitWeightedSum:
             assert (out.ctypes.data - offset) % 64 == 0, (b, int(n[0]))
             out[...] = 1.0
 
-        assert digit_weighted_sum(limit, b, fill) == int(digit_sum_range(limit, b).sum())
-        assert starts == [1, block, 2 * block, 3 * block]
+        assert digit_weighted_sum(limit, b, fill, 0.0) == int(digit_sum_range(limit, b).sum())
+        order = sorted(range(1, 4), key=lambda c: (digit_sum(c, b), c))
+        assert starts == [1] + [c * block for c in order]
+        assert order == ([1, 3, 2] if b == 3 else [1, 2, 3])
 
     @pytest.mark.parametrize("b", [2, 3, 10])
     def test_reads_no_unwritten_buffer_memory(self, b, monkeypatch):
@@ -261,21 +291,24 @@ class TestDigitWeightedSum:
         block = _block_length(b)
         for limit in (1, 2, block - 1, block, block + 1, 2 * block + 7):
             want = int(digit_sum_range(limit, b).sum())
-            assert digit_weighted_sum(limit, b, _fill_ones) == want, (b, limit)
+            assert digit_weighted_sum(limit, b, _fill_ones, 0.0) == want, (b, limit)
 
     @pytest.mark.parametrize("b", [2, 3])
     def test_float_weights_over_many_blocks(self, b):
         """About 4e6 signed terms against math.fsum of the same terms.
 
-        The kernel sums each position over the C blocks in order, multiplies
-        once by s_b(m) and reduces pairwise, and reduces each block pairwise,
-        times s_b(c), into a running scalar.  numpy's pairwise sum takes an
-        element through at most 25 roundings in a leaf of 128 terms (8 partial
-        sums of 16, joined in 3, then 7 stragglers) and one per halving above
-        it, so d = 25 + log2(B) bounds its depth.  The kernel is then within
-        gamma_(C + d + 1) sum s(n)|w(n)| of the exact sum of its doubles, and
-        the reference fsum of the rounded products s(n) w(n) within
-        2 * 2^-53 of the same scale.
+        The kernel visits the C blocks grouped by s_b(c) and sums each
+        position over a group's blocks in a group row.  When a group ends it
+        reduces that row pairwise, times s_b(c), into a running scalar and adds
+        the row to the position sums, which it multiplies once by s_b(m) and
+        reduces pairwise at the end.  A term takes at most C - 1 roundings
+        outside the pairwise sums (see the ``digit_weighted_sum`` docstring).
+        numpy's pairwise sum takes an element through at most 25 roundings in
+        a leaf of 128 terms (8 partial sums of 16, joined in 3, then 7
+        stragglers) and one per halving above it, so d = 25 + log2(B) bounds
+        its depth.  The kernel is then within gamma_(C + d + 1) sum s(n)|w(n)|
+        of the exact sum of its doubles, and the reference fsum of the rounded
+        products s(n) w(n) within 2 * 2^-53 of the same scale.
         """
         limit = 4 * 10**6
         block = _block_length(b)
@@ -288,7 +321,7 @@ class TestDigitWeightedSum:
             out /= n
             weights[start : start + n.size] = out
 
-        got = digit_weighted_sum(limit, b, fill)
+        got = digit_weighted_sum(limit, b, fill, 0.0)
         s = digit_sum_range(limit, b)
 
         def terms():  # one block of Python floats at a time

@@ -713,14 +713,14 @@ class TestDirectOracles:
         ]
         partials = []
 
-        def recording(lim, base, fill):
-            partials.append(digit_weighted_sum(lim, base, fill))
+        def recording(lim, base, fill, shift):
+            partials.append(digit_weighted_sum(lim, base, fill, shift))
             return partials[-1]
 
         monkeypatch.setattr(identities, "digit_weighted_sum", recording)
         got = [oracle(*args) for oracle, args, _ in cases]
         # with a zero partial sum each oracle returns its tail model alone
-        monkeypatch.setattr(identities, "digit_weighted_sum", lambda lim, base, fill: 0.0)
+        monkeypatch.setattr(identities, "digit_weighted_sum", lambda lim, base, fill, shift: 0.0)
         for (oracle, args, terms), value, partial in zip(cases, got, partials):
             tail_mid, tail_half = oracle(*args)
             assert value == (partial + tail_mid, tail_half), oracle.__name__
