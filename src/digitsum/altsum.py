@@ -256,7 +256,12 @@ def zn_mgf(z: float, N: int) -> tuple[float, float]:
     by_scale = 0.0
     for k in range(1, N + 1):
         by_scale += _log_expm1_ratio(2.0**k * z, z) - k * math.log(2.0)
-    return math.exp(by_level), math.exp(by_scale)
+    try:
+        return math.exp(by_level), math.exp(by_scale)
+    except OverflowError:
+        raise ValueError(
+            f"zn_mgf: E[e^(z Z_N)] at z = {z}, N = {N} is past the float range"
+        ) from None
 
 
 def standardized_cumulant(N: int, order: int) -> float:

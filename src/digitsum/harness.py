@@ -508,12 +508,6 @@ def _run_thm66(params):
     return [build_report("thm6.6", params, lhs, rhs, rel_tol=1e-8)]
 
 
-def _run_putnam(params):
-    lhs = solver.weighted_digit_sum(2, _putnam_sequence())
-    rhs = 2.0 * math.log(2.0)
-    return [build_report("putnam-2log2", params, lhs, rhs, rel_tol=1e-8)]
-
-
 def _run_thm68(params):
     p = params["p"]
     g = lambda n: Fraction((7 * n**3 - 5 * n + 3) % 97 - 48, 11)
@@ -601,9 +595,8 @@ _REGISTRY: dict[str, _Entry] = {
         _run_mgf_consistency, {"z": [-1.0, 0.1, 0.5], "N": [2, 4]}
     ),
     "thm6.2": _Entry(_run_thm62, {"n": [1, 2, 3, 10]}),
-    "thm6.6": _Entry(_run_thm66, {"b": [3]}),
+    "thm6.6": _Entry(_run_thm66, {"b": [2, 3]}),
     "thm6.8": _Entry(_run_thm68, {"p": [4, 6, 8]}),
-    "putnam-2log2": _Entry(_run_putnam, {}),
     "base-relation": _Entry(_run_base_relation, {"b": [2, 3]}),
     "recover-jinfty": _Entry(_run_recover_jinfty, {"x": [0.1, 1.0, 100.0]}),
 }

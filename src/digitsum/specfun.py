@@ -2,8 +2,9 @@
 
 Digamma, Hurwitz zeta (analytically continued in the order; the Riemann
 zeta is hurwitz_zeta(s, 1)), Dirichlet eta, Stirling beta, log-gamma, the
-two-parameter Barnes zeta with its order-2 finite part, exact even-index
-Bernoulli numbers, and the complete elliptic integral K.
+Barnes double zeta at the periods (1, h) for an integer h, with its order-2
+finite part, exact even-index Bernoulli numbers, and the complete elliptic
+integral K.
 
 Everything works in native double precision under one fixed policy.  Each
 evaluator truncates by an explicit first-omitted-correction estimate and
@@ -289,66 +290,63 @@ def log_gamma(z: float) -> float:
 # ---------------------------------------------------------------------------
 
 
-def barnes_zeta2(alpha: float, x: float, omega1: float, omega2: float) -> float:
-    """zeta_2(alpha; x; (omega1, omega2)) = sum_{m1,m2>=0} (x+omega1 m1+omega2 m2)^(-alpha).
+def _check_period(h: int) -> None:
+    if not (h >= 1 and h % 1 == 0):
+        raise ValueError("h must be an integer >= 1")
 
-    For alpha > 2 and positive x, omega1, omega2.  Evaluated as a single sum
-    of Hurwitz values along one period w1, with w2 the other,
-    sum_{m2>=0} w1^(-alpha) zeta(alpha, (x + w2 m2)/w1),
-    truncated after M outer terms with the remainder restored by the
-    Euler-Maclaurin tail in m2 (integral term via the (alpha-1)-Hurwitz
-    antiderivative, half term, Bernoulli corrections).  M grows until the
-    first omitted correction clears REL_TOL.
 
-    The value is symmetric in (omega1, omega2), so the direction is free and
-    the caller's order does not matter: both orders give the same bits.
-    When the larger period is at least 2 SHIFT_THRESHOLD times the smaller,
-    w1 is the long one: the Hurwitz values run along it, and the outer sum
-    along the short w2 starts where its argument in short periods,
-    x/w2 + M, reaches SHIFT_THRESHOLD.  For x >= SHIFT_THRESHOLD w2 that is
-    M = 0, and the whole sum is the tail's Hurwitz values at x/w1.
-    Otherwise w1 is the short one, and M starts where the Hurwitz argument
-    (x + w2 M)/w1 reaches SHIFT_THRESHOLD.
+def barnes_zeta2(alpha: float, x: float, h: int) -> float:
+    """zeta_2(alpha; x; (1, h)) = sum_{m1,m2>=0} (x + m1 + h m2)^(-alpha).
+
+    For alpha > 2, x > 0 and an integer period h >= 1.  Below
+    h = 2 SHIFT_THRESHOLD, splitting m1 = r + h q with r < h turns the q and
+    m2 sums into sum_{n>=0} (n+1) (v_r+n)^(-alpha) with v_r = (x+r)/h, so the
+    value is the multiplication formula
+        h^(-alpha) sum_{r<h} [zeta(alpha-1, v_r) - (v_r-1) zeta(alpha, v_r)],
+    its 2h Hurwitz values summed with one math.fsum.
+
+    From there on it is a single sum of Hurwitz values along h,
+    sum_{m>=0} h^(-alpha) zeta(alpha, (x + m)/h), truncated after M outer
+    terms with the remainder restored by the Euler-Maclaurin tail in m
+    (integral term via the (alpha-1)-Hurwitz antiderivative, half term,
+    Bernoulli corrections).  M starts where x + M reaches SHIFT_THRESHOLD,
+    which is M = 0 for x >= SHIFT_THRESHOLD, and doubles until the first
+    omitted correction clears REL_TOL.
     """
-    if not (x > 0 and omega1 > 0 and omega2 > 0):
-        raise ValueError("x, omega1, omega2 must be positive")
+    _check_period(h)
+    if not x > 0:
+        raise ValueError("x must be positive")
     if not alpha > 2:
         raise ValueError("barnes_zeta2 requires alpha > 2 (order-2 finite part is separate)")
+    h = float(h)
+    if h < 2.0 * SHIFT_THRESHOLD:
+        values = []
+        for r in range(int(h)):
+            v = (x + r) / h
+            values += [hurwitz_zeta(alpha - 1.0, v), -(v - 1.0) * hurwitz_zeta(alpha, v)]
+        return h ** (-alpha) * math.fsum(values)
     coef = _EM_COEFFICIENTS
     half = EM_ORDER // 2
 
-    short, long = min(omega1, omega2), max(omega1, omega2)
-    if long >= 2.0 * SHIFT_THRESHOLD * short:
-        w1, w2 = long, short
-        M = max(0, math.ceil(SHIFT_THRESHOLD - x / w2))
-    else:
-        w1, w2 = short, long
-        M = max(1, math.ceil((SHIFT_THRESHOLD * w1 - x) / w2))
-    # outer terms m2 = 0 .. M-1 summed directly
+    M = max(0, math.ceil(SHIFT_THRESHOLD - x))
+    # outer terms m = 0 .. M-1 summed directly
     direct = 0.0
     m_done = 0
     while True:
         while m_done < M:
-            direct += w1 ** (-alpha) * hurwitz_zeta(alpha, (x + w2 * m_done) / w1)
+            direct += h ** (-alpha) * hurwitz_zeta(alpha, (x + m_done) / h)
             m_done += 1
-        u = (x + w2 * M) / w1
-        tail = w1 ** (1.0 - alpha) * hurwitz_zeta(alpha - 1.0, u) / (w2 * (alpha - 1.0))
-        tail += 0.5 * w1 ** (-alpha) * hurwitz_zeta(alpha, u)
+        u = (x + M) / h
+        tail = h ** (1.0 - alpha) * hurwitz_zeta(alpha - 1.0, u) / (alpha - 1.0)
+        tail += 0.5 * h ** (-alpha) * hurwitz_zeta(alpha, u)
         poch = alpha
         for j in range(1, half + 1):
-            tail += (
-                coef[j]
-                * poch
-                * w2 ** (2 * j - 1)
-                / w1 ** (alpha + 2 * j - 1)
-                * hurwitz_zeta(alpha + 2 * j - 1, u)
-            )
+            tail += coef[j] * poch / h ** (alpha + 2 * j - 1) * hurwitz_zeta(alpha + 2 * j - 1, u)
             poch *= (alpha + 2 * j - 1) * (alpha + 2 * j)
         omitted = (
             abs(coef[half + 1])
             * poch
-            * w2 ** (2 * half + 1)
-            / w1 ** (alpha + 2 * half + 1)
+            / h ** (alpha + 2 * half + 1)
             * hurwitz_zeta(alpha + 2 * half + 1, u)
         )
         value = direct + tail
@@ -361,53 +359,41 @@ def barnes_zeta2(alpha: float, x: float, omega1: float, omega2: float) -> float:
             )
 
 
-def barnes_psi2_2(z: float, omega1: float, omega2: float) -> float:
-    """Finite part of the order-2 pole of the two-parameter Barnes zeta.
+def barnes_psi2_2(z: float, h: int) -> float:
+    """Finite part of the order-2 pole of zeta_2(alpha; z; (1, h)), integer h >= 1.
 
     Computed from the regularized representation
-        -(1/(omega1 omega2)) (1 + log(omega2) + psi(z/omega2))
-        + sum_{m>=0} [ zeta(2, (z+omega2 m)/omega1) / omega1^2
-                       - 1/(omega1 (z+omega2 m)) ],
+        -(1/h) (1 + log(h) + psi(z/h))
+        + sum_{m>=0} [ zeta(2, z + h m) - 1/(z + h m) ],
     whose m-tail from M onward is summed in closed form through the
     zeta(2, u) - 1/u = 1/(2u^2) + sum_j B_{2j} u^(-1-2j) expansion:
-        (1/(2 omega2^2)) zeta(2, z/omega2 + M)
-        + sum_j B_{2j} omega1^(2j-1)/omega2^(2j+1) zeta(2j+1, z/omega2 + M).
-    The representation is symmetric under omega1 <-> omega2 (a test
-    checks this), and at omega1 = omega2 = 1 it collapses to
-    -psi(z) + (1-z) psi'(z).
+        (1/(2 h^2)) zeta(2, z/h + M) + sum_j B_{2j} / h^(2j+1) zeta(2j+1, z/h + M).
+    M starts where z + h M reaches SHIFT_THRESHOLD and doubles until the
+    first omitted correction clears REL_TOL.  At h = 1 the value collapses
+    to -psi(z) + (1-z) psi'(z).
     """
-    if not (z > 0 and omega1 > 0 and omega2 > 0):
-        raise ValueError("barnes_psi2_2 requires positive arguments")
+    _check_period(h)
+    if not z > 0:
+        raise ValueError("z must be positive")
+    h = float(h)  # h^(2j+1) as an int can pass the float range
     bern = _BERNOULLI_FLOAT
     half = EM_ORDER // 2
 
-    base = -(1.0 + math.log(omega2) + digamma(z / omega2)) / (omega1 * omega2)
-    m_start = max(1, math.ceil((SHIFT_THRESHOLD * omega1 - z) / omega2))
+    base = -(1.0 + math.log(h) + digamma(z / h)) / h
+    M = max(1, math.ceil((SHIFT_THRESHOLD - z) / h))
     direct = 0.0
     m_done = 0
-    M = m_start
-    inv_w1sq = 1.0 / (omega1 * omega1)
     while True:
         while m_done < M:
-            arg = z + omega2 * m_done
-            direct += inv_w1sq * hurwitz_zeta(2.0, arg / omega1) - 1.0 / (
-                omega1 * arg
-            )
+            arg = z + h * m_done
+            direct += hurwitz_zeta(2.0, arg) - 1.0 / arg
             m_done += 1
-        v = z / omega2 + M
-        tail = 0.5 / (omega2 * omega2) * hurwitz_zeta(2.0, v)
+        v = z / h + M
+        tail = 0.5 / (h * h) * hurwitz_zeta(2.0, v)
         for j in range(1, half + 1):
-            tail += (
-                bern[2 * j]
-                * omega1 ** (2 * j - 1)
-                / omega2 ** (2 * j + 1)
-                * hurwitz_zeta(2 * j + 1.0, v)
-            )
+            tail += bern[2 * j] / h ** (2 * j + 1) * hurwitz_zeta(2 * j + 1.0, v)
         omitted = (
-            abs(bern[2 * half + 2])
-            * omega1 ** (2 * half + 1)
-            / omega2 ** (2 * half + 3)
-            * hurwitz_zeta(2 * half + 3.0, v)
+            abs(bern[2 * half + 2]) / h ** (2 * half + 3) * hurwitz_zeta(2 * half + 3.0, v)
         )
         value = base + direct + tail
         if TAIL_SAFETY * omitted <= REL_TOL * max(abs(value), ABS_FLOOR):

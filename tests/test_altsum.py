@@ -390,6 +390,11 @@ class TestZnMgf:
         want = math.exp(360.0 - math.log(2.0))
         assert zn_mgf(360.0, 1) == pytest.approx((want, want), rel=1e-13)
 
+    def test_value_past_the_float_range_raises(self):
+        # log E[e^(100 Z_3)] is about 1098, past the log of the largest double
+        with pytest.raises(ValueError, match="past the float range"):
+            zn_mgf(100.0, 3)
+
     def test_rejects_nonpositive_level(self):
         with pytest.raises(ValueError):
             zn_mgf(0.5, 0)

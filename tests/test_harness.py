@@ -51,7 +51,6 @@ EXPECTED_IDS = [
     "thm6.2",
     "thm6.6",
     "thm6.8",
-    "putnam-2log2",
     "base-relation",
     "recover-jinfty",
 ]

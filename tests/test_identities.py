@@ -106,9 +106,9 @@ _FINITE_SUM_CHECKS = [
     ("alpha-negative", (2, 2, -1.5, 0.0), "alpha must be > 0"),
 ]
 _BARNES_CHECKS = [
-    ("x", (3.0, 0.0, 1.0, 1.0), "x, omega1, omega2 must be positive"),
-    ("omega1", (3.0, 1.0, 0.0, 1.0), "x, omega1, omega2 must be positive"),
-    ("omega2", (3.0, 1.0, 1.0, -2.0), "x, omega1, omega2 must be positive"),
+    ("x", (3.0, 0.0, 1), "x must be positive"),
+    ("h-zero", (3.0, 1.0, 0), "h must be an integer >= 1"),
+    ("h-fraction", (3.0, 1.0, 2.5), "h must be an integer >= 1"),
 ]
 
 
@@ -119,6 +119,7 @@ _BARNES_CHECKS = [
         for fn, checks in [
             (finite_zeta_diff_closed, _FINITE_SUM_CHECKS),
             (finite_zeta_diff_direct, _FINITE_SUM_CHECKS),
+            (finite_barnes_closed, _FINITE_SUM_CHECKS),
             (barnes_zeta2, _BARNES_CHECKS),
         ]
         for name, args, message in checks
@@ -581,8 +582,8 @@ class TestFiniteBarnes:
                 want_hurwitz += [z + k * step for k in range(1, count + 1)]
             else:
                 want_barnes += [
-                    (alpha, z + step, 1.0, step),
-                    (alpha, z + step + top, 1.0, step),
+                    (alpha, z + step, b**l),
+                    (alpha, z + step + top, b**l),
                 ]
         assert sorted(hurwitz) == sorted(want_hurwitz)
         assert barnes == want_barnes  # two distinct values per level above the switch

@@ -148,9 +148,9 @@ class TestTermBudget:
         "call",
         [
             lambda: digamma(0.5),
-            lambda: barnes_psi2_2(0.5, 1.0, 2.0),
+            lambda: barnes_psi2_2(0.5, 2),
             lambda: hurwitz_zeta(2.0, 0.5),
-            lambda: barnes_zeta2(3.0, 0.5, 1.0, 2.0),
+            lambda: barnes_zeta2(3.0, 0.5, 32),
         ],
         ids=["digamma", "barnes_psi2_2", "hurwitz_zeta", "barnes_zeta2"],
     )
@@ -379,46 +379,51 @@ class TestLogGammaAndBeta:
 
 class TestBarnesZeta2:
     def test_rank_one_reduction(self):
-        """zeta_2(a, z+1, (1,1)) == -z zeta(a, z+1) + zeta(a-1, z+1)."""
+        """zeta_2(a, z+1; 1, 1) == -z zeta(a, z+1) + zeta(a-1, z+1)."""
         for alpha, z in [(3.0, 0.7), (2.5, 0.7), (4.5, 2.3)]:
-            got = barnes_zeta2(alpha, z + 1.0, 1.0, 1.0)
+            got = barnes_zeta2(alpha, z + 1.0, 1)
             want = -z * hurwitz_zeta(alpha, z + 1.0) + hurwitz_zeta(alpha - 1.0, z + 1.0)
             np.testing.assert_allclose(got, want, rtol=1e-11)
 
     def test_basel_specialization(self):
-        got = barnes_zeta2(3.0, 1.0, 1.0, 1.0)
+        got = barnes_zeta2(3.0, 1.0, 1)
         np.testing.assert_allclose(got, math.pi**2 / 6, rtol=1e-11)
 
     def test_bracketing_row_oracle(self):
-        """Row sums via mpmath zeta plus integral bracket pin the value."""
-        for alpha, x, w1, w2 in [(2.5, 2.0, 1.0, 4.0), (3.5, 0.3, 2.0, 3.0)]:
-            rows = 3000
-            partial = mp.mpf(0)
-            for m2 in range(rows):
-                partial += w1 ** (-alpha) * mp.zeta(alpha, (x + w2 * m2) / w1)
-            u = (x + w2 * rows) / w1
-            integral = w1 ** (1 - alpha) * mp.zeta(alpha - 1, u) / (w2 * (alpha - 1))
-            row_at_edge = w1 ** (-alpha) * mp.zeta(alpha, u)
-            lower = float(partial + integral)
-            upper = float(partial + integral + row_at_edge)
-            got = barnes_zeta2(alpha, x, w1, w2)
-            assert lower - 1e-10 <= got <= upper + 1e-10
+        """Row sums via mpmath zeta plus an integral bracket pin the value.
+
+        The rows f(m) = zeta(alpha, x + h m) are convex and decreasing in m, so
+        the rows from R on lie between the trapezoid bound int_R f + f(R)/2
+        and the midpoint bound int_(R-1/2) f, where int_c f is
+        zeta(alpha-1, x + h c) / (h (alpha-1)).  No multiplication formula
+        is involved.
+        """
+        cases = [(2.5, 2.0, 4)] + [
+            (alpha, 0.5 + h, h) for alpha, h in [(2.5, 2), (3.5, 3), (2.5, 16), (3.5, 27), (4.0, 31)]
+        ]
+        rows = 400
+        for alpha, x, h in cases:
+            a = mp.mpf(alpha)
+            partial = mp.fsum(mp.zeta(a, x + h * m) for m in range(rows))
+
+            def integral(c):
+                return mp.zeta(a - 1, x + h * c) / (h * (a - 1))
+
+            lower = float(partial + integral(rows) + mp.zeta(a, x + h * rows) / 2)
+            upper = float(partial + integral(rows - mp.mpf(0.5)))
+            got = barnes_zeta2(alpha, x, h)
+            assert lower * (1 - 1e-12) <= got <= upper * (1 + 1e-12), (alpha, x, h)
 
     def test_finite_double_loop_lower_bound(self):
         m1 = np.arange(2000, dtype=np.float64)[:, None]
         m2 = np.arange(2000, dtype=np.float64)[None, :]
         partial = float(np.sum((2.0 + 1.0 * m1 + 4.0 * m2) ** -2.5))
-        got = barnes_zeta2(2.5, 2.0, 1.0, 4.0)
+        got = barnes_zeta2(2.5, 2.0, 4)
         assert got > partial
-
-    def test_reorder_invariance(self):
-        """The order the periods are given in changes no bit."""
-        for alpha, x, w1, w2 in [(3.0, 1.0, 1.0, 2.0), (2.5, 2.0, 1.0, 4.0), (3.5, 0.4, 0.7, 1.9)]:
-            assert barnes_zeta2(alpha, x, w1, w2) == barnes_zeta2(alpha, x, w2, w1)
 
     def test_rejects_low_alpha(self):
         with pytest.raises(ValueError):
-            barnes_zeta2(2.0, 1.0, 1.0, 1.0)
+            barnes_zeta2(2.0, 1.0, 1)
 
 
 def _barnes_level_reference(alpha, x, h):
@@ -440,36 +445,37 @@ def _barnes_level_reference(alpha, x, h):
 # fixed before measuring: the truncation the stop rule admits
 # (rel_tol / tail_safety), and as much again for rounding
 LEVEL_BOUND = 2 * REL_TOL / TAIL_SAFETY
-SWITCH = 2 * SHIFT_THRESHOLD  # period ratio from which the long period goes first
+SWITCH = int(2 * SHIFT_THRESHOLD)  # the period from which the long route is taken
 
-# h on both sides of the switch; the full alpha x z grid up to 64, and one
-# point per alpha and per z above it, where each reference costs 2h zetas
-_LEVEL_CASES = [
-    (h, alpha, z)
-    for h in (8, 16, 27, 31, 32, 33, 64)
-    for alpha in (2.5, 3.5, 4.0)
-    for z in (0.0, 0.5, 1.0)
-] + [(243, 2.5, 0.5), (243, 4.0, 0.0), (729, 3.5, 1.0)]
+# h on both sides of the switch; the full alpha x z grid up to 64, every h up
+# to the switch at alpha = 2.01 (zeta(alpha - 1, v) near its pole) and at 7,
+# and one point per alpha and per z above 64, where each reference costs 2h zetas
+_LEVEL_CASES = (
+    [
+        (h, alpha, z)
+        for h in (8, 16, 27, 31, 32, 33, 64)
+        for alpha in (2.5, 3.5, 4.0)
+        for z in (0.0, 0.5, 1.0)
+    ]
+    + [(h, alpha, 0.5) for h in range(1, SWITCH + 2) for alpha in (2.01, 7.0)]
+    + [(243, 2.5, 0.5), (243, 4.0, 0.0), (729, 3.5, 1.0)]
+)
 
 
 class TestBarnesDirection:
-    """Level terms zeta_2(alpha, z + h; 1, h) on both sides of the direction switch."""
+    """Level terms zeta_2(alpha, z + h; 1, h) on both sides of the route switch:
+    the multiplication formula below SWITCH, the long-period sum from it on."""
 
     @pytest.mark.parametrize("h, alpha, z", _LEVEL_CASES)
     def test_level_term_against_mpmath(self, h, alpha, z):
-        got = barnes_zeta2(alpha, z + h, 1.0, float(h))
+        got = barnes_zeta2(alpha, z + h, h)
         want = _barnes_level_reference(alpha, z + h, h)
         assert abs(got - want) <= LEVEL_BOUND * abs(want), float(abs(got - want) / want)
 
-    @pytest.mark.parametrize("h", [16, 31, 32, 33, 100])
-    @pytest.mark.parametrize("x", [0.1, 1.5, 40.5])
-    def test_period_swap_across_the_switch(self, h, x):
-        assert barnes_zeta2(3.5, x, 1.0, float(h)) == barnes_zeta2(3.5, x, float(h), 1.0)
-
     def test_small_argument_at_ratio_one_hundred(self):
-        # x / omega_short = 0.1: the long-first sum starts at M = 16
+        # x = 0.1: the long-period sum starts at M = 16
         for alpha in (2.5, 4.0):
-            got = barnes_zeta2(alpha, 0.1, 1.0, 100.0)
+            got = barnes_zeta2(alpha, 0.1, 100)
             want = _barnes_level_reference(alpha, 0.1, 100)
             assert abs(got - want) <= LEVEL_BOUND * abs(want)
 
@@ -483,30 +489,27 @@ class TestBarnesDirection:
         monkeypatch.setattr(specfun, "hurwitz_zeta", counted)
         return barnes_zeta2(*args), seen
 
-    @pytest.mark.parametrize("w1, w2", [(31.0, 1.0), (1.0, 31.0)])
-    def test_short_period_first_below_the_switch(self, monkeypatch, w1, w2):
-        # either order runs the Hurwitz values along the short period, 25 of
-        # them; along the long one it would take 503
-        _, seen = self._counted(monkeypatch, 3.5, 0.1, w1, w2)
-        assert len(seen) == 25
+    @pytest.mark.parametrize("h", [1, 2, 16, SWITCH - 1])
+    def test_formula_takes_two_values_per_residue(self, monkeypatch, h):
+        # below the switch: zeta(alpha - 1, v_r) and zeta(alpha, v_r) for each r < h
+        _, seen = self._counted(monkeypatch, 3.5, 1.0 + h, h)
+        assert len(seen) == 2 * h
 
     @pytest.mark.parametrize("alpha", [2.5, 4.0])
     def test_long_ratio_converges_at_m_zero(self, monkeypatch, alpha):
-        # x / omega_short >= SHIFT_THRESHOLD: no outer term is summed directly;
-        # the tail's EM_ORDER/2 + 2 values and the first omitted correction's
-        # one, all at x / omega_long
+        # x >= SHIFT_THRESHOLD: no outer term is summed directly; the tail's
+        # EM_ORDER/2 + 2 values and the first omitted correction's one, all at x / h
         h = SWITCH
-        value, seen = self._counted(monkeypatch, alpha, 1.0 + h, 1.0, h)
+        _, seen = self._counted(monkeypatch, alpha, 1.0 + h, h)
         assert len(seen) == EM_ORDER // 2 + 3
         assert set(seen) == {(1.0 + h) / h}
-        assert value == barnes_zeta2(alpha, 1.0 + h, h, 1.0)
 
     def test_doubling_leaves_m_zero(self, monkeypatch):
-        # at x / omega_short = SHIFT_THRESHOLD exactly, M = 0 does not converge
-        # for alpha = 3, so M must move on to 1, 2, 4, ...
-        value, seen = self._counted(monkeypatch, 3.0, SHIFT_THRESHOLD, 1.0, SWITCH)
+        # at x = SHIFT_THRESHOLD exactly, M = 0 does not converge for alpha = 3,
+        # so M must move on to 1, 2, 4, ...
+        value, seen = self._counted(monkeypatch, 3.0, SHIFT_THRESHOLD, SWITCH)
         assert len(seen) > EM_ORDER // 2 + 3
-        want = _barnes_level_reference(3.0, SHIFT_THRESHOLD, int(SWITCH))
+        want = _barnes_level_reference(3.0, SHIFT_THRESHOLD, SWITCH)
         assert abs(value - want) <= LEVEL_BOUND * abs(want)
 
 
@@ -514,35 +517,34 @@ class TestBarnesFinitePart:
     def test_unit_periods_closed_form(self):
         """At (1,1) the finite part is -psi(z) + (1-z) psi'(z)."""
         for z in (1.3, 0.6, 2.8):
-            got = barnes_psi2_2(z, 1.0, 1.0)
+            got = barnes_psi2_2(z, 1)
             want = -digamma(z) + (1.0 - z) * float(mp.polygamma(1, z))
             np.testing.assert_allclose(got, want, rtol=1e-11)
 
     def test_euler_gamma_specialization(self):
-        np.testing.assert_allclose(barnes_psi2_2(1.0, 1.0, 1.0), EULER_GAMMA, rtol=1e-11)
+        np.testing.assert_allclose(barnes_psi2_2(1.0, 1), EULER_GAMMA, rtol=1e-11)
 
     def test_pole_limit_oracle(self):
         """Richardson extrapolation of zeta_2(2+eps) - pole reproduces it."""
-        for z, w1, w2 in [(0.5, 1.0, 2.0), (1.3, 1.0, 1.0), (0.7, 2.5, 0.6)]:
+        for z, h in [(0.5, 2), (1.3, 1)]:
             e1, e2 = 1e-4, 1e-5
-            f1 = barnes_zeta2(2 + e1, z, w1, w2) - 1 / (w1 * w2 * e1)
-            f2 = barnes_zeta2(2 + e2, z, w1, w2) - 1 / (w1 * w2 * e2)
+            f1 = barnes_zeta2(2 + e1, z, h) - 1 / (h * e1)
+            f2 = barnes_zeta2(2 + e2, z, h) - 1 / (h * e2)
             extrapolated = (e1 * f2 - e2 * f1) / (e1 - e2)
-            got = barnes_psi2_2(z, w1, w2)
+            got = barnes_psi2_2(z, h)
             np.testing.assert_allclose(got, extrapolated, rtol=1e-4)
 
-    def test_period_swap_symmetry(self):
-        for z, w1, w2 in [(0.5, 1.0, 2.0), (1.1, 0.3, 1.7)]:
-            np.testing.assert_allclose(
-                barnes_psi2_2(z, w1, w2), barnes_psi2_2(z, w2, w1), rtol=1e-11
-            )
-
-    def test_scaling_law(self):
-        """FP(l x, l w1, l w2) == l^-2 (FP(x,w1,w2) - log(l)/(w1 w2))."""
-        z, w1, w2, lam = 0.8, 1.0, 2.0, 3.0
-        lhs = barnes_psi2_2(lam * z, lam * w1, lam * w2)
-        rhs = lam**-2 * (barnes_psi2_2(z, w1, w2) - math.log(lam) / (w1 * w2))
-        np.testing.assert_allclose(lhs, rhs, rtol=1e-11)
+    @pytest.mark.parametrize("h", [2, 3, 8, 31, 32, 81])
+    def test_multiplication_formula_at_integer_periods(self, h):
+        """FP(x; 1, h) == h^-2 sum_{r<h} [-psi(v_r) - (v_r-1) zeta(2, v_r)] - log(h)/h
+        with v_r = (x+r)/h, at 30 digits from the exact doubles."""
+        for x in (0.25, 1.0, 0.25 + h, 2.5 + h):
+            want = mp.fsum(
+                -mp.digamma(v) - (v - 1) * mp.zeta(2, v)
+                for v in ((mp.mpf(x) + r) / h for r in range(h))
+            ) / h**2 - mp.log(h) / h
+            got = barnes_psi2_2(x, h)
+            assert abs(got - want) <= REL_TOL * abs(want), (x, float(abs(got - want) / want))
 
 
 class TestEllipticK:
@@ -627,34 +629,35 @@ def _factorial_loop_hurwitz(alpha, z):
         target *= 2.0
 
 
-def _factorial_loop_barnes(a, x, w1, w2):
-    # barnes_zeta2 as written with an inline B_2j / (2j)!, on the loop above
+def _factorial_loop_barnes(a, x, h):
+    # barnes_zeta2's long route as written with an inline B_2j / (2j)!, on the loop above
     bern = [float(bernoulli_even(n)) if n else 1.0 for n in range(0, 17, 2)]
     half = EM_ORDER // 2
+    h = float(h)
     direct, m_done = 0.0, 0
-    M = max(1, math.ceil((SHIFT_THRESHOLD * w1 - x) / w2))
+    M = max(0, math.ceil(SHIFT_THRESHOLD - x))
     while True:
         while m_done < M:
-            direct += w1 ** (-a) * _factorial_loop_hurwitz(a, (x + w2 * m_done) / w1)
+            direct += h ** (-a) * _factorial_loop_hurwitz(a, (x + m_done) / h)
             m_done += 1
-        u = (x + w2 * M) / w1
-        tail = w1 ** (1.0 - a) * _factorial_loop_hurwitz(a - 1.0, u) / (w2 * (a - 1.0))
-        tail += 0.5 * w1 ** (-a) * _factorial_loop_hurwitz(a, u)
+        u = (x + M) / h
+        tail = h ** (1.0 - a) * _factorial_loop_hurwitz(a - 1.0, u) / (a - 1.0)
+        tail += 0.5 * h ** (-a) * _factorial_loop_hurwitz(a, u)
         poch = a
         for j in range(1, half + 1):
             tail += (
-                bern[j] / math.factorial(2 * j) * poch * w2 ** (2 * j - 1)
-                / w1 ** (a + 2 * j - 1) * _factorial_loop_hurwitz(a + 2 * j - 1, u)
+                bern[j] / math.factorial(2 * j) * poch
+                / h ** (a + 2 * j - 1) * _factorial_loop_hurwitz(a + 2 * j - 1, u)
             )
             poch *= (a + 2 * j - 1) * (a + 2 * j)
         omitted = (
-            abs(bern[half + 1]) / math.factorial(2 * half + 2) * poch * w2 ** (2 * half + 1)
-            / w1 ** (a + 2 * half + 1) * _factorial_loop_hurwitz(a + 2 * half + 1, u)
+            abs(bern[half + 1]) / math.factorial(2 * half + 2) * poch
+            / h ** (a + 2 * half + 1) * _factorial_loop_hurwitz(a + 2 * half + 1, u)
         )
         value = direct + tail
         if TAIL_SAFETY * omitted <= REL_TOL * max(abs(value), ABS_FLOOR):
             return value
-        M *= 2
+        M = max(1, 2 * M)
 
 
 class TestEulerMaclaurinCoefficients:
@@ -670,8 +673,6 @@ class TestEulerMaclaurinCoefficients:
     def test_barnes_zeta2_bitwise_on_a_seeded_grid(self):
         rng = np.random.default_rng(6479)
         for _ in range(6):
-            a, x = rng.uniform(2.05, 7.0), rng.uniform(0.1, 5.0)
-            w1, w2 = rng.uniform(0.3, 4.0, size=2).tolist()
-            # below the switch the short period goes first, as in barnes_zeta2
-            want = _factorial_loop_barnes(a, x, min(w1, w2), max(w1, w2))
-            assert barnes_zeta2(a, x, w1, w2) == want, (a, x, w1, w2)
+            a, x = rng.uniform(2.05, 7.0), rng.uniform(0.1, 40.0)
+            h = int(rng.integers(SWITCH, 1000))  # the long route, which takes the weights
+            assert barnes_zeta2(a, x, h) == _factorial_loop_barnes(a, x, h), (a, x, h)
