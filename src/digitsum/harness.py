@@ -477,7 +477,19 @@ def _run_mgf_consistency(params):
     z, N = params["z"], params["N"]
     by_level, by_scale = altsum.zn_mgf(z, N)
     masses = altsum.zn_pmf(N)
-    transform = sum(float(m) * math.exp(z * k) for k, m in enumerate(masses))
+    try:
+        transform = sum(float(m) * math.exp(z * k) for k, m in enumerate(masses))
+    except OverflowError:
+        # a term e^(zk) passes the float range before the transform does: sum
+        # with the largest exponent, z k at the last k, factored out in log space
+        top = z * (len(masses) - 1)
+        rest = sum(float(m) * math.exp(z * k - top) for k, m in enumerate(masses))
+        try:
+            transform = math.exp(top + math.log(rest))
+        except OverflowError:
+            raise ValueError(
+                f"mgf-consistency: E[e^(z Z_N)] at z = {z}, N = {N} is past the float range"
+            ) from None
     scale = max(abs(by_level), abs(by_scale), abs(transform))
     # the worse of the two comparisons decides
     worst = max(abs(by_level - by_scale), abs(by_level - transform))

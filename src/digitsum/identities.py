@@ -30,6 +30,7 @@ from .specfun import (
     digamma,
     dirichlet_eta,
     elliptic_K,
+    hurwitz_difference,
     hurwitz_zeta,
     log_gamma,
     stirling_beta,
@@ -91,24 +92,16 @@ def finite_zeta_diff_direct(b: int, p: int, alpha: float, z: float) -> float:
 def finite_zeta_diff_closed(b: int, p: int, alpha: float, z: float) -> float:
     """Telescoped closed form of finite_zeta_diff_direct, on the same domain.
 
-    Generic order: sum_{l=0}^{p-1} b^(-a l) D_l - sum_{l=1}^{p} b^(1-a l) D_l
-    with D_l = zeta(a, 1 + z/b^l) - zeta(a, 1 + (z+b^p)/b^l); at a = 1 the
-    differences collapse to digamma values instead.
+    sum_{l=0}^{p-1} b^(-a l) D_l - sum_{l=1}^{p} b^(1-a l) D_l with
+    D_l = zeta(a, 1 + z/b^l) - zeta(a, 1 + (z+b^p)/b^l), a hurwitz_difference,
+    which at a = 1 is its digamma limit.
     """
     _check_finite_sum(b, p, alpha, z)
     top = float(b**p)
 
-    if alpha == 1.0:
-        # order-1 collapse: the zeta difference becomes a reversed digamma one
-        def diff(l: int) -> float:
-            scale = float(b) ** l
-            return digamma(1.0 + (z + top) / scale) - digamma(1.0 + z / scale)
-    else:
-        def diff(l: int) -> float:
-            scale = float(b) ** l
-            return hurwitz_zeta(alpha, 1.0 + z / scale) - hurwitz_zeta(
-                alpha, 1.0 + (z + top) / scale
-            )
+    def diff(l: int) -> float:
+        scale = float(b) ** l
+        return hurwitz_difference(alpha, 1.0 + z / scale, 1.0 + (z + top) / scale)
 
     # levels 1 .. p-1 enter both sums: compute each difference once
     diffs = [diff(l) for l in range(p + 1)]
@@ -127,22 +120,9 @@ def binary_corollary_closed(p: int, alpha: float, z: float) -> float:
     total = 0.0
     for l in range(p):
         scale = float(2 ** (l + 1))
-        if alpha == 1.0:
-            bracket = (
-                -digamma(0.5 + z / scale)
-                + digamma(1.0 + z / scale)
-                + digamma(0.5 + (z + top) / scale)
-                - digamma(1.0 + (z + top) / scale)
-            )
-            total += bracket / scale
-        else:
-            bracket = (
-                hurwitz_zeta(alpha, 0.5 + z / scale)
-                - hurwitz_zeta(alpha, 1.0 + z / scale)
-                - hurwitz_zeta(alpha, 0.5 + (z + top) / scale)
-                + hurwitz_zeta(alpha, 1.0 + (z + top) / scale)
-            )
-            total += scale**-alpha * bracket
+        near = hurwitz_difference(alpha, 0.5 + z / scale, 1.0 + z / scale)
+        far = hurwitz_difference(alpha, 0.5 + (z + top) / scale, 1.0 + (z + top) / scale)
+        total += scale**-alpha * (near - far)
     return total
 
 
@@ -252,29 +232,25 @@ def infinite_zeta_diff(b: int, alpha: float, z: float) -> float:
 def j_infinity(b: int, x: float) -> float:
     """sum_{n>=1} s_b(n)/((x+n)(x+n+1)) in closed digamma form.
 
-    (b/(b-1)) log b + sum_{l>=0} b^-l [psi(x/b^(l+1)) - psi(x/b^l)
-    + (b-1) b^l / x]; the bracket cancels the digamma poles so each term
-    is O(x b^(-2l)).  x = 0 returns the limit value outright.
-
-    The pole cancellation costs absolute accuracy ~ eps/x, so for
-    0 < x < 1e-6 prefer the Taylor coefficients.
+    (b/(b-1)) log b + sum_{l>=0} b^-l [psi(1 + x/b^(l+1)) - psi(1 + x/b^l)].
+    The printed bracket psi(x/b^(l+1)) - psi(x/b^l) + (b-1) b^l / x is the
+    same, since psi(w) = psi(1+w) - 1/w (DLMF 5.5.2), but here no pole is
+    left to cancel: each term is O(x b^(-2l)) to full relative accuracy, and
+    at x = 0 every term is 0 - 0.
     """
     if b < 2:
         raise ValueError("base must be >= 2")
     if x < 0:
         raise ValueError("x must be >= 0")
-    base_value = b / (b - 1.0) * math.log(b)
-    if x == 0.0:
-        return base_value
-    psi = [digamma(x)]  # psi(x / b^l) at the levels so far, each taken once
+    psi = [digamma(1.0 + x)]  # psi(1 + x / b^l) at the levels so far, each taken once
 
     def term(l: int) -> float:
-        psi.append(digamma(x / float(b) ** (l + 1)))
-        return float(b) ** (-l) * (psi[-1] - psi[-2] + (b - 1.0) * float(b) ** l / x)
+        psi.append(digamma(1.0 + x / float(b) ** (l + 1)))
+        return float(b) ** (-l) * (psi[-1] - psi[-2])
 
     # once in the small-argument regime the terms shrink like b^-2l
     tail = lambda l, t: abs(t) / (b * b - 1.0) if x / float(b) ** l < 1.0 else math.inf
-    return _level_series("j_infinity", b, term, tail, 0, base_value)
+    return _level_series("j_infinity", b, term, tail, 0, b / (b - 1.0) * math.log(b))
 
 
 def j_infinity_taylor_coeff(b: int, n: int) -> float:
@@ -426,16 +402,22 @@ def infinite_barnes(b: int, alpha: float, z: float) -> float:
 # ---------------------------------------------------------------------------
 
 
-def _regularized_order2_assembly(b: int, z: float) -> float:
-    """Pole-cancelled order-2 assembly from the Barnes finite parts.
+def digit_zeta_2(b: int, z: float) -> float:
+    """sum_{n>=1} s_b(n)/(n+z)^2 from the regularized Barnes assembly.
 
-    FP(z+1, 1, 1) + (1-b) sum_{l>=1} FP(z+b^l, 1, b^l), the term-by-term
-    alpha -> 2 limit of the closed infinite_barnes form (the simple poles
-    cancel because (1-b) sum b^-l = -1).  A literal per-level transcription
-    of the printed formula is not usable: its level terms tend to -1 - psi(z)
-    instead of 0, so that series diverges.
+    FP(z+1; 1, 1) + (1-b) sum_{l>=1} FP(z+b^l; 1, b^l), with FP the finite
+    part barnes_psi2_2: the term-by-term alpha -> 2 limit of the closed
+    infinite_barnes form (the simple poles cancel because (1-b) sum b^-l = -1).
+    Level 0 is FP(z+1; 1, 1) = -psi(z+1) - z psi'(z+1) in closed form, with
+    psi'(w) = zeta(2, w).  A literal per-level transcription of the printed
+    formula is not usable: its level terms tend to -1 - psi(z) instead of 0,
+    so that series diverges.
     """
-    total = barnes_psi2_2(z + 1.0, 1)
+    if b < 2:
+        raise ValueError("base must be >= 2")
+    if not z > 0:
+        raise ValueError("z must be positive")
+    total = -digamma(z + 1.0) - z * hurwitz_zeta(2.0, z + 1.0)
 
     def term(l: int) -> float:
         return (1 - b) * barnes_psi2_2(z + float(b) ** l, b**l)
@@ -444,15 +426,6 @@ def _regularized_order2_assembly(b: int, z: float) -> float:
     # is about b times the size (2 + (l+1) log b) b^-(l+1) of the next one
     tail = lambda l, t: (2.0 + (l + 1) * math.log(b)) / float(b) ** l
     return _level_series("order-2", b, term, tail, 1, total)
-
-
-def digit_zeta_2(b: int, z: float) -> float:
-    """sum_{n>=1} s_b(n)/(n+z)^2 from the regularized Barnes assembly."""
-    if b < 2:
-        raise ValueError("base must be >= 2")
-    if not z > 0:
-        raise ValueError("z must be positive")
-    return _regularized_order2_assembly(b, z)
 
 
 # ---------------------------------------------------------------------------

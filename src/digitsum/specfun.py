@@ -1,7 +1,8 @@
 """Real special functions used by the closed forms.
 
 Digamma, Hurwitz zeta (analytically continued in the order; the Riemann
-zeta is hurwitz_zeta(s, 1)), Dirichlet eta, Stirling beta, log-gamma, the
+zeta is hurwitz_zeta(s, 1)), the difference of two Hurwitz zetas with its
+alpha = 1 limit, Dirichlet eta, Stirling beta, log-gamma, the
 Barnes double zeta at the periods (1, h) for an integer h, with its order-2
 finite part, exact even-index Bernoulli numbers, and the complete elliptic
 integral K.
@@ -29,6 +30,7 @@ __all__ = [
     "bernoulli_even",
     "digamma",
     "hurwitz_zeta",
+    "hurwitz_difference",
     "dirichlet_eta",
     "stirling_beta",
     "alternating_hurwitz",
@@ -218,6 +220,19 @@ def hurwitz_zeta(alpha: float, z: float) -> float:
         target *= 2.0
 
 
+def hurwitz_difference(alpha: float, a: float, c: float) -> float:
+    """zeta(alpha, a) - zeta(alpha, c) for alpha > 0 and a, c > 0.
+
+    At alpha = 1 both zetas have the pole 1/(alpha-1), and since
+    zeta(s, a) = 1/(s-1) - psi(a) + O(s-1) (DLMF 25.11) the difference is
+    exactly psi(c) - psi(a) there.  Either two Hurwitz values or two digamma
+    values, never both, so digamma stays free of hurwitz_zeta.
+    """
+    if alpha == 1:
+        return digamma(c) - digamma(a)
+    return hurwitz_zeta(alpha, a) - hurwitz_zeta(alpha, c)
+
+
 def dirichlet_eta(alpha: float) -> float:
     """eta(alpha) = (1 - 2^(1-alpha)) zeta(alpha); eta(1) = ln 2."""
     if not alpha > 0:
@@ -238,7 +253,8 @@ def alternating_hurwitz(alpha: float, w: float) -> float:
     """sum_{n>=1} (-1)^n / (w+n)^alpha for alpha > 0, w > 0.
 
     Splitting the sum into even and odd n gives
-    2^(-alpha) [zeta(alpha, w/2 + 1) - zeta(alpha, (w+1)/2)]; the even/odd
+    2^(-alpha) [zeta(alpha, w/2 + 1) - zeta(alpha, (w+1)/2)], a
+    hurwitz_difference, so alpha = 1 takes its digamma limit; the even/odd
     split fixes the bracket order (checked against the direct alternating
     sum in the tests).
     """
@@ -246,12 +262,7 @@ def alternating_hurwitz(alpha: float, w: float) -> float:
         raise ValueError("alternating_hurwitz requires alpha > 0")
     if not w > 0:
         raise ValueError("alternating_hurwitz requires w > 0")
-    if alpha == 1.0:
-        # telescoped even/odd split; the zeta poles cancel in the bracket
-        return 0.5 * (digamma((w + 1.0) / 2.0) - digamma(w / 2.0 + 1.0))
-    return 2.0 ** (-alpha) * (
-        hurwitz_zeta(alpha, w / 2.0 + 1.0) - hurwitz_zeta(alpha, (w + 1.0) / 2.0)
-    )
+    return 2.0 ** (-alpha) * hurwitz_difference(alpha, w / 2.0 + 1.0, (w + 1.0) / 2.0)
 
 
 # ---------------------------------------------------------------------------

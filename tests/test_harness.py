@@ -21,7 +21,7 @@ from digitsum.harness import (
     run_all,
     run_suite,
 )
-from digitsum.lambert import lambert_gf_finite
+from digitsum.lambert import lambert_gf, lambert_gf_finite
 
 EXPECTED_IDS = [
     "thm2.1",
@@ -277,6 +277,18 @@ class TestPassRule:
         report = run.reports[0]
         assert report.rel_err > 1e-12
         assert report.abs_err > abs(report.lhs - report.rhs)
+
+    def test_mgf_consistency_with_terms_past_the_float_range(self):
+        # e^(710) overflows, but the transform (1 + e^710)/2 = e^709.3 does not
+        (report,) = run_suite(GridSpec("mgf-consistency", {"z": [710.0], "N": [1]})).reports
+        assert report.passed
+        assert math.isfinite(report.rhs) and report.rhs > 1e308
+
+    def test_mgf_consistency_transform_past_the_float_range(self, monkeypatch):
+        # a transform past the float range is a domain error, not an OverflowError
+        monkeypatch.setattr(altsum, "zn_mgf", lambda z, N: (1.0, 1.0))
+        with pytest.raises(ValueError, match="past the float range"):
+            run_suite(GridSpec("mgf-consistency", {"z": [800.0], "N": [1]}))
 
 
 class TestEmitReport:
@@ -594,3 +606,31 @@ class TestCli:
 
     def test_gf_full_series_needs_contraction(self):
         assert self.invoke("gf", "--base", "2", "--z", "1.5").exit_code != 0
+
+    def test_gf_full_series(self):
+        result = self.invoke("gf", "--base", "2", "--z", "0.5")
+        assert result.exit_code == 0
+        assert result.output == format(lambert_gf(2, 0.5), ".17g") + "\n"
+
+    def test_gf_full_series_at_the_unit_circle(self):
+        result = self.invoke("gf", "--base", "2", "--z", "1")
+        assert result.exit_code == 1
+        assert result.output == "Error: the full series needs |z| < 1\n"
+
+    def test_eval_parameter_without_value(self):
+        result = self.invoke("eval", "thm2.1", "-p", "b")
+        assert result.exit_code == 1
+        assert result.output == "Error: --param needs name=value, got 'b'\n"
+
+    def test_verify_grid_file_must_be_an_object(self, tmp_path):
+        grid = tmp_path / "grid.json"
+        grid.write_text(json.dumps([{"b": [2]}]))
+        result = self.invoke("verify", "--suite", "thm2.1", "--grid", str(grid))
+        assert result.exit_code == 1
+        assert result.output == "Error: grid file must be a JSON object\n"
+
+    def test_eval_mgf_consistency_past_the_float_range(self, monkeypatch):
+        monkeypatch.setattr(altsum, "zn_mgf", lambda z, N: (1.0, 1.0))
+        result = self.invoke("eval", "mgf-consistency", "-p", "z=800", "-p", "N=1")
+        assert result.exit_code == 1
+        assert result.output.startswith("Error: mgf-consistency: E[e^(z Z_N)] at z = 800")

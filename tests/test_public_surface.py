@@ -1,5 +1,6 @@
 """Every top-level definition of the package is reached from an entry point,
-and every defaulted parameter is passed by some caller.
+every defaulted parameter is passed by some caller, and a closed form and
+its oracle share no code.
 
 The entry points are ``src/digitsum/cli.py`` and ``scripts/*.py``.  The roots
 are their decorated definitions, which the decorators register as commands,
@@ -9,12 +10,17 @@ definition already reached, loads its name, as a bare name or as an
 attribute.  The scan follows names, not imports, so a name defined in two
 modules is reached in both once either is.  A use inside the tests does not
 count, and a name used only inside its own definition is not reached.
+The independence rule follows names from one definition by the same scan.
 """
 
 from __future__ import annotations
 
 import ast
 from pathlib import Path
+
+import pytest
+
+from digitsum import identities
 
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "digitsum"
@@ -162,3 +168,65 @@ def test_scan_sees_defaulted_parameters():
 def test_every_defaulted_parameter_is_set_somewhere():
     # a default that no caller overrides is a constant, and belongs in the body
     assert never_set_parameters() == set()
+
+
+def reached_names(file: str, start: str) -> set[str]:
+    """Every name that the definition start of one package file loads, or that
+    a package definition of a name it reaches loads, followed by name as in
+    unreached_definitions."""
+    statements = _statements()
+    defs: dict[str, list[ast.stmt]] = {}
+    for _, statement, name in statements:
+        if name is not None:
+            defs.setdefault(name, []).append(statement)
+    (root,) = [s for path, s, name in statements if path == PACKAGE / file and name == start]
+    pending, seen = _loads(root), set()
+    while pending:
+        name = pending.pop()
+        seen.add(name)
+        for statement in defs.get(name, []):
+            pending |= _loads(statement) - seen
+    return seen
+
+
+# the float oracles: each sums a definition term by term, with no special function
+ORACLES = [
+    ("identities.py", "finite_zeta_diff_direct"),
+    ("identities.py", "direct_digit_zeta"),
+    ("identities.py", "direct_j_infinity"),
+    ("identities.py", "direct_product_log"),
+    ("harness.py", "_plain_finite_direct"),
+    ("lambert.py", "eta_dirichlet_bridge_check"),
+]
+CLOSED_FORMS = [
+    ("identities.py", name)
+    for name in identities.__all__
+    if ("identities.py", name) not in ORACLES
+] + [("lambert.py", "lambert_gf")]
+KERNEL = {"digit_weighted_sum", "digit_sum_range", "_inverse_power"}
+
+
+def defined_in(file: str) -> set[str]:
+    """The names that the top-level statements of one package file define."""
+    return {name for path, _, name in _statements() if path == PACKAGE / file and name is not None}
+
+
+def test_independence_scan_sees_the_package():
+    assert {"hurwitz_zeta", "digamma", "REL_TOL"} <= defined_in("specfun.py")
+    assert "digit_weighted_sum" in reached_names("identities.py", "direct_digit_zeta")
+    assert "hurwitz_zeta" in reached_names("identities.py", "finite_zeta_diff_closed")
+    assert ("identities.py", "j_infinity") in CLOSED_FORMS
+
+
+@pytest.mark.parametrize("file, oracle", ORACLES)
+def test_no_oracle_reaches_a_special_function(file, oracle):
+    assert reached_names(file, oracle) & defined_in("specfun.py") == set()
+
+
+@pytest.mark.parametrize("file, closed", CLOSED_FORMS)
+def test_no_closed_form_reaches_the_oracle_kernel(file, closed):
+    assert reached_names(file, closed) & KERNEL == set()
+
+
+def test_digamma_reaches_no_hurwitz_zeta():
+    assert "hurwitz_zeta" not in reached_names("specfun.py", "digamma")

@@ -36,6 +36,7 @@ from digitsum.specfun import (
     digamma,
     dirichlet_eta,
     elliptic_K,
+    hurwitz_difference,
     hurwitz_zeta,
     log_gamma,
     stirling_beta,
@@ -268,6 +269,41 @@ class TestHurwitzZeta:
         """zeta(a, z) - z^(-a) == zeta(a, z+1)."""
         lhs = hurwitz_zeta(alpha, z) - z ** (-alpha)
         np.testing.assert_allclose(lhs, hurwitz_zeta(alpha, z + 1.0), rtol=1e-10, atol=1e-13)
+
+
+class TestHurwitzDifference:
+    def test_generic_order_is_the_plain_difference(self):
+        for alpha in (0.5, 2.5):
+            for a, c in ((0.3, 2.5), (4.0, 1.25)):
+                want = hurwitz_zeta(alpha, a) - hurwitz_zeta(alpha, c)
+                assert hurwitz_difference(alpha, a, c) == want
+
+    def test_order_one_against_mpmath(self):
+        # the poles of the two zetas cancel: zeta(s, a) - zeta(s, c) -> psi(c) - psi(a)
+        for a, c in ((0.3, 2.5), (1.0, 1.5), (7.0, 0.05), (1e-3, 40.0)):
+            want = float(mp.digamma(c) - mp.digamma(a))
+            np.testing.assert_allclose(hurwitz_difference(1.0, a, c), want, rtol=1e-12)
+
+    @pytest.mark.parametrize("eps", [1e-6, -1e-6])
+    def test_order_one_is_the_limit(self, eps):
+        at_one = hurwitz_difference(1.0, 0.75, 3.0)
+        np.testing.assert_allclose(hurwitz_difference(1.0 + eps, 0.75, 3.0), at_one, rtol=1e-5)
+
+    @pytest.mark.parametrize("alpha, unused", [(1.0, "hurwitz_zeta"), (2.5, "digamma")])
+    def test_one_function_per_order(self, monkeypatch, alpha, unused):
+        # digamma at alpha = 1, hurwitz_zeta otherwise, never both
+        def forbidden(*args):
+            raise AssertionError(f"{unused} called at alpha = {alpha}")
+
+        monkeypatch.setattr(specfun, unused, forbidden)
+        assert math.isfinite(hurwitz_difference(alpha, 0.5, 2.0))
+
+    @pytest.mark.parametrize(
+        "alpha, a, c", [(1.0, 0.0, 1.0), (1.0, 1.0, -2.0), (2.0, 0.0, 1.0), (-0.5, 1.0, 2.0)]
+    )
+    def test_inherits_the_domain_checks(self, alpha, a, c):
+        with pytest.raises(ValueError):
+            hurwitz_difference(alpha, a, c)
 
 
 class TestRiemannZetaAndEta:
