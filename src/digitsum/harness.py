@@ -303,15 +303,16 @@ def _run_thm29_infinite(params):
 
 def _run_cor30(params):
     b, z = params["b"], params["z"]
+    lhs = digit_zeta_2(b, z)
     mid, half = direct_digit_zeta(b, 2.0, z, _ORACLE_TERMS)
     return [
         build_report(
             "cor30",
             params,
-            digit_zeta_2(b, z),
+            lhs,
             mid,
             rel_tol=0.0,
-            abs_tol=max(1e-4, 10.0 * half),
+            abs_tol=half + 1e-9 * abs(lhs),
             terms=_ORACLE_TERMS,
             tail_bound=half,
         )

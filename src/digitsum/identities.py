@@ -25,7 +25,6 @@ from .specfun import (
     TruncationBudgetError,
     _level_series,
     alternating_hurwitz,
-    barnes_psi2_2,
     barnes_zeta2,
     digamma,
     dirichlet_eta,
@@ -333,13 +332,15 @@ def product_special_values(case: str) -> tuple[float, float]:
 
 
 # a level bracket with fewer Hurwitz values than this is summed as them; one
-# with more takes the difference of its two Barnes values.  Timed for b = 2, 3,
-# 4, 10 and 16 at alpha = 2.5 and 4, z = 0.5 and h = b^l for l <= 2 (2-core
-# Xeon VM, Python 3.11), the sum took 0.11-9.9 times the difference's time
-# below 64 values, 0.65-15 times at 64, and 2.6-180 times at 243 values and
-# more.  No count wins on every bracket: the sum costs its count of values,
-# the difference 4h of them below h = 32 and about 14 from there on.  Against
-# a 30-digit reference the sums were within 4.2e-14, the differences 1.3e-14
+# with more takes the difference of its two Barnes values.  The sum costs its
+# count of values, the difference about 14-29 at every h (M + 7 per Barnes
+# value, M <= 15).  Timed for b = 2, 3, 4, 10 and 16 at alpha = 2.5 and 4,
+# z = 0.5, h = b^l for l <= 2 and counts up to 1024 (2-core Xeon VM, Python
+# 3.11, best of 5), the sum took 0.03-1.01 times the difference's time below
+# 64 values and 1.4-49 times from 64 on, so 64 takes the cheaper route on
+# every timed bracket but one tie (1.01, at 32 values).  Against a 30-digit
+# reference the sums were within 4.0e-14, the differences from 64 values on
+# within 8.4e-14
 _BRACKET_TERMS = 64
 
 
@@ -406,12 +407,14 @@ def digit_zeta_2(b: int, z: float) -> float:
     """sum_{n>=1} s_b(n)/(n+z)^2 from the regularized Barnes assembly.
 
     FP(z+1; 1, 1) + (1-b) sum_{l>=1} FP(z+b^l; 1, b^l), with FP the finite
-    part barnes_psi2_2: the term-by-term alpha -> 2 limit of the closed
-    infinite_barnes form (the simple poles cancel because (1-b) sum b^-l = -1).
+    part barnes_zeta2(2.0, x, h): the term-by-term alpha -> 2 limit of the
+    closed infinite_barnes form (the simple poles cancel because
+    (1-b) sum b^-l = -1).
     Level 0 is FP(z+1; 1, 1) = -psi(z+1) - z psi'(z+1) in closed form, with
     psi'(w) = zeta(2, w).  A literal per-level transcription of the printed
     formula is not usable: its level terms tend to -1 - psi(z) instead of 0,
-    so that series diverges.
+    so that series diverges.  A shift so large that the levels reach an h
+    with h^(EM_ORDER + 3) past the float range raises TruncationBudgetError.
     """
     if b < 2:
         raise ValueError("base must be >= 2")
@@ -420,7 +423,7 @@ def digit_zeta_2(b: int, z: float) -> float:
     total = -digamma(z + 1.0) - z * hurwitz_zeta(2.0, z + 1.0)
 
     def term(l: int) -> float:
-        return (1 - b) * barnes_psi2_2(z + float(b) ** l, b**l)
+        return (1 - b) * barnes_zeta2(2.0, z + float(b) ** l, b**l)
 
     # terms decay like (1 + l log b) b^-l: the (1-b)-weighted rest past level l
     # is about b times the size (2 + (l+1) log b) b^-(l+1) of the next one

@@ -3,9 +3,9 @@
 Digamma, Hurwitz zeta (analytically continued in the order; the Riemann
 zeta is hurwitz_zeta(s, 1)), the difference of two Hurwitz zetas with its
 alpha = 1 limit, Dirichlet eta, Stirling beta, log-gamma, the
-Barnes double zeta at the periods (1, h) for an integer h, with its order-2
-finite part, exact even-index Bernoulli numbers, and the complete elliptic
-integral K.
+Barnes double zeta at the periods (1, h) for an integer h and order
+alpha >= 2 (at alpha = 2 the finite part of its pole), exact even-index
+Bernoulli numbers, and the complete elliptic integral K.
 
 Everything works in native double precision under one fixed policy.  Each
 evaluator truncates by an explicit first-omitted-correction estimate and
@@ -36,7 +36,6 @@ __all__ = [
     "alternating_hurwitz",
     "log_gamma",
     "barnes_zeta2",
-    "barnes_psi2_2",
     "elliptic_K",
 ]
 
@@ -301,65 +300,56 @@ def log_gamma(z: float) -> float:
 # ---------------------------------------------------------------------------
 
 
-def _check_period(h: int) -> None:
-    if not (h >= 1 and h % 1 == 0):
-        raise ValueError("h must be an integer >= 1")
-
-
 def barnes_zeta2(alpha: float, x: float, h: int) -> float:
     """zeta_2(alpha; x; (1, h)) = sum_{m1,m2>=0} (x + m1 + h m2)^(-alpha).
 
-    For alpha > 2, x > 0 and an integer period h >= 1.  Below
-    h = 2 SHIFT_THRESHOLD, splitting m1 = r + h q with r < h turns the q and
-    m2 sums into sum_{n>=0} (n+1) (v_r+n)^(-alpha) with v_r = (x+r)/h, so the
-    value is the multiplication formula
-        h^(-alpha) sum_{r<h} [zeta(alpha-1, v_r) - (v_r-1) zeta(alpha, v_r)],
-    its 2h Hurwitz values summed with one math.fsum.
-
-    From there on it is a single sum of Hurwitz values along h,
-    sum_{m>=0} h^(-alpha) zeta(alpha, (x + m)/h), truncated after M outer
-    terms with the remainder restored by the Euler-Maclaurin tail in m
-    (integral term via the (alpha-1)-Hurwitz antiderivative, half term,
-    Bernoulli corrections).  M starts where x + M reaches SHIFT_THRESHOLD,
+    For alpha >= 2, x > 0 and an integer period h >= 1; at alpha = 2 the
+    value is the finite part of the pole 1/(h (alpha-2)), the constant term
+    of the Laurent expansion.  The m1 sum of each row is the Hurwitz value
+    zeta(alpha, x + h m2).  The rows m2 < M are summed directly; the rest is
+    the Euler-Maclaurin sum in m2 of the rows' own expansion, again Hurwitz
+    values, at v = x/h + M:
+        h^(1-alpha) zeta(alpha-1, v)/(alpha-1) + h^(-alpha) zeta(alpha, v)/2
+        + sum_j B_2j/(2j)! (alpha)_(2j-1) h^(1-alpha-2j) zeta(alpha+2j-1, v).
+    At alpha = 2 the integral term has the finite part
+    -(1 + log h + psi(v))/h.  M starts where x + h M reaches SHIFT_THRESHOLD,
     which is M = 0 for x >= SHIFT_THRESHOLD, and doubles until the first
-    omitted correction clears REL_TOL.
+    omitted correction clears REL_TOL.  An h whose power h^(alpha+EM_ORDER+1)
+    passes the float range raises TruncationBudgetError.
     """
-    _check_period(h)
+    if not (h >= 1 and h % 1 == 0):
+        raise ValueError("h must be an integer >= 1")
     if not x > 0:
         raise ValueError("x must be positive")
-    if not alpha > 2:
-        raise ValueError("barnes_zeta2 requires alpha > 2 (order-2 finite part is separate)")
+    if not alpha >= 2:
+        raise ValueError("barnes_zeta2 requires alpha >= 2")
     h = float(h)
-    if h < 2.0 * SHIFT_THRESHOLD:
-        values = []
-        for r in range(int(h)):
-            v = (x + r) / h
-            values += [hurwitz_zeta(alpha - 1.0, v), -(v - 1.0) * hurwitz_zeta(alpha, v)]
-        return h ** (-alpha) * math.fsum(values)
     coef = _EM_COEFFICIENTS
     half = EM_ORDER // 2
+    try:
+        h_last = h ** (alpha + 2 * half + 1)  # the largest power the corrections form
+    except OverflowError:
+        message = f"barnes_zeta2: h = {h:.17g} puts h^(alpha + EM_ORDER + 1) past the float range"
+        raise TruncationBudgetError(message, 0, math.inf) from None
 
-    M = max(0, math.ceil(SHIFT_THRESHOLD - x))
-    # outer terms m = 0 .. M-1 summed directly
+    M = max(0, math.ceil((SHIFT_THRESHOLD - x) / h))
     direct = 0.0
     m_done = 0
     while True:
         while m_done < M:
-            direct += h ** (-alpha) * hurwitz_zeta(alpha, (x + m_done) / h)
+            direct += hurwitz_zeta(alpha, x + h * m_done)
             m_done += 1
-        u = (x + M) / h
-        tail = h ** (1.0 - alpha) * hurwitz_zeta(alpha - 1.0, u) / (alpha - 1.0)
-        tail += 0.5 * h ** (-alpha) * hurwitz_zeta(alpha, u)
+        v = x / h + M
+        if alpha == 2:
+            tail = -(1.0 + math.log(h) + digamma(v)) / h
+        else:
+            tail = h ** (1.0 - alpha) * hurwitz_zeta(alpha - 1.0, v) / (alpha - 1.0)
+        tail += 0.5 * h ** (-alpha) * hurwitz_zeta(alpha, v)
         poch = alpha
         for j in range(1, half + 1):
-            tail += coef[j] * poch / h ** (alpha + 2 * j - 1) * hurwitz_zeta(alpha + 2 * j - 1, u)
+            tail += coef[j] * poch / h ** (alpha + 2 * j - 1) * hurwitz_zeta(alpha + 2 * j - 1, v)
             poch *= (alpha + 2 * j - 1) * (alpha + 2 * j)
-        omitted = (
-            abs(coef[half + 1])
-            * poch
-            / h ** (alpha + 2 * half + 1)
-            * hurwitz_zeta(alpha + 2 * half + 1, u)
-        )
+        omitted = abs(coef[half + 1]) * poch / h_last * hurwitz_zeta(alpha + 2 * half + 1, v)
         value = direct + tail
         if TAIL_SAFETY * omitted <= REL_TOL * max(abs(value), ABS_FLOOR):
             return value
@@ -367,52 +357,6 @@ def barnes_zeta2(alpha: float, x: float, h: int) -> float:
         if M > MAX_TERMS:
             raise TruncationBudgetError(
                 "barnes_zeta2 outer sum exhausted MAX_TERMS", m_done, abs(tail)
-            )
-
-
-def barnes_psi2_2(z: float, h: int) -> float:
-    """Finite part of the order-2 pole of zeta_2(alpha; z; (1, h)), integer h >= 1.
-
-    Computed from the regularized representation
-        -(1/h) (1 + log(h) + psi(z/h))
-        + sum_{m>=0} [ zeta(2, z + h m) - 1/(z + h m) ],
-    whose m-tail from M onward is summed in closed form through the
-    zeta(2, u) - 1/u = 1/(2u^2) + sum_j B_{2j} u^(-1-2j) expansion:
-        (1/(2 h^2)) zeta(2, z/h + M) + sum_j B_{2j} / h^(2j+1) zeta(2j+1, z/h + M).
-    M starts where z + h M reaches SHIFT_THRESHOLD and doubles until the
-    first omitted correction clears REL_TOL.  At h = 1 the value collapses
-    to -psi(z) + (1-z) psi'(z).
-    """
-    _check_period(h)
-    if not z > 0:
-        raise ValueError("z must be positive")
-    h = float(h)  # h^(2j+1) as an int can pass the float range
-    bern = _BERNOULLI_FLOAT
-    half = EM_ORDER // 2
-
-    base = -(1.0 + math.log(h) + digamma(z / h)) / h
-    M = max(1, math.ceil((SHIFT_THRESHOLD - z) / h))
-    direct = 0.0
-    m_done = 0
-    while True:
-        while m_done < M:
-            arg = z + h * m_done
-            direct += hurwitz_zeta(2.0, arg) - 1.0 / arg
-            m_done += 1
-        v = z / h + M
-        tail = 0.5 / (h * h) * hurwitz_zeta(2.0, v)
-        for j in range(1, half + 1):
-            tail += bern[2 * j] / h ** (2 * j + 1) * hurwitz_zeta(2 * j + 1.0, v)
-        omitted = (
-            abs(bern[2 * half + 2]) / h ** (2 * half + 3) * hurwitz_zeta(2 * half + 3.0, v)
-        )
-        value = base + direct + tail
-        if TAIL_SAFETY * omitted <= REL_TOL * max(abs(value), ABS_FLOOR):
-            return value
-        M *= 2
-        if M > MAX_TERMS:
-            raise TruncationBudgetError(
-                "barnes_psi2_2 m-sum exhausted MAX_TERMS", m_done, abs(tail)
             )
 
 

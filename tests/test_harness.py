@@ -544,6 +544,7 @@ class TestCli:
             ["cumulants", "--N", "3", "--orders", "3"],
             ["eval", "jinfty", "-p", "x=1e308"],
             ["eval", "pi-over-2", "-p", "case=bogus"],
+            ["eval", "cor30", "-p", "b=2", "-p", "z=1e20"],
         ],
     )
     def test_domain_errors_are_reported_not_raised(self, args):

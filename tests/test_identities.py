@@ -664,7 +664,7 @@ class TestDigitZeta2:
     def test_base_level_against_mpmath(self, monkeypatch):
         # with every level l >= 1 zeroed, what is left is level 0,
         # FP(z+1; 1, 1) = -psi(z+1) - z psi'(z+1)
-        monkeypatch.setattr(identities, "barnes_psi2_2", lambda z, h: 0.0)
+        monkeypatch.setattr(identities, "barnes_zeta2", lambda alpha, x, h: 0.0)
         for z in (0.01, 0.25, 1.0, 5.0):
             want = -mp.digamma(z + 1) - z * mp.psi(1, z + 1)
             assert rel_err(digit_zeta_2(2, z), float(want)) < 1e-13, z
@@ -673,6 +673,22 @@ class TestDigitZeta2:
         monkeypatch.setattr(harness, "digit_zeta_2", lambda b, z: 1e6)
         run = run_suite(GridSpec("cor30", {}))
         assert run.summary == {"pass": 0, "fail": 6}
+
+    def test_finite_parts_off_by_1e_4_fail_cor30(self, monkeypatch):
+        # every level l >= 1 is a finite part barnes_zeta2(2.0, ...); scaled by
+        # 1 + 1e-4 they move each default point past its oracle bracket
+        real = identities.barnes_zeta2
+        monkeypatch.setattr(
+            identities, "barnes_zeta2", lambda alpha, x, h: real(alpha, x, h) * (1 + 1e-4)
+        )
+        run = run_suite(GridSpec("cor30", {}))
+        assert run.summary == {"pass": 0, "fail": 6}
+
+    def test_level_past_float_range_raises(self):
+        # at z = 1e15 the levels run on to h = 2^94, where h^(EM_ORDER + 3) is
+        # no double: a named error, not an OverflowError
+        with pytest.raises(TruncationBudgetError, match="barnes_zeta2: h = "):
+            digit_zeta_2(2, 1e15)
 
     def test_rejects_nonpositive_shift(self):
         for b, z in ((2, 0.0), (2, -0.5), (1, 1.0)):

@@ -7,8 +7,11 @@ oracles that share no code with the implementations under test.
 
 from __future__ import annotations
 
+import json
 import math
+import re
 from fractions import Fraction
+from pathlib import Path
 
 import mpmath as mp
 import numpy as np
@@ -30,7 +33,6 @@ from digitsum.specfun import (
     _level_cap,
     _level_series,
     alternating_hurwitz,
-    barnes_psi2_2,
     barnes_zeta2,
     bernoulli_even,
     digamma,
@@ -43,6 +45,8 @@ from digitsum.specfun import (
 )
 
 mp.mp.dps = 30
+
+BARNES_REFERENCE = Path(__file__).resolve().parent / "golden" / "barnes_zeta2_mpmath.json"
 
 EULER_GAMMA = 0.57721566490153286
 
@@ -149,11 +153,11 @@ class TestTermBudget:
         "call",
         [
             lambda: digamma(0.5),
-            lambda: barnes_psi2_2(0.5, 2),
+            lambda: barnes_zeta2(2.0, 0.5, 2),
             lambda: hurwitz_zeta(2.0, 0.5),
             lambda: barnes_zeta2(3.0, 0.5, 32),
         ],
-        ids=["digamma", "barnes_psi2_2", "hurwitz_zeta", "barnes_zeta2"],
+        ids=["digamma", "barnes_zeta2-finite-part", "hurwitz_zeta", "barnes_zeta2"],
     )
     def test_unreachable_tolerance_raises(self, monkeypatch, call):
         monkeypatch.setattr(specfun, "REL_TOL", 1e-300)
@@ -413,6 +417,11 @@ class TestLogGammaAndBeta:
             log_gamma(z)
 
 
+# fixed before measuring: the truncation the stop rule admits
+# (rel_tol / tail_safety), and as much again for rounding
+LEVEL_BOUND = 2 * REL_TOL / TAIL_SAFETY
+
+
 class TestBarnesZeta2:
     def test_rank_one_reduction(self):
         """zeta_2(a, z+1; 1, 1) == -z zeta(a, z+1) + zeta(a-1, z+1)."""
@@ -458,8 +467,31 @@ class TestBarnesZeta2:
         assert got > partial
 
     def test_rejects_low_alpha(self):
-        with pytest.raises(ValueError):
-            barnes_zeta2(2.0, 1.0, 1)
+        # alpha = 2 is the finite part; below it, and NaN, there is no value
+        for alpha in (1.9, math.nan):
+            with pytest.raises(ValueError):
+                barnes_zeta2(alpha, 1.0, 1)
+
+    def test_power_past_float_range_raises(self):
+        # h^(alpha + EM_ORDER + 1) = 2^1100 is no double: a named error, not
+        # an OverflowError
+        h = 2**100
+        assert h ** (2.0 + EM_ORDER) < math.inf
+        with pytest.raises(TruncationBudgetError, match=re.escape(f"h = {float(h):.17g}")):
+            barnes_zeta2(2.0, 1.0 + h, h)
+
+    def test_matches_mpmath_references(self):
+        # 40-digit values from tests/golden/barnes_zeta2_mpmath.json; rebuild
+        # them with tests/build_barnes_reference.py.  The bounds were fixed
+        # before measuring: LEVEL_BOUND, and REL_TOL for the finite part at
+        # h = 1, whose value changes sign between x = 1 and x = 1.25
+        points = json.loads(BARNES_REFERENCE.read_text())["points"]
+        assert len(points) == 200
+        for alpha, x, h, want in points:
+            want = float(want)
+            bound = REL_TOL if alpha == 2 and h == 1 else LEVEL_BOUND
+            got = barnes_zeta2(alpha, x, h)
+            assert abs(got - want) <= bound * abs(want), (alpha, x, h, abs(got - want) / abs(want))
 
 
 def _barnes_level_reference(alpha, x, h):
@@ -478,14 +510,10 @@ def _barnes_level_reference(alpha, x, h):
     return total * mp.mpf(h) ** -a
 
 
-# fixed before measuring: the truncation the stop rule admits
-# (rel_tol / tail_safety), and as much again for rounding
-LEVEL_BOUND = 2 * REL_TOL / TAIL_SAFETY
-SWITCH = int(2 * SHIFT_THRESHOLD)  # the period from which the long route is taken
-
-# h on both sides of the switch; the full alpha x z grid up to 64, every h up
-# to the switch at alpha = 2.01 (zeta(alpha - 1, v) near its pole) and at 7,
-# and one point per alpha and per z above 64, where each reference costs 2h zetas
+# the full alpha x z grid at h from 8 to 64; every h up to 33 at alpha = 2.01
+# (zeta(alpha - 1, v) near its pole) and at 7 (from h = 16 on, M = 0 does not
+# converge there and the loop doubles to M = 1); one point per alpha and per z
+# above 64, where each reference costs 2h zetas
 _LEVEL_CASES = (
     [
         (h, alpha, z)
@@ -493,14 +521,14 @@ _LEVEL_CASES = (
         for alpha in (2.5, 3.5, 4.0)
         for z in (0.0, 0.5, 1.0)
     ]
-    + [(h, alpha, 0.5) for h in range(1, SWITCH + 2) for alpha in (2.01, 7.0)]
+    + [(h, alpha, 0.5) for h in range(1, 34) for alpha in (2.01, 7.0)]
     + [(243, 2.5, 0.5), (243, 4.0, 0.0), (729, 3.5, 1.0)]
 )
 
 
 class TestBarnesDirection:
-    """Level terms zeta_2(alpha, z + h; 1, h) on both sides of the route switch:
-    the multiplication formula below SWITCH, the long-period sum from it on."""
+    """Level terms zeta_2(alpha, z + h; 1, h) against the multiplication
+    formula, and the strip and tail of the Euler-Maclaurin loop along h."""
 
     @pytest.mark.parametrize("h, alpha, z", _LEVEL_CASES)
     def test_level_term_against_mpmath(self, h, alpha, z):
@@ -509,43 +537,60 @@ class TestBarnesDirection:
         assert abs(got - want) <= LEVEL_BOUND * abs(want), float(abs(got - want) / want)
 
     def test_small_argument_at_ratio_one_hundred(self):
-        # x = 0.1: the long-period sum starts at M = 16
+        # x = 0.1: the strip holds the one row m2 = 0 before the tail at v = 1.001
         for alpha in (2.5, 4.0):
             got = barnes_zeta2(alpha, 0.1, 100)
             want = _barnes_level_reference(alpha, 0.1, 100)
             assert abs(got - want) <= LEVEL_BOUND * abs(want)
 
     def _counted(self, monkeypatch, *args):
-        seen = []
+        seen, psi = [], []
 
         def counted(alpha, u):
             seen.append(u)
             return hurwitz_zeta(alpha, u)
 
-        monkeypatch.setattr(specfun, "hurwitz_zeta", counted)
-        return barnes_zeta2(*args), seen
+        def counted_digamma(v):
+            psi.append(v)
+            return digamma(v)
 
-    @pytest.mark.parametrize("h", [1, 2, 16, SWITCH - 1])
-    def test_formula_takes_two_values_per_residue(self, monkeypatch, h):
-        # below the switch: zeta(alpha - 1, v_r) and zeta(alpha, v_r) for each r < h
-        _, seen = self._counted(monkeypatch, 3.5, 1.0 + h, h)
-        assert len(seen) == 2 * h
+        monkeypatch.setattr(specfun, "hurwitz_zeta", counted)
+        monkeypatch.setattr(specfun, "digamma", counted_digamma)
+        value = barnes_zeta2(*args)
+        return value, seen, psi
+
+    @pytest.mark.parametrize(
+        "alpha, x, h",
+        [(3.5, 2.0, 1), (3.5, 3.0, 2), (3.5, 0.5, 3), (2.5, 17.0, 16), (3.5, 32.0, 31),
+         (2.0, 2.0, 1), (2.0, 3.0, 2), (2.0, 17.0, 16), (2.0, 1.0 + 2**40, 2**40)],
+    )
+    def test_first_m_takes_em_order_values(self, monkeypatch, alpha, x, h):
+        # converging at its first M = ceil((SHIFT_THRESHOLD - x)/h), the loop
+        # takes the M strip values zeta(alpha, x + h m2), then EM_ORDER/2 + 3
+        # at v = x/h + M: the integral term (a digamma at alpha = 2), the half
+        # term, EM_ORDER/2 corrections and the first omitted one
+        m = max(0, math.ceil((SHIFT_THRESHOLD - x) / h))
+        v = x / h + m
+        _, seen, psi = self._counted(monkeypatch, alpha, x, h)
+        tail = EM_ORDER // 2 + (2 if alpha == 2 else 3)
+        assert seen == [x + h * k for k in range(m)] + [v] * tail
+        assert psi == ([v] if alpha == 2 else [])
 
     @pytest.mark.parametrize("alpha", [2.5, 4.0])
     def test_long_ratio_converges_at_m_zero(self, monkeypatch, alpha):
-        # x >= SHIFT_THRESHOLD: no outer term is summed directly; the tail's
+        # x >= SHIFT_THRESHOLD: no row is summed directly; the tail's
         # EM_ORDER/2 + 2 values and the first omitted correction's one, all at x / h
-        h = SWITCH
-        _, seen = self._counted(monkeypatch, alpha, 1.0 + h, h)
+        h = 32
+        _, seen, _ = self._counted(monkeypatch, alpha, 1.0 + h, h)
         assert len(seen) == EM_ORDER // 2 + 3
         assert set(seen) == {(1.0 + h) / h}
 
     def test_doubling_leaves_m_zero(self, monkeypatch):
-        # at x = SHIFT_THRESHOLD exactly, M = 0 does not converge for alpha = 3,
-        # so M must move on to 1, 2, 4, ...
-        value, seen = self._counted(monkeypatch, 3.0, SHIFT_THRESHOLD, SWITCH)
+        # at x = SHIFT_THRESHOLD and h = 32, M = 0 does not converge for
+        # alpha = 3 (v = 1/2), so M must move on to 1, 2, 4, ...
+        value, seen, _ = self._counted(monkeypatch, 3.0, SHIFT_THRESHOLD, 32)
         assert len(seen) > EM_ORDER // 2 + 3
-        want = _barnes_level_reference(3.0, SHIFT_THRESHOLD, SWITCH)
+        want = _barnes_level_reference(3.0, SHIFT_THRESHOLD, 32)
         assert abs(value - want) <= LEVEL_BOUND * abs(want)
 
 
@@ -553,12 +598,12 @@ class TestBarnesFinitePart:
     def test_unit_periods_closed_form(self):
         """At (1,1) the finite part is -psi(z) + (1-z) psi'(z)."""
         for z in (1.3, 0.6, 2.8):
-            got = barnes_psi2_2(z, 1)
+            got = barnes_zeta2(2.0, z, 1)
             want = -digamma(z) + (1.0 - z) * float(mp.polygamma(1, z))
             np.testing.assert_allclose(got, want, rtol=1e-11)
 
     def test_euler_gamma_specialization(self):
-        np.testing.assert_allclose(barnes_psi2_2(1.0, 1), EULER_GAMMA, rtol=1e-11)
+        np.testing.assert_allclose(barnes_zeta2(2.0, 1.0, 1), EULER_GAMMA, rtol=1e-11)
 
     def test_pole_limit_oracle(self):
         """Richardson extrapolation of zeta_2(2+eps) - pole reproduces it."""
@@ -567,8 +612,17 @@ class TestBarnesFinitePart:
             f1 = barnes_zeta2(2 + e1, z, h) - 1 / (h * e1)
             f2 = barnes_zeta2(2 + e2, z, h) - 1 / (h * e2)
             extrapolated = (e1 * f2 - e2 * f1) / (e1 - e2)
-            got = barnes_psi2_2(z, h)
+            got = barnes_zeta2(2.0, z, h)
             np.testing.assert_allclose(got, extrapolated, rtol=1e-4)
+
+    @pytest.mark.parametrize("h", [1, 2, 3, 16, 31, 32, 243])
+    def test_laurent_remainder_is_linear(self, h):
+        """zeta_2(2+eps) - 1/(h eps) - FP is O(eps): it shrinks tenfold from
+        eps = 1e-3 to 1e-4, so FP is the constant term of the Laurent expansion."""
+        x = 0.5 + h
+        finite = barnes_zeta2(2.0, x, h)
+        rest = [barnes_zeta2(2.0 + eps, x, h) - 1.0 / (h * eps) - finite for eps in (1e-3, 1e-4)]
+        assert 9.5 < rest[0] / rest[1] < 10.5, rest
 
     @pytest.mark.parametrize("h", [2, 3, 8, 31, 32, 81])
     def test_multiplication_formula_at_integer_periods(self, h):
@@ -579,7 +633,7 @@ class TestBarnesFinitePart:
                 -mp.digamma(v) - (v - 1) * mp.zeta(2, v)
                 for v in ((mp.mpf(x) + r) / h for r in range(h))
             ) / h**2 - mp.log(h) / h
-            got = barnes_psi2_2(x, h)
+            got = barnes_zeta2(2.0, x, h)
             assert abs(got - want) <= REL_TOL * abs(want), (x, float(abs(got - want) / want))
 
 
@@ -666,17 +720,17 @@ def _factorial_loop_hurwitz(alpha, z):
 
 
 def _factorial_loop_barnes(a, x, h):
-    # barnes_zeta2's long route as written with an inline B_2j / (2j)!, on the loop above
+    # barnes_zeta2 for a > 2 as written with an inline B_2j / (2j)!, on the loop above
     bern = [float(bernoulli_even(n)) if n else 1.0 for n in range(0, 17, 2)]
     half = EM_ORDER // 2
     h = float(h)
     direct, m_done = 0.0, 0
-    M = max(0, math.ceil(SHIFT_THRESHOLD - x))
+    M = max(0, math.ceil((SHIFT_THRESHOLD - x) / h))
     while True:
         while m_done < M:
-            direct += h ** (-a) * _factorial_loop_hurwitz(a, (x + m_done) / h)
+            direct += _factorial_loop_hurwitz(a, x + h * m_done)
             m_done += 1
-        u = (x + M) / h
+        u = x / h + M
         tail = h ** (1.0 - a) * _factorial_loop_hurwitz(a - 1.0, u) / (a - 1.0)
         tail += 0.5 * h ** (-a) * _factorial_loop_hurwitz(a, u)
         poch = a
@@ -708,7 +762,7 @@ class TestEulerMaclaurinCoefficients:
 
     def test_barnes_zeta2_bitwise_on_a_seeded_grid(self):
         rng = np.random.default_rng(6479)
-        for _ in range(6):
+        for _ in range(12):
             a, x = rng.uniform(2.05, 7.0), rng.uniform(0.1, 40.0)
-            h = int(rng.integers(SWITCH, 1000))  # the long route, which takes the weights
+            h = int(2.0 ** rng.uniform(0.0, 10.0))  # periods from 1 to 1023, log-uniform
             assert barnes_zeta2(a, x, h) == _factorial_loop_barnes(a, x, h), (a, x, h)
