@@ -230,6 +230,40 @@ def _inverse_power(x: np.ndarray, alpha: float, out: np.ndarray) -> None:
     np.divide(1.0, power, out=out)
 
 
+def _power_weight(alpha: float) -> Callable[[np.ndarray, np.ndarray], None]:
+    """The digit_weighted_sum fill w(x) = x^-alpha, by _inverse_power."""
+
+    def fill(x, out):
+        _inverse_power(x, alpha, out)
+
+    return fill
+
+
+def _difference_weight(alpha: float) -> Callable[[np.ndarray, np.ndarray], None]:
+    """The digit_weighted_sum fill w(x) - w(x + 1), w(x) = x^-alpha, at one power a term.
+
+    The kernel hands consecutive points, so the power at x[i + 1] stands in for
+    the one at fl(x[i] + 1); only the last point's comes from one more
+    _inverse_power call, on a one-element array, so that np.power orders take
+    the same numpy routine as the row.  Where fl(x[i] + 1) = x[i + 1], as at
+    shift 0 or a dyadic shift, each weight is bit for bit fl(w(x) - w(fl(x + 1)))
+    with both powers taken by _inverse_power.  At any other shift both points
+    are within 5 2^-53 relative of n + shift + 1 (x carries the roundings of
+    m + shift and of the block offset, the +1 one more), so w there differs by
+    at most about 5 alpha 2^-53 relative.
+    """
+
+    def fill(x, out):
+        # x is empty for a one-term limit, and then so is every slice below
+        edge = np.empty_like(x[-1:])
+        _inverse_power(x[-1:] + 1.0, alpha, edge)
+        _inverse_power(x, alpha, out)
+        out[:-1] -= out[1:]
+        out[-1:] -= edge
+
+    return fill
+
+
 def valuation2_range(limit: int) -> np.ndarray:
     """Array v with v[n] = valuation2(n) for n = 1 .. limit-1 and v[0] = 0."""
     if limit < 1:

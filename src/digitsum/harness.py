@@ -19,7 +19,7 @@ import numpy as np
 
 from . import altsum, lambert, solver
 from .digitseq import (
-    _inverse_power,
+    _power_weight,
     delta_digit_sum,
     digit_sum_range,
     digit_weighted_sum,
@@ -178,13 +178,6 @@ class RunReport:
 # ---------------------------------------------------------------------------
 
 
-def _plain_finite_direct(b: int, p: int, alpha: float, z: float) -> float:
-    def fill(x, out):
-        _inverse_power(x, alpha, out)
-
-    return digit_weighted_sum(b**p, b, fill, z)
-
-
 def _putnam_sequence() -> SequenceFn:
     return SequenceFn(
         eval=lambda n: 1.0 / (n * (n + 1.0)),
@@ -279,7 +272,7 @@ def _run_pi_over_2(params):
 def _run_thm29_finite(params):
     b, p, alpha, z = params["b"], params["p"], params["alpha"], params["z"]
     lhs = finite_barnes_closed(b, p, alpha, z)
-    rhs = _plain_finite_direct(b, p, alpha, z)
+    rhs = digit_weighted_sum(b**p, b, _power_weight(alpha), z)
     return [build_report("thm29-finite", params, lhs, rhs, rel_tol=1e-8, terms=b**p)]
 
 

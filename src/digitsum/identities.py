@@ -15,7 +15,7 @@ import math
 
 import numpy as np
 
-from .digitseq import _inverse_power, digit_sum, digit_weighted_sum
+from .digitseq import _difference_weight, _power_weight, digit_sum, digit_weighted_sum
 
 # digit_sum_range is no longer used here but stays importable: the tracer test
 # in perfbench/tests checks that it is wrapped under this module's name too
@@ -76,16 +76,7 @@ def finite_zeta_diff_direct(b: int, p: int, alpha: float, z: float) -> float:
     """sum_{n=1}^{b^p - 1} s_b(n) [(z+n)^-a - (z+n+1)^-a], term by term,
     for b >= 2, p >= 1, alpha > 0 and z >= 0."""
     _check_finite_sum(b, p, alpha, z)
-
-    def fill(x, out):
-        # (x+1)^-a needs a buffer apart from its base x
-        later = np.empty_like(x)
-        _inverse_power(x, alpha, out)
-        x += 1.0
-        _inverse_power(x, alpha, later)
-        out -= later
-
-    return digit_weighted_sum(b**p, b, fill, z)
+    return digit_weighted_sum(b**p, b, _difference_weight(alpha), z)
 
 
 def finite_zeta_diff_closed(b: int, p: int, alpha: float, z: float) -> float:
@@ -452,11 +443,7 @@ def direct_digit_zeta(b: int, alpha: float, z: float, limit: int) -> tuple[float
     if not (math.isfinite(alpha) and alpha > 1):
         raise ValueError("direct oracle needs a finite alpha > 1 for a convergent tail")
     _check_oracle_shift(z)
-
-    def fill(x, out):
-        _inverse_power(x, alpha, out)
-
-    partial = digit_weighted_sum(limit, b, fill, z)
+    partial = digit_weighted_sum(limit, b, _power_weight(alpha), z)
     edge = float(limit) + z
     low = edge ** (1.0 - alpha) / (alpha - 1.0)
     log_term = math.log(limit) / math.log(b) + 1.0 + 1.0 / ((alpha - 1.0) * math.log(b))

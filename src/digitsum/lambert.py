@@ -1,20 +1,20 @@
 """Generating functions of the digit-sum sequence and the integer sequences
 tied to them: rank polynomials, a 2-adic Moebius companion, partition-count
-convolutions, and a Dirichlet-series bridge."""
+convolutions, and a Dirichlet-series bridge.
+
+The bridge's one brute-force sum goes through digitseq's blocked kernel, so
+the module needs no numpy of its own."""
 from __future__ import annotations
 
 from functools import lru_cache
 
-import numpy as np
-
 from .digitseq import (
-    _BLOCK_CAP,
-    _aligned_rows,
-    _inverse_power,
+    _difference_weight,
+    digit_sum,
     digit_sum_range,
+    digit_weighted_sum,
     power2_indicator,
     valuation2,
-    valuation2_range,
 )
 from .specfun import _level_series
 
@@ -269,42 +269,23 @@ def _increment_series_tail(N: int, s: float) -> tuple[float, float]:
 
 
 def _increment_dirichlet_partial(limit: int, s: float) -> float:
-    """sum_{1 <= n < limit} (1 - nu_2(n)) n^-s, one block of B = _BLOCK_CAP
-    terms at a time.
+    """sum_{1 <= n < limit} (1 - nu_2(n)) n^-s, summed by parts over the digit sums.
 
-    For m < B = 2^k and c >= 1, nu_2(cB + m) = nu_2(m) unless m = 0, where it
-    is k + nu_2(c): the weights 1 - nu_2(m) are built once and only index 0 is
-    patched per block.  Two B-length buffers, each 64-byte aligned, are reused,
-    and each block is reduced with np.add.reduce, whose order does not depend
-    on the BLAS.
+    1 - nu_2(n) is the increment s_2(n) - s_2(n - 1), so with L = limit the sum
+    is sum_{1 <= n < L} s_2(n) [n^-s - (n+1)^-s] + s_2(L - 1) L^-s, exactly:
+    the blocked kernel with the difference weight, and one boundary term.
     """
-    block = _BLOCK_CAP
-    bits = block.bit_length() - 1
-    size = min(block, limit)
-    m = np.arange(size, dtype=np.float64)
-    weight = 1.0 - valuation2_range(size)
-    n, buf = _aligned_rows(2, size)
-    total = 0.0
-    for c in range(-(-limit // block)):
-        start = c * block
-        first = 1 if c == 0 else 0  # the sum starts at n = 1
-        if c:
-            weight[0] = 1.0 - (bits + valuation2(c))
-        stop = min(size, limit - start)
-        terms = buf[first:stop]
-        np.add(m[first:stop], start, out=n[first:stop])
-        _inverse_power(n[first:stop], s, terms)
-        np.multiply(weight[first:stop], terms, out=terms)
-        total += float(np.add.reduce(terms))
-    return total
+    boundary = digit_sum(limit - 1, 2) * float(limit) ** -s
+    return digit_weighted_sum(limit, 2, _difference_weight(s), 0.0) + boundary
 
 
 def eta_dirichlet_bridge_check(s: float, limit: int) -> tuple[float, float]:
     """The increment Dirichlet series sum_{n>=1} (1 - nu_2(n)) n^-s, which
     equals eta(s) / (1 - 2^-s), as (midpoint, half width).
 
-    The terms below limit are summed directly; the rest is bracketed by
-    integral tails over the 2-adic layers.
+    The terms below limit are summed by parts over the binary digit sums, since
+    1 - nu_2(n) = s_2(n) - s_2(n - 1), in digitseq's blocked kernel; the rest is
+    bracketed by integral tails over the 2-adic layers.
     """
     if not s > 1.0:
         raise ValueError("bridge check needs s > 1")

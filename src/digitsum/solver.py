@@ -3,7 +3,6 @@ and the digit-sum-weighted sums it unlocks: term by term over a finite
 support, by a level series over base-b blocks for a decaying g."""
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from typing import Callable, Optional
@@ -99,22 +98,23 @@ def _solve_series(b: int, g: SequenceFn, ns: np.ndarray) -> np.ndarray:
     c, beta = g.decay
     ratio = float(b) ** (1.0 - beta)
     # python floats, not np.power, whose last bit can differ from libm pow
-    scale_floor = np.array([c * float(n) ** (-beta) for n in ns.tolist()], dtype=np.float64)
+    floors = np.array([c * float(n) ** (-beta) for n in ns.tolist()], dtype=np.float64)
     totals = np.zeros(len(ns))
-    active = np.arange(len(ns))
+    # the active points, compacted: their place in ns, start, running total and floor
+    index, starts, running = np.arange(len(ns)), ns, np.zeros(len(ns))
     for k in range(_MAX_LEVELS + 1):
-        block = g.partial_sum(*_level_bounds(b**k, ns[active]))
-        totals[active] = totals[active] + block
-        tail = scale_floor[active] * ratio ** (k + 1) / (1.0 - ratio)
-        size = np.maximum(np.abs(totals[active]), scale_floor[active])
-        done = TAIL_SAFETY * tail <= REL_TOL * size
-        active = active[~done]
-        if active.size == 0:
+        running = running + g.partial_sum(*_level_bounds(b**k, starts))
+        tail = floors * ratio ** (k + 1) / (1.0 - ratio)
+        done = TAIL_SAFETY * tail <= REL_TOL * np.maximum(np.abs(running), floors)
+        totals[index[done]] = running[done]
+        keep = ~done
+        index, starts, running, floors = index[keep], starts[keep], running[keep], floors[keep]
+        if index.size == 0:
             return totals
     raise TruncationBudgetError(
         f"decay bound not met within {_MAX_LEVELS} levels",
         _MAX_LEVELS + 1,
-        float(scale_floor[active[0]]) * ratio ** (_MAX_LEVELS + 1) / (1.0 - ratio),
+        float(floors[0]) * ratio ** (_MAX_LEVELS + 1) / (1.0 - ratio),
     )
 
 
@@ -134,14 +134,13 @@ def weighted_digit_sum(b: int, g: SequenceFn):
 
     def outer_partial(count: int, start: int, acc):
         # one series call per round over the start points b*n + j, n-major;
-        # acc adds them one at a time in that order, since a pairwise np.sum
-        # would round differently and change the reported value
-        ns = np.arange(start, count, dtype=np.int64)
-        ms = (b * ns[:, None] + np.arange(1, b, dtype=np.int64)).ravel()
-        values = _solve_series(b, g, ms).tolist()
-        for j, value in zip(itertools.cycle(range(1, b)), values):
-            acc = acc + j * value
-        return acc
+        # the terms j f(bn+j) go onto acc one at a time in that order, as
+        # np.add.accumulate adds, since a pairwise np.sum would round
+        # differently and change the reported value
+        digits = np.arange(1, b, dtype=np.int64)
+        ms = (b * np.arange(start, count, dtype=np.int64)[:, None] + digits).ravel()
+        terms = np.tile(digits, count - start) * _solve_series(b, g, ms)
+        return float(np.add.accumulate(np.concatenate(([acc], terms)))[-1])
 
     # the outer tail behaves like a power series in 1/M, so two rounds of
     # doubling extrapolation strip the 1/M and 1/M^2 parts
@@ -191,14 +190,15 @@ def recover_j_infinity_check(x: float) -> tuple[float, int, float]:
     if not x > 0:
         raise ValueError("x must be positive")
     inner_terms = 256
+    n = np.arange(1.0, inner_terms + 1.0)
     total = 0.0
     terms_used = 0
     tail_bound = 0.0
     for k in range(200):
         w = x / 2.0 ** (k + 1)
-        inner = 0.0
-        for n in range(1, inner_terms + 1):
-            inner += 1.0 / ((w + n - 0.5) * (w + n))
+        # the window added term by term in n order, as np.add.accumulate adds
+        window = w + n
+        inner = float(np.add.accumulate(1.0 / ((window - 0.5) * window))[-1])
         terms_used += inner_terms
         # remainder past the direct window, expanded in half-integer shifts:
         # sum_{r>=0} 2^-r zeta(r+2, w + M + 1)

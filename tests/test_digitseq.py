@@ -14,7 +14,9 @@ from digitsum import digitseq
 from digitsum.digitseq import (
     _MULTIPLY_MAX_ORDER,
     _block_length,
+    _difference_weight,
     _inverse_power,
+    _power_weight,
     digit_sum,
     digit_sum_range,
     digit_weighted_sum,
@@ -399,3 +401,86 @@ class TestInversePower:
         want = np.empty_like(x)
         _inverse_power(x, 3.0, want)
         assert buf[x.size :].tobytes() == want.tobytes()
+
+
+def _two_power_fill(alpha):
+    """w(x) - w(x + 1) with both powers taken over the whole row."""
+
+    def fill(x, out):
+        later = np.empty_like(x)
+        _inverse_power(x, alpha, out)
+        x += 1.0
+        _inverse_power(x, alpha, later)
+        out -= later
+
+    return fill
+
+
+def _kernel_rows(limit, b, shift):
+    """Copies of the rows x that digit_weighted_sum hands its fill."""
+    rows = []
+
+    def record(x, out):
+        rows.append(x.copy())
+        out[...] = 0.0
+
+    digit_weighted_sum(limit, b, record, shift)
+    return rows
+
+
+def _fill_row(fill, x):
+    out = np.empty_like(x)
+    fill(x.copy(), out)
+    return out
+
+
+class TestWeights:
+    """The power and forward-difference fills of digit_weighted_sum."""
+
+    @pytest.mark.parametrize("alpha", [0.5, 2.0, 2.5, 3.0])
+    def test_power_weight_is_inverse_power(self, alpha):
+        x = _power_bases()
+        want = np.empty_like(x)
+        _inverse_power(x, alpha, want)
+        assert _fill_row(_power_weight(alpha), x).tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("alpha", [0.5, 1.0, 2.0, 2.5, 3.0])
+    @pytest.mark.parametrize("shift", [0.0, 0.25, 0.5])
+    @pytest.mark.parametrize("b", [2, 3, 10])
+    def test_difference_is_the_two_power_fill_at_dyadic_shifts(self, b, shift, alpha):
+        """Each row bit for bit, and so the sum: fl(x[i] + 1) = x[i + 1] here."""
+        block = _block_length(b)
+        for limit in (block - 1, block, block + 1, 6 * block + 5):
+            for x in _kernel_rows(limit, b, shift):
+                got = _fill_row(_difference_weight(alpha), x)
+                assert got.tobytes() == _fill_row(_two_power_fill(alpha), x).tobytes()
+            got = digit_weighted_sum(limit, b, _difference_weight(alpha), shift)
+            want = digit_weighted_sum(limit, b, _two_power_fill(alpha), shift)
+            assert got.hex() == want.hex(), (limit, got, want)
+
+    @pytest.mark.parametrize("alpha", [0.5, 2.0, 2.5, 3.0])
+    @pytest.mark.parametrize("shift", [0.3, 1.0 / 3.0, 1e-10])
+    @pytest.mark.parametrize("b", [2, 3, 10])
+    def test_difference_near_the_two_power_fill_elsewhere(self, b, shift, alpha):
+        """x[i + 1] stands in for fl(x[i] + 1).  Each is within 5 2^-53
+        relative of n + shift + 1 (x carries two roundings from fl(m + shift)
+        and the block offset, the +1 one more), so w differs between them by
+        at most 5 alpha 2^-53 relative to first order.  Each power rounds
+        within 4 2^-53 (k 2^-53 for the multiplied orders k <= 4, an ulp for
+        np.power) and each subtraction once, so a weight moves by at most
+        (5 alpha + 8) 2^-53 w(x[i + 1]) + 2^-53 (|new| + |old|).  At 0.3
+        every row happens to give fl(x[i] + 1) = x[i + 1]; 1/3 and 1e-10 do not.
+        """
+        rows = _kernel_rows(6 * _block_length(b), b, shift)
+        assert any(np.any(x[1:] != x[:-1] + 1.0) for x in rows) == (shift != 0.3)
+        for x in rows:
+            new = _fill_row(_difference_weight(alpha), x)
+            old = _fill_row(_two_power_fill(alpha), x)
+            after = np.append(x[1:], x[-1] + 1.0) ** -alpha
+            bound = (5 * alpha + 8) * 2.0**-53 * after + 2.0**-53 * (abs(new) + abs(old))
+            assert np.all(np.abs(new - old) <= 1.01 * bound), (b, shift, alpha)
+
+    def test_difference_of_an_empty_row_is_empty(self):
+        # block 0 of a one-term limit hands the fill an empty row
+        assert _fill_row(_difference_weight(3.0), np.empty(0)).size == 0
+        assert digit_weighted_sum(1, 2, _difference_weight(3.0), 0.0) == 0.0

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from digitsum import harness, lambert
 from digitsum.digitseq import (
-    _BLOCK_CAP,
+    _block_length,
     delta_digit_sum,
     digit_sum,
     digit_sum_range,
@@ -364,11 +364,12 @@ class TestEtaDirichletBridge:
         assert report.abs_err <= budget
 
 
-BLOCK = _BLOCK_CAP
+BLOCK = _block_length(2)
 
 
 class TestIncrementDirichletPartial:
-    """The blocked sum of (1 - nu_2(n)) n^-s behind the eta bridge."""
+    """The sum of (1 - nu_2(n)) n^-s behind the eta bridge, summed by parts as
+    sum s_2(n) [n^-s - (n+1)^-s] + s_2(L-1) L^-s through the blocked kernel."""
 
     @pytest.mark.parametrize(
         "limit",
@@ -388,10 +389,29 @@ class TestIncrementDirichletPartial:
     )
     @pytest.mark.parametrize("s", [1.5, 2.0, 3.0])
     def test_close_to_fsum_of_the_terms(self, limit, s):
-        n = np.arange(1, limit, dtype=np.float64)
-        terms = (1.0 - valuation2_range(limit)[1:]) * n**-s
+        """Against math.fsum of the terms (1 - nu_2(n)) n^-s, n < L = limit.
+
+        Each power is within eps = 4 2^-53 of n^-s: k 2^-53 for the orders k
+        that _inverse_power multiplies out, within an ulp for np.power.  So the
+        weight d(n) = w(n) - w(n+1) carries eps (w(n) + w(n+1)) from its two
+        powers, and the kernel then sums s_2(n) d(n) within gamma_(C + depth + 2)
+        sum s_2(n) |d(n)|: C blocks, depth = 25 + log2 B roundings in a
+        pairwise sum as in the kernel tests, and one more for the subtraction.
+        The boundary term s_2(L-1) L^-s carries 2 eps, the reference
+        eps sum |1 - nu_2(n)| n^-s, and each side one final rounding.
+        """
+        n = np.arange(1, limit + 1, dtype=np.float64)
+        w = n**-s
+        terms = (1.0 - valuation2_range(limit)[1:]) * w[:-1]
         exact = math.fsum(terms.tolist())
-        # each block sums at most B terms and the block totals add one by one:
-        # (B + blocks) roundings of at most 2^-52 of the absolute sum
-        bound = (BLOCK + -(-limit // BLOCK)) * 2.0**-52 * math.fsum(np.abs(terms).tolist())
+        eps = 4 * 2.0**-53
+        k = -(-limit // BLOCK) + 25 + math.ceil(math.log2(BLOCK)) + 2
+        gamma = k * 2.0**-53 / (1.0 - k * 2.0**-53)
+        weights = eps * (w[:-1] + w[1:]) + gamma * (w[:-1] - w[1:])
+        bound = (
+            math.fsum((digit_sum_range(limit, 2)[1:] * weights).tolist())
+            + 2 * eps * digit_sum(limit - 1, 2) * w[-1]
+            + eps * math.fsum(np.abs(terms).tolist())
+            + 2 * 2.0**-53 * abs(exact)
+        )
         assert abs(lambert._increment_dirichlet_partial(limit, s) - exact) <= bound

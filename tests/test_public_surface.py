@@ -189,13 +189,15 @@ def reached_names(file: str, start: str) -> set[str]:
     return seen
 
 
-# the float oracles: each sums a definition term by term, with no special function
+# the float oracles: each sums a definition term by term, with no special
+# function; thm29-finite's oracle is the kernel with the power weight
 ORACLES = [
     ("identities.py", "finite_zeta_diff_direct"),
     ("identities.py", "direct_digit_zeta"),
     ("identities.py", "direct_j_infinity"),
     ("identities.py", "direct_product_log"),
-    ("harness.py", "_plain_finite_direct"),
+    ("digitseq.py", "_power_weight"),
+    ("digitseq.py", "_difference_weight"),
     ("lambert.py", "eta_dirichlet_bridge_check"),
 ]
 CLOSED_FORMS = [
@@ -230,3 +232,24 @@ def test_no_closed_form_reaches_the_oracle_kernel(file, closed):
 
 def test_digamma_reaches_no_hurwitz_zeta():
     assert "hurwitz_zeta" not in reached_names("specfun.py", "digamma")
+
+
+def _names_in(path: Path) -> set[str]:
+    """Every name a file loads, bare or as an attribute, or imports."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    imported = {
+        alias.name
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom)
+        for alias in node.names
+    }
+    return _loads(tree) | imported
+
+
+def test_one_blocked_kernel():
+    # every brute-force sum goes through digit_weighted_sum, so the block cap
+    # and the aligned rows belong to digitseq alone
+    private = {"_BLOCK_CAP", "_aligned_rows"}
+    named = {path.name: _names_in(path) & private for path in PACKAGE.glob("*.py")}
+    assert named.pop("digitseq.py") == private
+    assert {file: names for file, names in named.items() if names} == {}

@@ -17,7 +17,7 @@ from digitsum.solver import (
     solve_implicit,
     weighted_digit_sum,
 )
-from digitsum.specfun import REL_TOL, TAIL_SAFETY, TruncationBudgetError
+from digitsum.specfun import REL_TOL, TAIL_SAFETY, TruncationBudgetError, hurwitz_zeta
 
 
 def telescoping_pair():
@@ -365,6 +365,28 @@ class TestRecoverJInfinity:
         assert report.terms > 0
         assert report.tail_bound >= 0.0
         assert (report.lhs, report.terms, report.tail_bound) == recover_j_infinity_check(2.5)
+
+    @pytest.mark.parametrize("x", [0.1, 0.3, 1.0, 7.7, 100.0])
+    def test_bitwise_equals_scalar_loop(self, x):
+        # the inner window added one term at a time, as np.add.accumulate adds
+        total, terms_used, tail_bound = 0.0, 0, 0.0
+        for k in range(200):
+            w = x / 2.0 ** (k + 1)
+            inner = 0.0
+            for n in range(1, 257):
+                inner += 1.0 / ((w + n - 0.5) * (w + n))
+            terms_used += 256
+            for r in range(64):
+                piece = 2.0**-r * hurwitz_zeta(r + 2.0, w + 256 + 1.0)
+                inner += piece
+                if piece <= 1e-18 * inner:
+                    break
+            total += 2.0 ** (-k - 2) * inner
+            tail_bound = 2.0 ** (-k - 2) * (4.0 * math.log(2.0) + 1.0)
+            if tail_bound <= 0.05 * REL_TOL * abs(total):
+                break
+        got = recover_j_infinity_check(x)
+        assert (got[0].hex(), got[1], got[2].hex()) == (total.hex(), terms_used, tail_bound.hex())
 
     def test_rejects_nonpositive(self):
         with pytest.raises(ValueError):
