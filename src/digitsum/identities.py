@@ -3,10 +3,13 @@
 Every evaluator here computes one side of a published-style identity:
 finite telescoped sums over n < b^p weighted by the base-b digit sum,
 their p -> infinity limits, the associated infinite products, and the
-order-2 family assembled from the two-parameter Barnes zeta.  Each closed
-form has a brute-force companion (direct_* or *_direct) that computes the
-same quantity from the definition with an explicit tail bracket, so the
-two routes stay independent end to end.
+order-2 family assembled from the two-parameter Barnes zeta.  The
+difference-kernel family takes each level as one pole-free
+hurwitz_difference, so its order-1 member, the harmonic-difference sum
+j_infinity, is no separate case.  Each closed form has a brute-force
+companion (direct_* or *_direct) that computes the same quantity from the
+definition with an explicit tail bracket, so the two routes stay
+independent end to end.
 """
 
 from __future__ import annotations
@@ -24,6 +27,7 @@ from .specfun import (
     REL_TOL,
     TruncationBudgetError,
     _level_series,
+    _pole_free_product,
     alternating_hurwitz,
     barnes_zeta2,
     digamma,
@@ -66,8 +70,8 @@ def _check_finite_sum(b: int, p: int, alpha: float, z: float) -> None:
         raise ValueError("base must be >= 2")
     if p < 1:
         raise ValueError("p must be >= 1")
-    if not z >= 0:
-        raise ValueError("z must be >= 0")
+    if not 0 <= z < math.inf:
+        raise ValueError("z must be >= 0 and finite")
     if not alpha > 0:
         raise ValueError("alpha must be > 0")
 
@@ -84,7 +88,7 @@ def finite_zeta_diff_closed(b: int, p: int, alpha: float, z: float) -> float:
 
     sum_{l=0}^{p-1} b^(-a l) D_l - sum_{l=1}^{p} b^(1-a l) D_l with
     D_l = zeta(a, 1 + z/b^l) - zeta(a, 1 + (z+b^p)/b^l), a hurwitz_difference,
-    which at a = 1 is its digamma limit.
+    pole-free at a = 1 as well.
     """
     _check_finite_sum(b, p, alpha, z)
     top = float(b**p)
@@ -104,8 +108,8 @@ def binary_corollary_closed(p: int, alpha: float, z: float) -> float:
     """Base-2 half-shift form of the finite closed sum."""
     if p < 1:
         raise ValueError("p must be >= 1")
-    if not z >= 0:
-        raise ValueError("z must be >= 0")
+    if not 0 <= z < math.inf:
+        raise ValueError("z must be >= 0 and finite")
     top = float(2**p)
     total = 0.0
     for l in range(p):
@@ -132,8 +136,8 @@ def double_sum_alternate(p: int, alpha: float, z: float) -> float:
     """
     if p < 1:
         raise ValueError("p must be >= 1")
-    if not z >= 0:
-        raise ValueError("z must be >= 0")
+    if not 0 <= z < math.inf:
+        raise ValueError("z must be >= 0 and finite")
     top = float(2**p)
     total = 0.0
     for l in range(p):
@@ -153,8 +157,8 @@ def j_recurrence_check(N: int, x: float) -> list[tuple[float, float]]:
     """
     if N < 1:
         raise ValueError("N must be >= 1")
-    if not x >= 0:
-        raise ValueError("x must be >= 0")
+    if not 0 <= x < math.inf:
+        raise ValueError("x must be >= 0 and finite")
 
     def j_direct(limit: int, arg: float) -> float:
         return sum(
@@ -177,70 +181,44 @@ def j_recurrence_check(N: int, x: float) -> list[tuple[float, float]]:
 
 
 def infinite_zeta_diff(b: int, alpha: float, z: float) -> float:
-    """sum_{n>=1} s_b(n) [(z+n)^-a - (z+n+1)^-a] in closed form.
+    """sum_{n>=1} s_b(n) [(z+n)^-a - (z+n+1)^-a] in closed form, for a > 0.
 
-    zeta(a, 1+z) + (1-b) sum_{l>=1} b^(-l a) zeta(a, 1 + z/b^l); the
-    l-series is geometric with ratio b^-a.  Past level l, |zeta(a, 1 + w)|
-    with w <= z/b^(l+1) is at most |zeta(a, 1)| for a > 1, and at most
-    |zeta(a, 1)| + 1 + (1+w)^(1-a)/(1-a) for a < 1, where the level terms
-    grow with z and may cancel to a far smaller total.  So the sum raises
-    TruncationBudgetError when kappa = sum |term| / |total| puts its rounding,
-    kappa 2^-52, above REL_TOL.
+    The level series zeta(a, 1+z) + (1-b) sum_{l>=1} b^(-l a) zeta(a, v_l),
+    v_l = 1 + z/b^l, summed by parts: (1 - b^(1-a)) zeta(a, 1+z)/(1 - b^-a)
+    plus (1-b) b^(-l a)/(1 - b^-a) [zeta(a, v_l) - zeta(a, v_(l-1))] for l >= 1,
+    one hurwitz_difference each, so no pole forms at a = 1 (j_infinity).  Once
+    z/b^l < 1 the terms shrink like b^-(a+1).  It raises TruncationBudgetError
+    when kappa = sum |term| / |total| puts its rounding kappa 2^-52 above REL_TOL.
     """
     if b < 2:
         raise ValueError("base must be >= 2")
-    if alpha == 1.0 or not alpha > 0:
-        raise ValueError("alpha must be positive and != 1")
-    if not z >= 0:
-        raise ValueError("z must be >= 0")
-    total = hurwitz_zeta(alpha, 1.0 + z)
-    limit = abs(hurwitz_zeta(alpha, 1.0))  # the level zetas tend to zeta(a, 1)
-    sizes = [abs(total)]  # |term| of each level so far, level 0 first
+    if not alpha > 0:
+        raise ValueError("alpha must be > 0")
+    if not 0 <= z < math.inf:
+        raise ValueError("z must be >= 0 and finite")
+    ratio = -math.expm1(-alpha * math.log(b))  # 1 - b^-a
+    v = [1.0 + z]  # the level boundaries v_l so far, each formed once
+    head = _pole_free_product(b, alpha, v[0]) / ratio
+    sizes = [abs(head)]  # |term| of each level so far, the head first
 
     def term(l: int) -> float:
-        t = (1 - b) * (float(b) ** (-l * alpha) * hurwitz_zeta(alpha, 1.0 + z / b**l))
+        v.append(1.0 + z / float(b) ** l)
+        t = (1 - b) * float(b) ** (-l * alpha) / ratio * hurwitz_difference(alpha, v[-1], v[-2])
         sizes.append(abs(t))
         return t
 
-    def tail(l: int, t: float) -> float:
-        bound = limit
-        if alpha < 1:
-            bound += 1.0 + (1.0 + z / float(b) ** (l + 1)) ** (1.0 - alpha) / (1.0 - alpha)
-        return (b - 1) * (float(b) ** (-(l + 1) * alpha) * bound) / (1 - b**-alpha)
-
-    total = _level_series("infinite_zeta_diff", b, term, tail, 1, total)
+    tail = lambda l, t: abs(t) / (b ** (alpha + 1.0) - 1.0) if z / float(b) ** l < 1.0 else math.inf
+    total = _level_series("infinite_zeta_diff", b, term, tail, 1, head)
     rounding = math.fsum(sizes) * 2.0**-52
     if rounding > REL_TOL * abs(total):
-        raise TruncationBudgetError(
-            f"infinite_zeta_diff: the levels cancel, rounding {rounding:.3g} on {total:.3g}",
-            len(sizes) - 1,
-            rounding,
-        )
+        message = f"infinite_zeta_diff: the levels cancel, rounding {rounding:.3g} on {total:.3g}"
+        raise TruncationBudgetError(message, len(sizes) - 1, rounding)
     return total
 
 
 def j_infinity(b: int, x: float) -> float:
-    """sum_{n>=1} s_b(n)/((x+n)(x+n+1)) in closed digamma form.
-
-    (b/(b-1)) log b + sum_{l>=0} b^-l [psi(1 + x/b^(l+1)) - psi(1 + x/b^l)].
-    The printed bracket psi(x/b^(l+1)) - psi(x/b^l) + (b-1) b^l / x is the
-    same, since psi(w) = psi(1+w) - 1/w (DLMF 5.5.2), but here no pole is
-    left to cancel: each term is O(x b^(-2l)) to full relative accuracy, and
-    at x = 0 every term is 0 - 0.
-    """
-    if b < 2:
-        raise ValueError("base must be >= 2")
-    if x < 0:
-        raise ValueError("x must be >= 0")
-    psi = [digamma(1.0 + x)]  # psi(1 + x / b^l) at the levels so far, each taken once
-
-    def term(l: int) -> float:
-        psi.append(digamma(1.0 + x / float(b) ** (l + 1)))
-        return float(b) ** (-l) * (psi[-1] - psi[-2])
-
-    # once in the small-argument regime the terms shrink like b^-2l
-    tail = lambda l, t: abs(t) / (b * b - 1.0) if x / float(b) ** l < 1.0 else math.inf
-    return _level_series("j_infinity", b, term, tail, 0, b / (b - 1.0) * math.log(b))
+    """sum_{n>=1} s_b(n)/((x+n)(x+n+1)), the alpha = 1 case of infinite_zeta_diff."""
+    return infinite_zeta_diff(b, 1.0, x)
 
 
 def j_infinity_taylor_coeff(b: int, n: int) -> float:

@@ -1,8 +1,8 @@
 """Real special functions used by the closed forms.
 
 Digamma, Hurwitz zeta (analytically continued in the order; the Riemann
-zeta is hurwitz_zeta(s, 1)), the difference of two Hurwitz zetas with its
-alpha = 1 limit, Dirichlet eta, Stirling beta, log-gamma, the
+zeta is hurwitz_zeta(s, 1)), the difference of two Hurwitz zetas in one
+pole-free pass through alpha = 1, Dirichlet eta, Stirling beta, log-gamma, the
 Barnes double zeta at the periods (1, h) for an integer h and order
 alpha >= 2 (at alpha = 2 the finite part of its pole), exact even-index
 Bernoulli numbers, and the complete elliptic integral K.
@@ -13,8 +13,8 @@ stops once TAIL_SAFETY times it is at most REL_TOL of the value, so
 accuracy claims are budgeted rather than hoped for; a loop that would pass
 MAX_TERMS steps raises TruncationBudgetError instead.  The asymptotic
 expansions run at the fixed order EM_ORDER once the argument passes
-SHIFT_THRESHOLD, and a relative tolerance is taken of a magnitude no
-smaller than ABS_FLOOR.
+SHIFT_THRESHOLD (DIFFERENCE_SHIFT in hurwitz_difference), and a relative
+tolerance is taken of a magnitude no smaller than ABS_FLOOR.
 """
 
 from __future__ import annotations
@@ -44,6 +44,9 @@ MAX_TERMS = 10**7  # steps a loop may take chasing REL_TOL before it raises
 TAIL_SAFETY = 10.0  # multiplies tail estimates before comparing
 EM_ORDER = 8  # highest Bernoulli index in the asymptotic corrections
 SHIFT_THRESHOLD = 16.0  # argument size where the asymptotics engage
+# hurwitz_difference's expansion start: its error has one sign and adds up over
+# infinite_zeta_diff's levels; from 16, j_infinity(2, 100) is off by 1.02e-13
+DIFFERENCE_SHIFT = 1.5 * SHIFT_THRESHOLD
 ABS_FLOOR = 1e-300  # smallest magnitude a relative tolerance is taken of
 
 
@@ -220,25 +223,58 @@ def hurwitz_zeta(alpha: float, z: float) -> float:
 
 
 def hurwitz_difference(alpha: float, a: float, c: float) -> float:
-    """zeta(alpha, a) - zeta(alpha, c) for alpha > 0 and a, c > 0.
+    """zeta(alpha, a) - zeta(alpha, c) for alpha > 0 and a, c > 0, with no pole at alpha = 1.
 
-    At alpha = 1 both zetas have the pole 1/(alpha-1), and since
-    zeta(s, a) = 1/(s-1) - psi(a) + O(s-1) (DLMF 25.11) the difference is
-    exactly psi(c) - psi(a) there.  Either two Hurwitz values or two digamma
-    values, never both, so digamma stays free of hurwitz_zeta.
+    One Euler-Maclaurin pass over the pairs (w, w + d), d = c - a >= 0 (F. Johansson,
+    Numer. Algorithms 69, 2015).  With L = log1p(d/w), w^-s - (w+d)^-s is
+    -w^-s expm1(-s L) in the direct, half and Bernoulli terms, and the integral
+    term is w^(1-alpha) L E((1-alpha) L), E(t) = expm1(t)/t: log1p(d/w) at alpha = 1.
+    The expansion engages at DIFFERENCE_SHIFT.
     """
+    if not (0 < alpha < math.inf and 0 < a < math.inf and 0 < c < math.inf):
+        raise ValueError("hurwitz_difference requires finite alpha > 0 and a, c > 0")
+    if c < a:  # pair from the smaller argument: w + d = c + n keeps its digits
+        return -hurwitz_difference(alpha, c, a)
+    coef = _EM_COEFFICIENTS
+    half = EM_ORDER // 2
+    d = c - a
+    pair = lambda s: -(w**-s) * math.expm1(-s * L)  # w^-s - (w+d)^-s at the current w and L
+
+    direct = 0.0
+    w = a
+    target = DIFFERENCE_SHIFT
+    while True:
+        if target - a > MAX_TERMS:  # the budget on the direct steps, as in digamma
+            raise TruncationBudgetError("hurwitz_difference past MAX_TERMS", MAX_TERMS, math.inf)
+        while w < target:
+            direct -= w**-alpha * math.expm1(-alpha * math.log1p(d / w))
+            w += 1.0
+        L = math.log1p(d / w)
+        t = (1.0 - alpha) * L
+        value = direct + w ** (1.0 - alpha) * L * (math.expm1(t) / t if t else 1.0)
+        value += 0.5 * pair(alpha)
+        poch = alpha
+        for j in range(1, half + 1):
+            value += coef[j] * poch * pair(alpha + 2 * j - 1)
+            poch *= (alpha + 2 * j - 1) * (alpha + 2 * j)
+        omitted = abs(coef[half + 1] * poch * pair(alpha + 2 * half + 1))
+        if TAIL_SAFETY * omitted <= REL_TOL * max(abs(value), ABS_FLOOR):
+            return value
+        target *= 2.0
+
+
+def _pole_free_product(b: float, alpha: float, v: float) -> float:
+    """(1 - b^(1-alpha)) zeta(alpha, v), with its limit log b at alpha = 1."""
     if alpha == 1:
-        return digamma(c) - digamma(a)
-    return hurwitz_zeta(alpha, a) - hurwitz_zeta(alpha, c)
+        return math.log(b)
+    return -math.expm1((1.0 - alpha) * math.log(b)) * hurwitz_zeta(alpha, v)
 
 
 def dirichlet_eta(alpha: float) -> float:
     """eta(alpha) = (1 - 2^(1-alpha)) zeta(alpha); eta(1) = ln 2."""
     if not alpha > 0:
         raise ValueError("dirichlet_eta requires alpha > 0")
-    if alpha == 1:
-        return math.log(2.0)
-    return (1.0 - 2.0 ** (1.0 - alpha)) * hurwitz_zeta(alpha, 1.0)
+    return _pole_free_product(2.0, alpha, 1.0)
 
 
 def stirling_beta(x: float) -> float:
@@ -253,14 +289,14 @@ def alternating_hurwitz(alpha: float, w: float) -> float:
 
     Splitting the sum into even and odd n gives
     2^(-alpha) [zeta(alpha, w/2 + 1) - zeta(alpha, (w+1)/2)], a
-    hurwitz_difference, so alpha = 1 takes its digamma limit; the even/odd
-    split fixes the bracket order (checked against the direct alternating
-    sum in the tests).
+    hurwitz_difference, so alpha = 1 takes the same pole-free pass; the
+    even/odd split fixes the bracket order (checked against the direct
+    alternating sum in the tests).
     """
     if not alpha > 0:
         raise ValueError("alternating_hurwitz requires alpha > 0")
-    if not w > 0:
-        raise ValueError("alternating_hurwitz requires w > 0")
+    if not 0 < w < math.inf:
+        raise ValueError("alternating_hurwitz requires finite w > 0")
     return 2.0 ** (-alpha) * hurwitz_difference(alpha, w / 2.0 + 1.0, (w + 1.0) / 2.0)
 
 

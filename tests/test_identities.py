@@ -1,6 +1,7 @@
 """Closed forms for digit-sum series against brute-force and mpmath oracles."""
 from __future__ import annotations
 
+import itertools
 import json
 import math
 from dataclasses import replace
@@ -57,17 +58,27 @@ def blocked_sum_bound(terms: np.ndarray, limit: int, b: int) -> float:
 
 
 def zeta_diff_reference(b: int, alpha: float, z: float) -> float:
-    """The level series of infinite_zeta_diff in mpmath at 40 digits, on the given doubles."""
+    """The printed level series of infinite_zeta_diff in mpmath at 40 digits, on the
+    given doubles: zeta(a, 1+z) + (1-b) sum_{l>=1} b^(-l a) zeta(a, 1 + z/b^l).
+
+    Levels with z/b^l >= 1/8 are summed one by one; the rest through
+    zeta(a, 1 + e) = sum_j (-e)^j (a)_j / j! zeta(a + j), whose level sum is
+    geometric for each j, so a slow ratio b^-a costs no extra levels.
+    """
     with mp.workdps(40):
-        a, x = mp.mpf(alpha), mp.mpf(z)
+        a, x, base = mp.mpf(alpha), mp.mpf(z), mp.mpf(b)
         total, l = mp.zeta(a, 1 + x), 1
-        while True:
-            term = (1 - b) * mp.mpf(b) ** (-l * a) * mp.zeta(a, 1 + x / mp.mpf(b) ** l)
-            total += term
-            # once z/b^l < 1 the terms decay geometrically, by b^-a <= 2^-0.5
-            if x < mp.mpf(b) ** l and abs(term) < mp.mpf(10) ** -35 * abs(total):
-                return float(total)
+        while x / base**l >= mp.mpf(1) / 8:
+            total += (1 - b) * base ** (-l * a) * mp.zeta(a, 1 + x / base**l)
             l += 1
+        j = 0
+        while True:
+            level_sum = base ** (-l * (a + j)) / (1 - base ** -(a + j))
+            term = (1 - b) * (-x) ** j * mp.rf(a, j) / mp.factorial(j) * mp.zeta(a + j) * level_sum
+            total += term
+            if abs(term) < mp.mpf(10) ** -35 * abs(total):
+                return float(total)
+            j += 1
 
 
 class TestCriterion:
@@ -105,8 +116,9 @@ class TestCriterion:
 _FINITE_SUM_CHECKS = [
     ("base", (1, 2, 2.0, 0.0), "base must be >= 2"),
     ("p", (2, 0, 2.0, 0.0), "p must be >= 1"),
-    ("z", (2, 2, 2.0, -0.5), "z must be >= 0"),
-    ("z-nan", (2, 2, 2.0, math.nan), "z must be >= 0"),
+    ("z", (2, 2, 2.0, -0.5), "z must be >= 0 and finite"),
+    ("z-nan", (2, 2, 2.0, math.nan), "z must be >= 0 and finite"),
+    ("z-inf", (2, 2, 2.0, math.inf), "z must be >= 0 and finite"),
     ("alpha", (2, 2, 0.0, 0.0), "alpha must be > 0"),
     ("alpha-negative", (2, 2, -1.5, 0.0), "alpha must be > 0"),
 ]
@@ -167,27 +179,29 @@ class TestFiniteClosedForm:
                 near = finite_zeta_diff_closed(b, p, 1.0 + eps, z)
                 assert rel_err(near, at_one) < 1e-4
 
-    @pytest.mark.parametrize("alpha, name", [(2.5, "hurwitz_zeta"), (1.0, "digamma")])
+    @pytest.mark.parametrize("alpha", [2.5, 1.0])
     @pytest.mark.parametrize("b, p", [(2, 1), (2, 4), (3, 3)])
-    def test_each_level_difference_once(self, monkeypatch, b, p, alpha, name):
-        # p + 1 levels, one Hurwitz difference each, none repeated; at alpha = 1
-        # each difference is two digamma values, otherwise two Hurwitz zetas
-        diffs, values = [], []
+    def test_each_level_difference_once(self, monkeypatch, b, p, alpha):
+        # p + 1 levels, one Hurwitz difference each, none repeated
+        real, diffs = identities.hurwitz_difference, []
 
-        def counting(module, attr, log):
-            real = getattr(module, attr)
+        def counted(*call):
+            diffs.append(call)
+            return real(*call)
 
-            def counted(*call):
-                log.append(call)
-                return real(*call)
-
-            monkeypatch.setattr(module, attr, counted)
-
-        counting(identities, "hurwitz_difference", diffs)
-        counting(specfun, name, values)
+        monkeypatch.setattr(identities, "hurwitz_difference", counted)
         finite_zeta_diff_closed(b, p, alpha, 0.5)
         assert len(diffs) == len(set(diffs)) == p + 1
-        assert len(values) == len(set(values)) == 2 * (p + 1)
+
+    @pytest.mark.parametrize("alpha", [1 + 1e-8, 1 + 1e-10, 1 + 1e-12])
+    def test_near_order_one_against_mpmath(self, alpha):
+        # no level difference forms the pole 1/(alpha - 1), so no digit is lost to it
+        with mp.workdps(40):
+            a, z = mp.mpf(alpha), mp.mpf(0.5)
+            terms = (bin(n).count("1") * ((z + n) ** -a - (z + n + 1) ** -a) for n in range(1, 8))
+            want = float(mp.fsum(terms))
+        assert rel_err(finite_zeta_diff_closed(2, 3, alpha, 0.5), want) < 1e-14
+        assert rel_err(binary_corollary_closed(3, alpha, 0.5), want) < 1e-14
 
     @given(
         b=st.sampled_from([2, 3, 5]),
@@ -330,11 +344,21 @@ class TestInfiniteZetaDiff:
             rhs = infinite_barnes(b, alpha, z) - infinite_barnes(b, alpha, z + 1.0)
             assert rel_err(lhs, rhs) < 1e-11
 
-    def test_slow_geometric_decay_raises(self):
-        # at ratio 2^-0.03 the rule needs far more than the 1022 levels for
-        # which 2^(l+1) is a finite double
-        with pytest.raises(TruncationBudgetError):
-            infinite_zeta_diff(2, 0.03, 1.0)
+    def test_slow_geometric_decay_matches_mpmath(self):
+        # summed by parts, each level is a difference that shrinks like
+        # b^-(a+1) once z/b^l < 1, so the ratio 2^-0.03 of the printed levels
+        # does not set the level count
+        want = zeta_diff_reference(2, 0.03, 1.0)
+        assert rel_err(infinite_zeta_diff(2, 0.03, 1.0), want) < REL_TOL
+
+    @pytest.mark.parametrize(
+        "b, alpha, z",
+        [(2, 1 + 1e-8, 0.0), (2, 1 + 1e-12, 0.0), (3, 1 + 1e-10, 0.5), (16, 1 + 1e-8, 0.0)],
+    )
+    def test_near_order_one_matches_mpmath(self, b, alpha, z):
+        # the printed levels each carry the pole 1/(alpha - 1); the sum by parts
+        # keeps it in the head, where 1 - b^(1-alpha) cancels it in closed form
+        assert rel_err(infinite_zeta_diff(b, alpha, z), zeta_diff_reference(b, alpha, z)) < REL_TOL
 
     @pytest.mark.parametrize(
         "b, alpha, z", [(2, 0.5, 1e8), (3, 0.3, 1e12), (2, 0.5, 1e30), (2, 0.9, 1e100)]
@@ -351,11 +375,46 @@ class TestInfiniteZetaDiff:
         # kappa is 6.4, 154 and 1.9 here, so rel_tol = 1e-12 is within reach
         assert rel_err(infinite_zeta_diff(b, alpha, z), zeta_diff_reference(b, alpha, z)) < 1e-12
 
-    def test_rejects_order_one_and_nonpositive(self):
+    @pytest.mark.parametrize(
+        "b, alpha", [(2, 0.3), (3, 0.3), (3, 0.5), (10, 0.3), (10, 0.5), (16, 0.3), (16, 0.5)]
+    )
+    def test_small_order_far_shift_raises(self, b, alpha):
+        # a known loss: the head's factor 1/(1 - b^-a) puts kappa at 5.5e3 to 1.0e4
+        # here, above the limit REL_TOL 2^52 = 4504, where the printed levels
+        # (kappa 853 to 3.9e3) met REL_TOL; a fix turns this into an mpmath test
+        with pytest.raises(TruncationBudgetError, match="the levels cancel"):
+            infinite_zeta_diff(b, alpha, 1e4)
+
+    def test_order_one_against_mpmath_and_nonpositive_raises(self):
+        # alpha = 1 takes the head's limit log b; alpha = 1 +- 1e-12 takes the
+        # Hurwitz zeta in the head, and both meet the 40-digit references
+        points = json.loads(J_INFINITY_REFERENCE.read_text())["points"]
+        for b, x, want in points:
+            assert rel_err(infinite_zeta_diff(b, 1.0, x), float(want)) < 1e-13, (b, x)
+            for alpha in (1 - 1e-12, 1 + 1e-12):
+                assert rel_err(infinite_zeta_diff(b, alpha, x), float(want)) < 1e-11, (b, x)
         with pytest.raises(ValueError):
-            infinite_zeta_diff(2, 1.0, 0.0)
+            infinite_zeta_diff(2, 0.0, 0.0)
         with pytest.raises(ValueError):
             infinite_zeta_diff(2, -0.5, 0.0)
+
+    @pytest.mark.parametrize(
+        "fn, args",
+        [
+            pytest.param(fn, args, id=fn.__name__)
+            for fn, args in [
+                (infinite_zeta_diff, (2, 2.0, math.inf)),
+                (j_infinity, (2, math.inf)),
+                (binary_corollary_closed, (3, 2.0, math.inf)),
+                (double_sum_alternate, (3, 2.0, math.inf)),
+                (j_recurrence_check, (3, math.inf)),
+            ]
+        ],
+    )
+    def test_infinite_shift_raises(self, fn, args):
+        # an infinite shift would reach hurwitz_difference as inf - inf
+        with pytest.raises(ValueError, match="must be >= 0 and finite"):
+            fn(*args)
 
 
 class TestJInfinity:
@@ -384,16 +443,21 @@ class TestJInfinity:
         with pytest.raises(TruncationBudgetError):
             j_infinity(2, 1e308)
 
-    @pytest.mark.parametrize("b, x", [(2, 0.5), (3, 1.0)])
-    def test_perturbed_digamma_stays_close(self, monkeypatch, b, x):
-        # no level cancels a pole, so digamma off by 1e-12 moves the value by
-        # about that much instead of leaving a remainder that grows per level
-        want = j_infinity(b, x)
-        real = identities.digamma
-        monkeypatch.setattr(identities, "digamma", lambda w: real(w) * (1.0 + 1e-12))
-        got = j_infinity(b, x)
-        assert math.isfinite(got)
-        assert rel_err(got, want) < 1e-10
+    def test_perturbed_differences_stay_close(self, monkeypatch):
+        # no level cancels a pole, so Hurwitz values and differences off by
+        # 1e-12 move the value by about that much.  The sign alternates from
+        # call to call, as rounding does: a difference of two zetas near
+        # alpha = 1 would then carry 1e-12 of 1/(alpha - 1) = 1e10
+        cases = [(infinite_zeta_diff, (2, 1 + 1e-10, 0.5)), (j_infinity, (3, 1.0))]
+        want = [fn(*args) for fn, args in cases]
+        for module, name in ((identities, "hurwitz_difference"), (specfun, "hurwitz_zeta")):
+            real, flips = getattr(module, name), itertools.cycle((1.0 + 1e-12, 1.0 - 1e-12))
+            perturbed = lambda *call, real=real, flips=flips: real(*call) * next(flips)
+            monkeypatch.setattr(module, name, perturbed)
+        for (fn, args), value in zip(cases, want):
+            got = fn(*args)
+            assert math.isfinite(got)
+            assert rel_err(got, value) < 1e-10, (fn.__name__, args)
 
     def test_matches_mpmath_references(self):
         # 40-digit values from tests/golden/j_infinity_mpmath.json; rebuild them
@@ -404,17 +468,19 @@ class TestJInfinity:
             assert rel_err(j_infinity(b, x), float(want)) < 1e-13, (b, x)
 
     @pytest.mark.parametrize("b, x", [(2, 1.0), (3, 0.5), (10, 40.0), (2, 1e-6)])
-    def test_each_level_digamma_once(self, monkeypatch, b, x):
-        # one digamma per level boundary 1 + x / b^l, l = 0, 1, ..., none repeated
-        real, seen = identities.digamma, []
+    def test_each_level_difference_once(self, monkeypatch, b, x):
+        # level l >= 1 takes one difference at order 1 between the consecutive
+        # boundaries 1 + x / b^l and 1 + x / b^(l-1), none repeated
+        real, seen = identities.hurwitz_difference, []
 
-        def counted(w):
-            seen.append(w)
-            return real(w)
+        def counted(*call):
+            seen.append(call)
+            return real(*call)
 
-        monkeypatch.setattr(identities, "digamma", counted)
+        monkeypatch.setattr(identities, "hurwitz_difference", counted)
         j_infinity(b, x)
-        assert seen == [1.0 + x / float(b) ** l for l in range(len(seen))]
+        v = [1.0 + x / float(b) ** l for l in range(len(seen) + 1)]
+        assert seen == [(1.0, v[l], v[l - 1]) for l in range(1, len(v))]
         assert len(set(seen)) == len(seen) > 1
 
 

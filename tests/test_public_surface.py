@@ -216,7 +216,7 @@ def defined_in(file: str) -> set[str]:
 def test_independence_scan_sees_the_package():
     assert {"hurwitz_zeta", "digamma", "REL_TOL"} <= defined_in("specfun.py")
     assert "digit_weighted_sum" in reached_names("identities.py", "direct_digit_zeta")
-    assert "hurwitz_zeta" in reached_names("identities.py", "finite_zeta_diff_closed")
+    assert "hurwitz_zeta" in reached_names("identities.py", "infinite_barnes")
     assert ("identities.py", "j_infinity") in CLOSED_FORMS
 
 
@@ -232,6 +232,11 @@ def test_no_closed_form_reaches_the_oracle_kernel(file, closed):
 
 def test_digamma_reaches_no_hurwitz_zeta():
     assert "hurwitz_zeta" not in reached_names("specfun.py", "digamma")
+
+
+def test_hurwitz_difference_reaches_no_special_function():
+    # one Euler-Maclaurin pass over the pairs, not a difference of two values
+    assert reached_names("specfun.py", "hurwitz_difference") & {"hurwitz_zeta", "digamma"} == set()
 
 
 def _names_in(path: Path) -> set[str]:

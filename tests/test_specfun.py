@@ -156,8 +156,12 @@ class TestTermBudget:
             lambda: barnes_zeta2(2.0, 0.5, 2),
             lambda: hurwitz_zeta(2.0, 0.5),
             lambda: barnes_zeta2(3.0, 0.5, 32),
+            lambda: hurwitz_difference(1.0, 0.5, 1.5),
         ],
-        ids=["digamma", "barnes_zeta2-finite-part", "hurwitz_zeta", "barnes_zeta2"],
+        ids=[
+            "digamma", "barnes_zeta2-finite-part", "hurwitz_zeta", "barnes_zeta2",
+            "hurwitz_difference",
+        ],
     )
     def test_unreachable_tolerance_raises(self, monkeypatch, call):
         monkeypatch.setattr(specfun, "REL_TOL", 1e-300)
@@ -275,12 +279,33 @@ class TestHurwitzZeta:
         np.testing.assert_allclose(lhs, hurwitz_zeta(alpha, z + 1.0), rtol=1e-10, atol=1e-13)
 
 
+def difference_reference(alpha: float, a: float, c: float) -> float:
+    """zeta(alpha, a) - zeta(alpha, c) in mpmath at 40 digits on the given doubles,
+    psi(c) - psi(a) at alpha = 1."""
+    with mp.workdps(40):
+        s, a, c = mp.mpf(alpha), mp.mpf(a), mp.mpf(c)
+        if alpha == 1:
+            return float(mp.digamma(c) - mp.digamma(a))
+        return float(mp.zeta(s, a) - mp.zeta(s, c))
+
+
 class TestHurwitzDifference:
-    def test_generic_order_is_the_plain_difference(self):
+    def test_generic_order_against_mpmath(self):
         for alpha in (0.5, 2.5):
             for a, c in ((0.3, 2.5), (4.0, 1.25)):
-                want = hurwitz_zeta(alpha, a) - hurwitz_zeta(alpha, c)
-                assert hurwitz_difference(alpha, a, c) == want
+                want = difference_reference(alpha, a, c)
+                assert abs(hurwitz_difference(alpha, a, c) - want) <= 1e-13 * abs(want)
+
+    def test_near_order_one_against_mpmath(self):
+        # the two zetas each carry the pole 1/(alpha-1); the pairs never form it,
+        # so the difference keeps its digits at every alpha, large shifts included
+        for alpha in (1 - 1e-4, 1 - 1e-8, 1.0, 1 + 1e-12, 1 + 1e-9, 1 + 1e-6, 1 + 1e-4):
+            for a in (0.5, 3.7, 1e6):
+                for d in (-0.25, 1e-3, 1.0, 1e3):
+                    c = a + d
+                    want = difference_reference(alpha, a, c)
+                    got = hurwitz_difference(alpha, a, c)
+                    assert abs(got - want) <= 1e-13 * abs(want), (alpha, a, c)
 
     def test_order_one_against_mpmath(self):
         # the poles of the two zetas cancel: zeta(s, a) - zeta(s, c) -> psi(c) - psi(a)
@@ -293,9 +318,26 @@ class TestHurwitzDifference:
         at_one = hurwitz_difference(1.0, 0.75, 3.0)
         np.testing.assert_allclose(hurwitz_difference(1.0 + eps, 0.75, 3.0), at_one, rtol=1e-5)
 
+    @pytest.mark.parametrize("alpha", [0.5, 1.0, 1 + 1e-9, 2.0, 4.0])
+    def test_far_arguments_against_mpmath(self, alpha):
+        # the pairs start from the smaller argument, so c + n is never formed
+        # as a + d, which would keep only the digits of the larger argument
+        for a, c in ((40.0, 1e-3), (1e6, 1e-3), (1e300, 1e-3), (1e6, 0.7)):
+            for x, y in ((a, c), (c, a)):
+                want = difference_reference(alpha, x, y)
+                assert abs(hurwitz_difference(alpha, x, y) - want) <= 1e-13 * abs(want), (x, y)
+
+    @pytest.mark.parametrize(
+        "alpha, a, c", [(2.0, 1.0, math.inf), (2.0, math.inf, math.inf), (math.inf, 1.0, 2.0)]
+    )
+    def test_rejects_non_finite_arguments(self, alpha, a, c):
+        # inf - inf would make every step nan, and the stop rule would never hold
+        with pytest.raises(ValueError, match="finite"):
+            hurwitz_difference(alpha, a, c)
+
     @pytest.mark.parametrize("alpha, unused", [(1.0, "hurwitz_zeta"), (2.5, "digamma")])
     def test_one_function_per_order(self, monkeypatch, alpha, unused):
-        # digamma at alpha = 1, hurwitz_zeta otherwise, never both
+        # the one pass calls neither digamma nor hurwitz_zeta, at alpha = 1 or not
         def forbidden(*args):
             raise AssertionError(f"{unused} called at alpha = {alpha}")
 
@@ -313,6 +355,15 @@ class TestHurwitzDifference:
 class TestRiemannZetaAndEta:
     def test_eta_at_one(self):
         assert dirichlet_eta(1.0) == math.log(2.0)
+
+    @pytest.mark.parametrize(
+        "alpha", [1 + 1e-8, 1 + 1e-10, 1 + 1e-12, 1 - 1e-9, 0.5, 1.5, 2.0, 3.0]
+    )
+    def test_eta_against_mpmath(self, alpha):
+        # 1 - 2^(1-alpha) cancels near alpha = 1 unless it is formed by expm1
+        with mp.workdps(40):
+            want = float(mp.altzeta(mp.mpf(alpha)))
+        assert abs(dirichlet_eta(alpha) - want) <= 1e-14 * want
 
     def test_eta_at_two(self):
         np.testing.assert_allclose(dirichlet_eta(2.0), math.pi**2 / 12, rtol=1e-13)
@@ -364,6 +415,10 @@ class TestAlternatingHurwitz:
         n = np.arange(1, 10**6 + 1, dtype=np.float64)
         direct = float(np.sum((-1.0) ** n / (2.0 + n) ** 3))
         np.testing.assert_allclose(alternating_hurwitz(3.0, 2.0), direct, rtol=1e-9)
+
+    def test_rejects_infinite_shift(self):
+        with pytest.raises(ValueError, match="finite"):
+            alternating_hurwitz(2.0, math.inf)
 
     def test_accelerated_oracle_slow_decay(self):
         w = 1.0
