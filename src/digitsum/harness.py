@@ -121,12 +121,14 @@ def build_report(
     terms: int = 0,
     tail_bound: float = 0.0,
 ) -> IdentityReport:
-    """Assemble a report that passes if either error budget is met."""
+    """Assemble a report that passes if either error budget is met.  The
+    absolute one counts only while abs_tol < |rhs|: a wider bracket would
+    admit any lhs of the right size."""
     abs_err = abs(lhs - rhs)
     rel_err = abs_err / max(abs(rhs), 1e-300)
+    criterion = Criterion(rel_tol, abs_tol if abs_tol < abs(rhs) else 0.0)
     return IdentityReport(
-        identity_id, params, lhs, rhs, abs_err, rel_err,
-        Criterion(rel_tol, abs_tol), terms, tail_bound,
+        identity_id, params, lhs, rhs, abs_err, rel_err, criterion, terms, tail_bound
     )
 
 

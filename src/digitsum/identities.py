@@ -24,8 +24,7 @@ from .digitseq import _difference_weight, _power_weight, digit_sum, digit_weight
 # in perfbench/tests checks that it is wrapped under this module's name too
 from .digitseq import digit_sum_range  # noqa: F401
 from .specfun import (
-    REL_TOL,
-    TruncationBudgetError,
+    _check_rounding,
     _level_series,
     _pole_free_product,
     alternating_hurwitz,
@@ -88,7 +87,7 @@ def finite_zeta_diff_closed(b: int, p: int, alpha: float, z: float) -> float:
 
     sum_{l=0}^{p-1} b^(-a l) D_l - sum_{l=1}^{p} b^(1-a l) D_l with
     D_l = zeta(a, 1 + z/b^l) - zeta(a, 1 + (z+b^p)/b^l), a hurwitz_difference,
-    pole-free at a = 1 as well.
+    pole-free at a = 1 as well; terms that cancel raise (_check_rounding).
     """
     _check_finite_sum(b, p, alpha, z)
     top = float(b**p)
@@ -99,24 +98,29 @@ def finite_zeta_diff_closed(b: int, p: int, alpha: float, z: float) -> float:
 
     # levels 1 .. p-1 enter both sums: compute each difference once
     diffs = [diff(l) for l in range(p + 1)]
-    first = sum(float(b) ** (-alpha * l) * diffs[l] for l in range(p))
-    second = sum(b * float(b) ** (-alpha * l) * diffs[l] for l in range(1, p + 1))
-    return first - second
+    first = [float(b) ** (-alpha * l) * diffs[l] for l in range(p)]
+    second = [b * float(b) ** (-alpha * l) * diffs[l] for l in range(1, p + 1)]
+    total = sum(first) - sum(second)
+    _check_rounding("finite_zeta_diff_closed", sum(map(abs, first + second)), abs(total), 2 * p)
+    return total
 
 
 def binary_corollary_closed(p: int, alpha: float, z: float) -> float:
-    """Base-2 half-shift form of the finite closed sum."""
+    """Base-2 half-shift form of the finite closed sum; near and far
+    differences that cancel raise TruncationBudgetError (_check_rounding)."""
     if p < 1:
         raise ValueError("p must be >= 1")
     if not 0 <= z < math.inf:
         raise ValueError("z must be >= 0 and finite")
     top = float(2**p)
-    total = 0.0
+    total = magnitude = 0.0
     for l in range(p):
         scale = float(2 ** (l + 1))
         near = hurwitz_difference(alpha, 0.5 + z / scale, 1.0 + z / scale)
         far = hurwitz_difference(alpha, 0.5 + (z + top) / scale, 1.0 + (z + top) / scale)
         total += scale**-alpha * (near - far)
+        magnitude += scale**-alpha * (abs(near) + abs(far))
+    _check_rounding("binary_corollary_closed", magnitude, abs(total), p)
     return total
 
 
@@ -187,8 +191,8 @@ def infinite_zeta_diff(b: int, alpha: float, z: float) -> float:
     v_l = 1 + z/b^l, summed by parts: (1 - b^(1-a)) zeta(a, 1+z)/(1 - b^-a)
     plus (1-b) b^(-l a)/(1 - b^-a) [zeta(a, v_l) - zeta(a, v_(l-1))] for l >= 1,
     one hurwitz_difference each, so no pole forms at a = 1 (j_infinity).  Once
-    z/b^l < 1 the terms shrink like b^-(a+1).  It raises TruncationBudgetError
-    when kappa = sum |term| / |total| puts its rounding kappa 2^-52 above REL_TOL.
+    z/b^l < 1 the terms shrink like b^-(a+1).  Where the levels cancel,
+    _level_series raises TruncationBudgetError.
     """
     if b < 2:
         raise ValueError("base must be >= 2")
@@ -199,21 +203,13 @@ def infinite_zeta_diff(b: int, alpha: float, z: float) -> float:
     ratio = -math.expm1(-alpha * math.log(b))  # 1 - b^-a
     v = [1.0 + z]  # the level boundaries v_l so far, each formed once
     head = _pole_free_product(b, alpha, v[0]) / ratio
-    sizes = [abs(head)]  # |term| of each level so far, the head first
 
     def term(l: int) -> float:
         v.append(1.0 + z / float(b) ** l)
-        t = (1 - b) * float(b) ** (-l * alpha) / ratio * hurwitz_difference(alpha, v[-1], v[-2])
-        sizes.append(abs(t))
-        return t
+        return (1 - b) * float(b) ** (-l * alpha) / ratio * hurwitz_difference(alpha, v[-1], v[-2])
 
     tail = lambda l, t: abs(t) / (b ** (alpha + 1.0) - 1.0) if z / float(b) ** l < 1.0 else math.inf
-    total = _level_series("infinite_zeta_diff", b, term, tail, 1, head)
-    rounding = math.fsum(sizes) * 2.0**-52
-    if rounding > REL_TOL * abs(total):
-        message = f"infinite_zeta_diff: the levels cancel, rounding {rounding:.3g} on {total:.3g}"
-        raise TruncationBudgetError(message, len(sizes) - 1, rounding)
-    return total
+    return _level_series("infinite_zeta_diff", b, term, tail, 1, head)
 
 
 def j_infinity(b: int, x: float) -> float:
@@ -343,61 +339,47 @@ def finite_barnes_closed(b: int, p: int, alpha: float, z: float) -> float:
     return sum(brackets[:p]) - b * sum(brackets[1:])
 
 
-def infinite_barnes(b: int, alpha: float, z: float) -> float:
-    """sum_{n>=1} s_b(n)/(n+z)^alpha in closed form, alpha > 2.
+def _digit_zeta(b: int, alpha: float, z: float) -> float:
+    """sum_{n>=1} s_b(n)/(n+z)^alpha for alpha >= 2 and z >= 0: level 0
+    zeta(a-1, z+1) - z zeta(a, z+1), level l >= 1 (1-b) zeta_2(a, z+b^l, (1,b^l)).
 
-    -z zeta(a, z+1) + zeta(a-1, z+1) + (1-b) sum_{l>=1} zeta_2(a, z+b^l, (1,b^l));
-    the l-terms decay like b^(l(1-a)).
+    For a > 2 level l is (1-b) sum_{m>=1} zeta(a, z + b^l m), over positive
+    decreasing values, and level l+1 keeps every b-th of them: |t_(l+1)| <=
+    |t_l|/b at every l and z, so the rest past level l is at most |t_l|/(b-1).
+    At a = 2 the zeta_2 are finite parts, barnes_zeta2(2.0, ...), and level 0
+    is -psi(z+1) - z zeta(2, z+1): the term-by-term limit, where the poles
+    cancel as (1-b) sum_{l>=1} b^-l = -1.  The finite parts change sign at
+    small h, so the tail is not built on |t|: the terms decay like
+    (1 + l log b) b^-l, and (2 + (l+1) log b) b^-l is b times the next one.
     """
     if b < 2:
         raise ValueError("base must be >= 2")
+    if alpha == 2:
+        name = "digit_zeta_2"
+        total = -digamma(z + 1.0) - z * hurwitz_zeta(2.0, z + 1.0)
+        tail = lambda l, t: (2.0 + (l + 1) * math.log(b)) / float(b) ** l
+    else:
+        name = "infinite_barnes"
+        total = -z * hurwitz_zeta(alpha, z + 1.0) + hurwitz_zeta(alpha - 1.0, z + 1.0)
+        tail = lambda l, t: abs(t) / (b - 1)
+    term = lambda l: (1 - b) * barnes_zeta2(alpha, z + float(b) ** l, b**l)
+    return _level_series(name, b, term, tail, 1, total)
+
+
+def infinite_barnes(b: int, alpha: float, z: float) -> float:
+    """sum_{n>=1} s_b(n)/(n+z)^alpha in closed form, for alpha > 2 and z >= 0."""
     if not alpha > 2:
         raise ValueError("alpha must exceed 2")
     if not z >= 0:
         raise ValueError("z must be >= 0")
-    total = -z * hurwitz_zeta(alpha, z + 1.0) + hurwitz_zeta(alpha - 1.0, z + 1.0)
-
-    def term(l: int) -> float:
-        return (1 - b) * barnes_zeta2(alpha, z + float(b) ** l, b**l)
-
-    def tail(l: int, t: float) -> float:
-        probe = (z + float(b) ** (l + 1)) ** (1.0 - alpha) / (alpha - 1.0)
-        return (b - 1) * probe / (1.0 - float(b) ** (1.0 - alpha))
-
-    return _level_series("infinite_barnes", b, term, tail, 1, total)
-
-
-# ---------------------------------------------------------------------------
-# Order-2 case
-# ---------------------------------------------------------------------------
+    return _digit_zeta(b, alpha, z)
 
 
 def digit_zeta_2(b: int, z: float) -> float:
-    """sum_{n>=1} s_b(n)/(n+z)^2 from the regularized Barnes assembly.
-
-    FP(z+1; 1, 1) + (1-b) sum_{l>=1} FP(z+b^l; 1, b^l), with FP the finite
-    part barnes_zeta2(2.0, x, h): the term-by-term alpha -> 2 limit of the
-    closed infinite_barnes form (the simple poles cancel because
-    (1-b) sum b^-l = -1).
-    Level 0 is FP(z+1; 1, 1) = -psi(z+1) - z psi'(z+1) in closed form, with
-    psi'(w) = zeta(2, w).  A literal per-level transcription of the printed
-    formula is not usable: its level terms tend to -1 - psi(z) instead of 0,
-    so that series diverges.  A shift so large that the levels reach an h
-    with h^(EM_ORDER + 3) past the float range raises TruncationBudgetError.
-    """
-    if b < 2:
-        raise ValueError("base must be >= 2")
+    """sum_{n>=1} s_b(n)/(n+z)^2 for z > 0, the alpha = 2 case of the digit zeta."""
     if not z > 0:
         raise ValueError("z must be positive")
-    total = -digamma(z + 1.0) - z * hurwitz_zeta(2.0, z + 1.0)
-
-    def term(l: int) -> float:
-        return (1 - b) * barnes_zeta2(2.0, z + float(b) ** l, b**l)
-
-    # terms decay like (1 + l log b) b^-l: the (1-b)-weighted rest past level l
-    # is about b times the size (2 + (l+1) log b) b^-(l+1) of the next one
-    tail = lambda l, t: (2.0 + (l + 1) * math.log(b)) / float(b) ** l
-    return _level_series("order-2", b, term, tail, 1, total)
+    return _digit_zeta(b, 2.0, z)
 
 
 # ---------------------------------------------------------------------------

@@ -73,6 +73,14 @@ def _level_cap(b: int) -> int:
     return l
 
 
+def _check_rounding(name: str, magnitude: float, size: float, terms: int) -> None:
+    """Raise TruncationBudgetError if the rounding magnitude 2^-52 of a sum passes REL_TOL size."""
+    rounding = magnitude * 2.0**-52
+    if rounding > REL_TOL * size:
+        message = f"{name}: the levels cancel, rounding {rounding:.3g} on {size:.3g}"
+        raise TruncationBudgetError(message, terms, rounding)
+
+
 def _level_series(
     name: str, b: int, term: Callable[[int], float], tail: Callable[[int, float], float],
     start: int, total: float, scale: float | None = None,
@@ -82,19 +90,24 @@ def _level_series(
     term(l) is called once per level, in order.  After adding t = term(l) the
     series stops once TAIL_SAFETY * tail(l, t) <= REL_TOL * max(|total|,
     ABS_FLOOR), or REL_TOL * scale if a fixed scale is given; tail(l, t) bounds
-    the terms past level l, or is inf until their decay law holds.  Levels end
-    at _level_cap(b), so term and tail may form b^(l+1); a series open there,
-    or a non-finite total, raises TruncationBudgetError.
+    the terms past level l, or is inf until their decay law holds.  At the stop
+    the sum of |term|, the start total counted, must fit the same budget
+    (_check_rounding).  Levels end at _level_cap(b), so term and tail may form
+    b^(l+1); a series open there, or a non-finite total, raises
+    TruncationBudgetError.
     """
     last, bound = _level_cap(b), math.inf
+    magnitude = abs(total)
     for l in range(start, last + 1):
         t = term(l)
         total += t
+        magnitude += abs(t)
         if not math.isfinite(total):
             raise TruncationBudgetError(f"{name}: not finite at level {l}", l + 1 - start, bound)
         bound = tail(l, t)
         size = max(abs(total), ABS_FLOOR) if scale is None else scale
         if TAIL_SAFETY * bound <= REL_TOL * size:
+            _check_rounding(name, magnitude, size, l + 1 - start)
             return total
     raise TruncationBudgetError(f"{name}: no convergence by level {last}", last + 1 - start, bound)
 

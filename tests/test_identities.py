@@ -45,6 +45,7 @@ from digitsum.specfun import (
 
 
 J_INFINITY_REFERENCE = Path(__file__).resolve().parent / "golden" / "j_infinity_mpmath.json"
+DIGIT_ZETA_REFERENCE = Path(__file__).resolve().parent / "golden" / "digit_zeta_mpmath.json"
 
 
 def rel_err(got: float, want: float) -> float:
@@ -111,6 +112,21 @@ class TestCriterion:
         miss = exact_report("prouhet", {}, False, 0, 0, 4)
         assert (miss.abs_err, miss.rel_err, miss.passed) == (0.0, 1.0, False)
         assert exact_report("prouhet", {}, True, 0, 0, 4).passed
+
+    def test_abs_leg_counts_only_inside_the_value(self):
+        # a bracket as wide as |rhs| would admit any lhs of the right size
+        inside = build_report("x", {}, 1.5, 1.0, rel_tol=1e-12, abs_tol=0.75)
+        assert inside.criterion == Criterion(1e-12, 0.75) and inside.passed
+        for abs_tol in (1.0, 4.0):
+            wide = build_report("x", {}, 1.5, 1.0, rel_tol=1e-12, abs_tol=abs_tol)
+            assert wide.criterion == Criterion(1e-12) and not wide.passed
+
+    @pytest.mark.parametrize("b, z", [(2, 0.999999), (3, -0.999999)])
+    def test_vacuous_oracle_bracket_fails(self, b, z):
+        # the truncated power series' tail bound passes |rhs| here, at rel_err
+        # 3.8e3 and 0.43: the row fails instead of passing on its bracket
+        run = run_suite(GridSpec("thm4.1", {"b": [b], "z": [z]}))
+        assert run.summary == {"pass": 0, "fail": 1}
 
 
 _FINITE_SUM_CHECKS = [
@@ -202,6 +218,16 @@ class TestFiniteClosedForm:
             want = float(mp.fsum(terms))
         assert rel_err(finite_zeta_diff_closed(2, 3, alpha, 0.5), want) < 1e-14
         assert rel_err(binary_corollary_closed(3, alpha, 0.5), want) < 1e-14
+
+    @pytest.mark.parametrize(
+        "fn, args",
+        [(finite_zeta_diff_closed, (2, 4, 2.0, 1e6)), (binary_corollary_closed, (4, 2.0, 1e6))],
+    )
+    def test_cancelling_levels_raise(self, fn, args):
+        # far from the origin the levels are 6.3e4 (half-shift) to 9.4e5 times
+        # their sum, so their rounding passes REL_TOL of it
+        with pytest.raises(TruncationBudgetError, match=f"{fn.__name__}: the levels cancel"):
+            fn(*args)
 
     @given(
         b=st.sampled_from([2, 3, 5]),
@@ -708,6 +734,49 @@ class TestInfiniteBarnes:
         with pytest.raises(ValueError):
             infinite_barnes(2, 2.0, 0.0)
 
+    def test_matches_mpmath_references(self):
+        # 40-digit values from tests/golden/digit_zeta_mpmath.json, the default
+        # thm29-infinite grid and points off it; rebuild them with
+        # tests/build_digit_zeta_reference.py
+        points = json.loads(DIGIT_ZETA_REFERENCE.read_text())["points"]
+        assert len(points) == 15
+        for b, alpha, z, want in points:
+            assert rel_err(infinite_barnes(b, alpha, z), float(want)) < 2e-13, (b, alpha, z)
+
+    @pytest.mark.parametrize("z", [0.0, 0.5, 1e4, 1e15])
+    @pytest.mark.parametrize("alpha", [2 + 1e-6, 2.01, 2.5, 4.0, 7.0])
+    @pytest.mark.parametrize("b", [2, 3, 10, 16])
+    def test_each_level_is_at_most_a_bth_of_the_last(self, monkeypatch, b, alpha, z):
+        # the bound behind the tail |t| / (b-1): level l+1 keeps every b-th of
+        # the positive, decreasing values zeta(alpha, z + b^l m) of level l
+        real, levels = identities.barnes_zeta2, []
+
+        def recorded(*call):
+            levels.append(real(*call))
+            return levels[-1]
+
+        monkeypatch.setattr(identities, "barnes_zeta2", recorded)
+        try:
+            infinite_barnes(b, alpha, z)
+        except TruncationBudgetError:  # the levels are checked where they cancel too
+            pass
+        assert len(levels) >= 2
+        for last, level in zip(levels, levels[1:]):
+            assert 0 < b * level <= last * (1 + 2 * REL_TOL), (last, level)
+
+    @pytest.mark.parametrize(
+        "b, alpha, z",
+        [
+            (2, 2.5, 1e15), (2, 2.5, 1e10),
+            (2, 2 + 1e-6, 0.5), (3, 2 + 1e-6, 0.0), (2, 2 + 1e-8, 0.5),
+        ],
+    )
+    def test_cancelling_levels_raise(self, b, alpha, z):
+        # far shifts leave a sum far below its head, and alpha -> 2+ levels
+        # carry the pole 1/(alpha - 2) that their sum cancels
+        with pytest.raises(TruncationBudgetError, match="infinite_barnes: the levels cancel"):
+            infinite_barnes(b, alpha, z)
+
 
 class TestDigitZeta2:
     """Order-2 plain-kernel sum from the regularized Barnes assembly."""
@@ -755,6 +824,11 @@ class TestDigitZeta2:
         # no double: a named error, not an OverflowError
         with pytest.raises(TruncationBudgetError, match="barnes_zeta2: h = "):
             digit_zeta_2(2, 1e15)
+
+    def test_cancelling_levels_raise(self):
+        # the levels at z = 1e4 are 2.8e4 times their sum: digit_zeta_2 was off by 1.06e-12
+        with pytest.raises(TruncationBudgetError, match="digit_zeta_2: the levels cancel"):
+            digit_zeta_2(2, 1e4)
 
     def test_rejects_nonpositive_shift(self):
         for b, z in ((2, 0.0), (2, -0.5), (1, 1.0)):

@@ -109,6 +109,19 @@ class TestLevelSeries:
             _level_series("broken", 2, term, lambda l, t: abs(t), 0, 1.0)
         assert levels == [0, 1, 2, 3]
 
+    @pytest.mark.parametrize("scale", [None, 1.0])
+    def test_cancelling_levels_raise(self, scale):
+        # start + level = start - (start - 1) = 1: with the start 3000 counted,
+        # the magnitude 6000 rounds by 6000 2^-52 = 1.3e-12, past REL_TOL of the
+        # total or of the scale 1; 2000 rounds by 4.4e-13, within it
+        for start, cancels in ((3000.0, True), (1000.0, False)):
+            args = ("cancel", 2, lambda l: 1.0 - start, lambda l, t: 0.0, 0, start, scale)
+            if cancels:
+                with pytest.raises(TruncationBudgetError, match="cancel: the levels cancel"):
+                    _level_series(*args)
+            else:
+                assert _level_series(*args) == 1.0
+
     @pytest.mark.parametrize(
         "constants, scale",
         [
