@@ -120,12 +120,21 @@ def build_report(
     abs_tol: float = 0.0,
     terms: int = 0,
     tail_bound: float = 0.0,
+    scale: float = 0.0,
+    legs=(),
 ) -> IdentityReport:
-    """Assemble a report that passes if either error budget is met.  The
-    absolute one counts only while abs_tol < |rhs|: a wider bracket would
-    admit any lhs of the right size."""
+    """Judge a float comparison; every float report is built here.
+
+    abs_err is |lhs - rhs|.  rel_err is the worst of |lhs - rhs| over
+    max(scale, |rhs|) and, for each further leg (value, reference, leg_scale)
+    the runner compares, |value - reference| over leg_scale.  The point
+    passes if either error budget is met; the absolute one counts only while
+    abs_tol < |rhs|: a wider bracket would admit any lhs of the right size."""
     abs_err = abs(lhs - rhs)
-    rel_err = abs_err / max(abs(rhs), 1e-300)
+    rel_err = max(
+        [abs_err / max(scale, abs(rhs), 1e-300)]
+        + [abs(value - ref) / max(leg_scale, 1e-300) for value, ref, leg_scale in legs]
+    )
     criterion = Criterion(rel_tol, abs_tol if abs_tol < abs(rhs) else 0.0)
     return IdentityReport(
         identity_id, params, lhs, rhs, abs_err, rel_err, criterion, terms, tail_bound
@@ -139,6 +148,13 @@ def exact_report(
     abs_err = 0.0 if matched else abs(float(lhs) - float(rhs))
     rel_err = 0.0 if matched else 1.0
     return IdentityReport(identity_id, params, lhs, rhs, abs_err, rel_err, Criterion(0.0), terms)
+
+
+def _bracket_report(identity_id, params, lhs, bracket, rel_tol, terms=_ORACLE_TERMS):
+    """Judge lhs against an oracle bracket (mid, half): within rel_tol of mid,
+    or inside the bracket widened by 1e-9 of the value for rounding."""
+    mid, half = bracket
+    return build_report(identity_id, params, lhs, mid, rel_tol, half + 1e-9 * abs(lhs), terms, half)
 
 
 # ---------------------------------------------------------------------------
@@ -208,42 +224,24 @@ def _run_thm31(params):
     p, alpha, z = params["p"], params["alpha"], params["z"]
     lhs = binary_corollary_closed(p, alpha, z)
     rhs = finite_zeta_diff_direct(2, p, alpha, z)
-    # the worse of the half-shift and the alternating double-sum form decides
-    legs = (lhs, double_sum_alternate(p, alpha, z))
-    rel_err = max(abs(a - rhs) / max(abs(rhs), 1e-300) for a in legs)
-    return [
-        IdentityReport("thm3.1", params, lhs, rhs, abs(lhs - rhs), rel_err, Criterion(1e-9), 2**p)
-    ]
+    # the alternating double-sum form is a second leg against the same oracle
+    legs = [(double_sum_alternate(p, alpha, z), rhs, abs(rhs))]
+    return [build_report("thm3.1", params, lhs, rhs, 1e-9, terms=2**p, legs=legs)]
 
 
 def _run_jinfty(params):
     b, x = params["b"], params["x"]
     lhs = j_infinity(b, x)
-    mid, half = direct_j_infinity(b, x, _ORACLE_TERMS)
-    return [
-        build_report(
-            "jinfty",
-            params,
-            lhs,
-            mid,
-            rel_tol=1e-12,
-            abs_tol=half + 1e-9 * abs(lhs),
-            terms=_ORACLE_TERMS,
-            tail_bound=half,
-        )
-    ]
+    bracket = direct_j_infinity(b, x, _ORACLE_TERMS)
+    return [_bracket_report("jinfty", params, lhs, bracket, 1e-12)]
 
 
 def _run_j_recurrence(params):
     N = params["N"]
-    pairs = j_recurrence_check(N, params["x"])
-    lhs, rhs = pairs[0]
-    # the worse of the recurrence and, for N = 2^p - 1, the closed form decides
-    rel_err = max(abs(a - c) / max(abs(c), 1e-300) for a, c in pairs)
-    terms, abs_err = 3 * N + 2, abs(lhs - rhs)
-    return [
-        IdentityReport("j-recurrence", params, lhs, rhs, abs_err, rel_err, Criterion(1e-9), terms)
-    ]
+    (lhs, rhs), *rest = j_recurrence_check(N, params["x"])
+    # for N = 2^p - 1 the closed form is a second leg
+    legs = [(a, c, abs(c)) for a, c in rest]
+    return [build_report("j-recurrence", params, lhs, rhs, 1e-9, terms=3 * N + 2, legs=legs)]
 
 
 def _run_inf_product(params):
@@ -281,37 +279,15 @@ def _run_thm29_finite(params):
 def _run_thm29_infinite(params):
     b, alpha, z = params["b"], params["alpha"], params["z"]
     lhs = infinite_barnes(b, alpha, z)
-    mid, half = direct_digit_zeta(b, alpha, z, _ORACLE_TERMS)
-    return [
-        build_report(
-            "thm29-infinite",
-            params,
-            lhs,
-            mid,
-            rel_tol=1e-9,
-            abs_tol=half + 1e-9 * abs(lhs),
-            terms=_ORACLE_TERMS,
-            tail_bound=half,
-        )
-    ]
+    bracket = direct_digit_zeta(b, alpha, z, _ORACLE_TERMS)
+    return [_bracket_report("thm29-infinite", params, lhs, bracket, 1e-9)]
 
 
 def _run_cor30(params):
     b, z = params["b"], params["z"]
     lhs = digit_zeta_2(b, z)
-    mid, half = direct_digit_zeta(b, 2.0, z, _ORACLE_TERMS)
-    return [
-        build_report(
-            "cor30",
-            params,
-            lhs,
-            mid,
-            rel_tol=0.0,
-            abs_tol=half + 1e-9 * abs(lhs),
-            terms=_ORACLE_TERMS,
-            tail_bound=half,
-        )
-    ]
+    bracket = direct_digit_zeta(b, 2.0, z, _ORACLE_TERMS)
+    return [_bracket_report("cor30", params, lhs, bracket, 0.0)]
 
 
 def _run_thm41(params):
@@ -321,18 +297,7 @@ def _run_thm41(params):
     rhs = digit_weighted_sum(cut + 1, b, lambda n, out: np.power(z, n, out=out), 0.0)
     digits_per_term = (b - 1) * (math.log(cut) / math.log(b) + 2.0)
     tail = digits_per_term * abs(z) ** (cut + 1) / (1.0 - abs(z)) ** 2
-    return [
-        build_report(
-            "thm4.1",
-            params,
-            lhs,
-            rhs,
-            rel_tol=1e-12,
-            abs_tol=tail + 1e-9 * abs(lhs),
-            terms=cut,
-            tail_bound=tail,
-        )
-    ]
+    return [_bracket_report("thm4.1", params, lhs, (rhs, tail), 1e-12, terms=cut)]
 
 
 def _run_lambert_finite(params):
@@ -415,10 +380,10 @@ def _run_thm51(params):
         ),
         plain,
     )
-    rel_err = max(abs(direct - product) / plain, abs(direct - weighted) / heavy)
-    abs_err = abs(direct - weighted)
+    # the product form is a second leg, on the scale of the plain sum
+    legs = [(direct, product, plain)]
     return [
-        IdentityReport("thm5.1", params, direct, weighted, abs_err, rel_err, Criterion(1e-9), 2**N)
+        build_report("thm5.1", params, direct, weighted, 1e-9, terms=2**N, scale=heavy, legs=legs)
     ]
 
 
@@ -487,12 +452,12 @@ def _run_mgf_consistency(params):
                 f"mgf-consistency: E[e^(z Z_N)] at z = {z}, N = {N} is past the float range"
             ) from None
     scale = max(abs(by_level), abs(by_scale), abs(transform))
-    # the worse of the two comparisons decides
-    worst = max(abs(by_level - by_scale), abs(by_level - transform))
+    # the scale form is a second leg against the level form
+    legs = [(by_level, by_scale, scale)]
     return [
-        IdentityReport(
-            "mgf-consistency", params, by_level, transform, worst, worst / scale,
-            Criterion(1e-12), len(masses),
+        build_report(
+            "mgf-consistency", params, by_level, transform, 1e-12,
+            terms=len(masses), scale=scale, legs=legs,
         )
     ]
 
@@ -533,22 +498,19 @@ def _run_base_relation(params):
         support_bound=top,
     )
     lhs, rhs = solver.base_relation_check(b, g)
-    abs_err = abs(lhs - rhs)
-    rel_err = abs_err / max(abs(lhs), abs(rhs), 1e-300)  # neither side is the reference
-    return [
-        IdentityReport("base-relation", params, lhs, rhs, abs_err, rel_err, Criterion(1e-12), top)
-    ]
+    # neither side is the reference, so the larger one scales the error
+    return [build_report("base-relation", params, lhs, rhs, 1e-12, terms=top, scale=abs(lhs))]
 
 
 def _run_recover_jinfty(params):
     x = params["x"]
     lhs, terms, tail = solver.recover_j_infinity_check(x)
     rhs = j_infinity(2, x)
-    abs_err = abs(lhs - rhs)
-    rel_err = abs_err / max(abs(lhs), abs(rhs), 1e-300)  # neither side is the reference
-    criterion = Criterion(1e-9)
+    # neither side is the reference, so the larger one scales the error
     return [
-        IdentityReport("recover-jinfty", params, lhs, rhs, abs_err, rel_err, criterion, terms, tail)
+        build_report(
+            "recover-jinfty", params, lhs, rhs, 1e-9, terms=terms, tail_bound=tail, scale=abs(lhs)
+        )
     ]
 
 
@@ -690,19 +652,11 @@ def _fmt_value(v) -> str:
     return json.dumps(v)
 
 
-def _fmt_param(v) -> str:
-    if isinstance(v, bool):
-        return "true" if v else "false"
-    if isinstance(v, float):
-        return format(v, ".17g")
-    if isinstance(v, int):
-        return str(v)
-    return json.dumps(v)
-
-
 def _params_json(params: dict) -> str:
+    # parameters are written as values are, except that an int is bare
     inner = ",".join(
-        json.dumps(name) + ":" + _fmt_param(params[name]) for name in sorted(params)
+        json.dumps(name) + ":" + (str(v) if type(v) is int else _fmt_value(v))
+        for name, v in sorted(params.items())
     )
     return "{" + inner + "}"
 

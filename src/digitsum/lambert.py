@@ -6,6 +6,7 @@ The bridge's one brute-force sum goes through digitseq's blocked kernel, so
 the module needs no numpy of its own."""
 from __future__ import annotations
 
+import math
 from functools import lru_cache
 
 from .digitseq import (
@@ -73,13 +74,6 @@ def _poly_mul(a: list[int], c: list[int]) -> list[int]:
     return out
 
 
-def _poly_eval(coeffs: list[int], z):
-    total = 0 if isinstance(z, int) else 0.0
-    for c in reversed(coeffs):
-        total = total * z + c
-    return total
-
-
 def rankwise_coefficients(b: int, p: int) -> list[list[int]]:
     """Exact rank polynomials: entry l holds sum_{n < b^p} digit_l(n) z^n.
 
@@ -115,28 +109,40 @@ def finite_gf_coefficients(b: int, p: int) -> list[int]:
 
 
 def lambert_gf_finite(b: int, p: int, z) -> float:
-    """sum_{n=1}^{b^p-1} s_b(n) z^n, valid for every z including |z| > 1.
+    """sum_{n=1}^{b^p-1} s_b(n) z^n, valid for every finite z including |z| > 1.
 
-    ((1 - z^(b^p)) / (1 - z)) sum_{l=0}^{p-1} kernel(z^(b^l)); whenever a
-    kernel denominator vanishes (z a root of unity) the exact polynomial is
-    evaluated instead.
+    ((1 - z^(b^p)) / (1 - z)) sum_{l=0}^{p-1} kernel(z^(b^l)).  A kernel
+    denominator vanishes at z = +-1 only; there the sum is exact in integers,
+    by the leading digit: n = d b^k + m with m < b^k gives
+    S_(k+1) = sum_(d<b) u^d (d W_k + S_k) and W_(k+1) = sum_(d<b) u^d W_k,
+    from S_0 = 0 and W_0 = 1, with u = z^(b^k) = +-1.
     """
     if b < 2:
         raise ValueError("base must be >= 2")
     if p < 1:
         raise ValueError("p must be >= 1")
     zf = float(z)
-    singular = zf == 1.0
-    if not singular:
-        for l in range(p):
-            u = zf ** (b**l)
-            if u == 1.0 or u**b == 1.0:
-                singular = True
-                break
-    if singular:
-        return float(_poly_eval(finite_gf_coefficients(b, p), zf))
-    window = (1.0 - zf ** (b**p)) / (1.0 - zf)
-    return window * sum(_rank_kernel(b, zf ** (b**l)) for l in range(p))
+    if not math.isfinite(zf):
+        raise ValueError("lambert_gf_finite needs a finite z")
+    try:
+        if abs(zf) == 1.0:
+            total, width = 0, 1
+            for k in range(p):
+                # z^(b^k) is -1 when z is and b^k is odd
+                u = -1 if zf < 0 and (b % 2 == 1 or k == 0) else 1
+                total = sum(u**d * (d * width + total) for d in range(b))
+                width *= sum(u**d for d in range(b))
+            return float(total)
+        window = (1.0 - zf ** (b**p)) / (1.0 - zf)
+        value = window * sum(_rank_kernel(b, zf ** (b**l)) for l in range(p))
+    except OverflowError:
+        value = math.inf
+    if not math.isfinite(value):
+        raise ValueError(
+            f"lambert_gf_finite: a power of z = {zf} or the sum at b = {b}, p = {p}"
+            " is past the float range"
+        )
+    return value
 
 
 # ---------------------------------------------------------------------------

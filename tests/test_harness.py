@@ -258,6 +258,13 @@ class TestPassRule:
         # abs_err still reports the half-shift leg, which is untouched
         assert run.reports[0].abs_err <= 1e-12
 
+    def test_abs_err_is_the_first_leg_on_every_float_row(self):
+        # a runner's further legs move rel_err only: abs_err is |lhs - rhs|
+        rows = [r for r in run_all().reports if isinstance(r.lhs, float)]
+        assert {r.identity_id for r in rows} >= {"thm3.1", "thm5.1", "mgf-consistency"}
+        for report in rows:
+            assert report.abs_err == abs(report.lhs - report.rhs), report
+
     def test_prouhet_counts_the_checks_that_hold(self, monkeypatch):
         # a check that calls everything annihilated fails the survivor check only
         monkeypatch.setattr(altsum, "polynomial_annihilation_check", lambda c, N: True)
@@ -276,7 +283,8 @@ class TestPassRule:
         assert run.summary == {"pass": 0, "fail": 1}
         report = run.reports[0]
         assert report.rel_err > 1e-12
-        assert report.abs_err > abs(report.lhs - report.rhs)
+        # abs_err still reports the transform leg, which is untouched
+        assert report.abs_err == abs(report.lhs - report.rhs)
 
     def test_mgf_consistency_with_terms_past_the_float_range(self):
         # e^(710) overflows, but the transform (1 + e^710)/2 = e^709.3 does not

@@ -111,7 +111,7 @@ class TestLambertGF:
 
 
 class TestLambertGFFinite:
-    """Windowed finite form, polynomial fallback included."""
+    """Windowed finite form, and its exact sums at z = +-1."""
 
     def test_matches_printed_three_rank_factorization(self):
         for z in (0.37, -0.6, 2.0, 5.5):
@@ -129,13 +129,30 @@ class TestLambertGFFinite:
         want = direct_gf(3, -0.7, 9)
         assert rel_err(lambert_gf_finite(3, 2, -0.7), want) < 1e-14
 
-    def test_polynomial_fallback_at_roots_of_unity(self):
-        # z = 1 and z = -1 zero out kernel denominators
-        assert lambert_gf_finite(2, 4, 1.0) == sum(
-            digit_sum(n, 2) for n in range(16)
-        )
-        assert lambert_gf_finite(2, 2, -1.0) == direct_gf(2, -1.0, 4)
-        assert lambert_gf_finite(3, 2, 1.0) == sum(digit_sum(n, 3) for n in range(9))
+    def test_leading_digit_sums_at_plus_minus_one(self):
+        # z = 1 and z = -1 zero out kernel denominators; the leading-digit
+        # recursion must give the rank polynomials' values there
+        for b in range(2, 6):
+            for p in range(1, 5):
+                coeffs = finite_gf_coefficients(b, p)
+                for z in (1, -1):
+                    want = sum(c * z**n for n, c in enumerate(coeffs))
+                    assert lambert_gf_finite(b, p, float(z)) == want, (b, p, z)
+
+    def test_minus_one_at_a_long_window(self):
+        # the rank polynomials have 2^40 coefficients here; the recursion
+        # takes 40 steps
+        assert lambert_gf_finite(2, 40, -1.0) == -(2.0**39)
+
+    @pytest.mark.parametrize("p, z", [(10, 2.0), (60, 1.0000001), (1100, 1.0)])
+    def test_past_the_float_range_is_a_value_error(self, p, z):
+        with pytest.raises(ValueError, match="past the float range"):
+            lambert_gf_finite(2, p, z)
+
+    @pytest.mark.parametrize("z", [math.inf, -math.inf, math.nan])
+    def test_rejects_a_non_finite_argument(self, z):
+        with pytest.raises(ValueError, match="finite z"):
+            lambert_gf_finite(2, 3, z)
 
     def test_converges_to_infinite_form(self):
         # depths kept small enough that the true tail sits above float noise

@@ -258,3 +258,15 @@ def test_one_blocked_kernel():
     named = {path.name: _names_in(path) & private for path in PACKAGE.glob("*.py")}
     assert named.pop("digitseq.py") == private
     assert {file: names for file, names in named.items() if names} == {}
+
+
+def test_one_report_rule():
+    # every float report is judged by build_report's rule, so no runner
+    # builds an IdentityReport of its own
+    builders = {
+        (path.name, name)
+        for path, statement, name in _statements()
+        for node in ast.walk(statement)
+        if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "IdentityReport"
+    }
+    assert builders == {("harness.py", "build_report"), ("harness.py", "exact_report")}

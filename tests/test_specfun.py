@@ -47,6 +47,7 @@ from digitsum.specfun import (
 mp.mp.dps = 30
 
 BARNES_REFERENCE = Path(__file__).resolve().parent / "golden" / "barnes_zeta2_mpmath.json"
+LEVEL_REFERENCE = Path(__file__).resolve().parent / "golden" / "barnes_level_mpmath.json"
 
 EULER_GAMMA = 0.57721566490153286
 
@@ -562,20 +563,13 @@ class TestBarnesZeta2:
             assert abs(got - want) <= bound * abs(want), (alpha, x, h, abs(got - want) / abs(want))
 
 
-def _barnes_level_reference(alpha, x, h):
-    """zeta_2(alpha, x; 1, h) at 30 digits for an integer h, from the exact doubles.
-
-    Split m1 = r + h q with r < h; the q and m2 sums then give
-    sum_n (n + 1) (v_r + n)^-alpha with v_r = (x + r)/h, so the value is
-    h^-alpha sum_{r<h} [zeta(alpha-1, v_r) - (v_r - 1) zeta(alpha, v_r)].
-    No Euler-Maclaurin summation is involved.
-    """
-    a, x = mp.mpf(alpha), mp.mpf(x)
-    total = mp.mpf(0)
-    for r in range(h):
-        v = (x + r) / h
-        total += mp.zeta(a - 1, v) - (v - 1) * mp.zeta(a, v)
-    return total * mp.mpf(h) ** -a
+# zeta_2(alpha, x; 1, h) for TestBarnesDirection, keyed by (alpha, x, h): the
+# multiplication formula at 40 digits from the exact doubles, with no
+# Euler-Maclaurin summation; rebuild with tests/build_barnes_reference.py
+_LEVEL_VALUES = {
+    (alpha, x, h): float(want)
+    for alpha, x, h, want in json.loads(LEVEL_REFERENCE.read_text())["points"]
+}
 
 
 # the full alpha x z grid at h from 8 to 64; every h up to 33 at alpha = 2.01
@@ -598,17 +592,23 @@ class TestBarnesDirection:
     """Level terms zeta_2(alpha, z + h; 1, h) against the multiplication
     formula, and the strip and tail of the Euler-Maclaurin loop along h."""
 
+    def test_references_hold_exactly_the_points_checked(self):
+        checked = {(alpha, z + h, h) for h, alpha, z in _LEVEL_CASES}
+        checked |= {(2.5, 0.1, 100), (4.0, 0.1, 100), (3.0, SHIFT_THRESHOLD, 32)}
+        assert len(_LEVEL_VALUES) == len(checked) == 135
+        assert set(_LEVEL_VALUES) == checked
+
     @pytest.mark.parametrize("h, alpha, z", _LEVEL_CASES)
     def test_level_term_against_mpmath(self, h, alpha, z):
         got = barnes_zeta2(alpha, z + h, h)
-        want = _barnes_level_reference(alpha, z + h, h)
+        want = _LEVEL_VALUES[(alpha, z + h, h)]
         assert abs(got - want) <= LEVEL_BOUND * abs(want), float(abs(got - want) / want)
 
     def test_small_argument_at_ratio_one_hundred(self):
         # x = 0.1: the strip holds the one row m2 = 0 before the tail at v = 1.001
         for alpha in (2.5, 4.0):
             got = barnes_zeta2(alpha, 0.1, 100)
-            want = _barnes_level_reference(alpha, 0.1, 100)
+            want = _LEVEL_VALUES[(alpha, 0.1, 100)]
             assert abs(got - want) <= LEVEL_BOUND * abs(want)
 
     def _counted(self, monkeypatch, *args):
@@ -658,7 +658,7 @@ class TestBarnesDirection:
         # alpha = 3 (v = 1/2), so M must move on to 1, 2, 4, ...
         value, seen, _ = self._counted(monkeypatch, 3.0, SHIFT_THRESHOLD, 32)
         assert len(seen) > EM_ORDER // 2 + 3
-        want = _barnes_level_reference(3.0, SHIFT_THRESHOLD, 32)
+        want = _LEVEL_VALUES[(3.0, SHIFT_THRESHOLD, 32)]
         assert abs(value - want) <= LEVEL_BOUND * abs(want)
 
 
