@@ -30,7 +30,6 @@ from .specfun import (
     alternating_hurwitz,
     barnes_zeta2,
     digamma,
-    dirichlet_eta,
     elliptic_K,
     hurwitz_difference,
     hurwitz_zeta,
@@ -108,10 +107,7 @@ def finite_zeta_diff_closed(b: int, p: int, alpha: float, z: float) -> float:
 def binary_corollary_closed(p: int, alpha: float, z: float) -> float:
     """Base-2 half-shift form of the finite closed sum; near and far
     differences that cancel raise TruncationBudgetError (_check_rounding)."""
-    if p < 1:
-        raise ValueError("p must be >= 1")
-    if not 0 <= z < math.inf:
-        raise ValueError("z must be >= 0 and finite")
+    _check_finite_sum(2, p, alpha, z)
     top = float(2**p)
     total = magnitude = 0.0
     for l in range(p):
@@ -124,29 +120,19 @@ def binary_corollary_closed(p: int, alpha: float, z: float) -> float:
     return total
 
 
-def _signed_power_sum(alpha: float, c: float, h: float) -> float:
-    """sum_{n>=1} (-1)^n (c + n h)^-alpha for c >= 0, h > 0."""
-    w = c / h  # c below the subnormal floor of h counts as zero
-    if w == 0.0:
-        return -(h**-alpha) * dirichlet_eta(alpha)
-    return h**-alpha * alternating_hurwitz(alpha, w)
-
-
 def double_sum_alternate(p: int, alpha: float, z: float) -> float:
     """Alternating double-sum form of the base-2 finite closed sum.
 
     sum_{l=0}^{p-1} sum_{n>=1} (-1)^n [(z + 2^p + n 2^l)^-a - (z + n 2^l)^-a],
-    inner sums taken in closed form through the shifted alternating zeta.
+    each inner sum h^-a alternating_hurwitz(a, c/h) at h = 2^l, c = z + 2^p or z.
     """
-    if p < 1:
-        raise ValueError("p must be >= 1")
-    if not 0 <= z < math.inf:
-        raise ValueError("z must be >= 0 and finite")
+    _check_finite_sum(2, p, alpha, z)
     top = float(2**p)
     total = 0.0
     for l in range(p):
         h = float(2**l)
-        total += _signed_power_sum(alpha, z + top, h) - _signed_power_sum(alpha, z, h)
+        far, near = (h**-alpha * alternating_hurwitz(alpha, c / h) for c in (z + top, z))
+        total += far - near
     return total
 
 

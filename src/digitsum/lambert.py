@@ -111,11 +111,16 @@ def finite_gf_coefficients(b: int, p: int) -> list[int]:
 def lambert_gf_finite(b: int, p: int, z) -> float:
     """sum_{n=1}^{b^p-1} s_b(n) z^n, valid for every finite z including |z| > 1.
 
-    ((1 - z^(b^p)) / (1 - z)) sum_{l=0}^{p-1} kernel(z^(b^l)).  A kernel
-    denominator vanishes at z = +-1 only; there the sum is exact in integers,
-    by the leading digit: n = d b^k + m with m < b^k gives
-    S_(k+1) = sum_(d<b) u^d (d W_k + S_k) and W_(k+1) = sum_(d<b) u^d W_k,
-    from S_0 = 0 and W_0 = 1, with u = z^(b^k) = +-1.
+    F(z) = ((1 - z^(b^p)) / (1 - z)) sum_{l=0}^{p-1} kernel(z^(b^l)) for
+    |z| < 1, where a power past 2^1022 is 0 and its int exponent is capped
+    there.  For |z| > 1 the reflection n -> b^p - 1 - n, with
+    s_b(b^p - 1 - n) = p (b-1) - s_b(n), gives
+    F(z) = z^(b^p - 1) [p (b-1) (1 - w^(b^p)) / (1 - w) - F(w)] at w = 1/z,
+    so every kernel stays inside the unit disk.  A kernel denominator vanishes
+    at z = +-1 only; there the sum is exact in integers, by the leading digit:
+    n = d b^k + m with m < b^k gives S_(k+1) = sum_(d<b) u^d (d W_k + S_k)
+    and W_(k+1) = sum_(d<b) u^d W_k, from S_0 = 0 and W_0 = 1, with
+    u = z^(b^k) = +-1.
     """
     if b < 2:
         raise ValueError("base must be >= 2")
@@ -124,6 +129,11 @@ def lambert_gf_finite(b: int, p: int, z) -> float:
     zf = float(z)
     if not math.isfinite(zf):
         raise ValueError("lambert_gf_finite needs a finite z")
+    top = b**p
+    power = lambda u, e: u ** min(e, 2**1022)  # |u| < 1, so u^e is 0 past 2^1022
+    inside = lambda u: (1.0 - power(u, top)) / (1.0 - u) * sum(
+        _rank_kernel(b, power(u, b**l)) for l in range(p)
+    )
     try:
         if abs(zf) == 1.0:
             total, width = 0, 1
@@ -133,8 +143,11 @@ def lambert_gf_finite(b: int, p: int, z) -> float:
                 total = sum(u**d * (d * width + total) for d in range(b))
                 width *= sum(u**d for d in range(b))
             return float(total)
-        window = (1.0 - zf ** (b**p)) / (1.0 - zf)
-        value = window * sum(_rank_kernel(b, zf ** (b**l)) for l in range(p))
+        if abs(zf) < 1.0:
+            value = inside(zf)
+        else:
+            w = 1.0 / zf
+            value = zf ** (top - 1) * (p * (b - 1) * (1.0 - power(w, top)) / (1.0 - w) - inside(w))
     except OverflowError:
         value = math.inf
     if not math.isfinite(value):

@@ -1,11 +1,12 @@
 """Real special functions used by the closed forms.
 
-Digamma, Hurwitz zeta (analytically continued in the order; the Riemann
-zeta is hurwitz_zeta(s, 1)), the difference of two Hurwitz zetas in one
-pole-free pass through alpha = 1, Dirichlet eta, Stirling beta, log-gamma, the
-Barnes double zeta at the periods (1, h) for an integer h and order
-alpha >= 2 (at alpha = 2 the finite part of its pole), exact even-index
-Bernoulli numbers, and the complete elliptic integral K.
+Hurwitz zeta (analytically continued in the order; the Riemann zeta is
+hurwitz_zeta(s, 1)), the difference of two Hurwitz zetas in one pole-free
+pass through alpha = 1, the one psi route (digamma is the order-1 difference
+psi(z) - psi(1) minus gamma, Stirling beta one such difference), Dirichlet
+eta, log-gamma, the Barnes double zeta at the periods (1, h) for an integer
+h and order alpha >= 2 (at alpha = 2 the finite part of its pole), exact
+even-index Bernoulli numbers, and the complete elliptic integral K.
 
 Everything works in native double precision under one fixed policy.  Each
 evaluator truncates by an explicit first-omitted-correction estimate and
@@ -48,6 +49,7 @@ SHIFT_THRESHOLD = 16.0  # argument size where the asymptotics engage
 # infinite_zeta_diff's levels; from 16, j_infinity(2, 100) is off by 1.02e-13
 DIFFERENCE_SHIFT = 1.5 * SHIFT_THRESHOLD
 ABS_FLOOR = 1e-300  # smallest magnitude a relative tolerance is taken of
+EULER_GAMMA = 0.57721566490153286  # -psi(1)
 
 
 # ---------------------------------------------------------------------------
@@ -150,42 +152,6 @@ def bernoulli_even(n2: int) -> Fraction:
 
 
 # ---------------------------------------------------------------------------
-# Digamma
-# ---------------------------------------------------------------------------
-
-
-def digamma(z: float) -> float:
-    """psi(z) for z > 0: upward recurrence, then Bernoulli asymptotics."""
-    if not z > 0:
-        raise ValueError("digamma requires z > 0")
-    bern = _BERNOULLI_FLOAT
-    half = EM_ORDER // 2
-    target = SHIFT_THRESHOLD
-    omitted = math.inf
-    while True:
-        if target - z > MAX_TERMS:  # hurwitz_zeta's budget on the recurrence steps
-            raise TruncationBudgetError(
-                "digamma recurrence past MAX_TERMS", MAX_TERMS, omitted
-            )
-        shift = 0.0
-        w = z
-        while w < target:
-            shift += 1.0 / w
-            w += 1.0
-        value = math.log(w) - 0.5 / w
-        w2 = w * w
-        wp = w2
-        for m in range(1, half + 1):
-            value -= bern[2 * m] / (2 * m * wp)
-            wp *= w2
-        omitted = abs(bern[2 * half + 2]) / ((2 * half + 2) * wp)
-        value -= shift
-        if TAIL_SAFETY * omitted <= REL_TOL * max(abs(value), ABS_FLOOR):
-            return value
-        target *= 2.0
-
-
-# ---------------------------------------------------------------------------
 # Hurwitz zeta and friends
 # ---------------------------------------------------------------------------
 
@@ -257,7 +223,7 @@ def hurwitz_difference(alpha: float, a: float, c: float) -> float:
     w = a
     target = DIFFERENCE_SHIFT
     while True:
-        if target - a > MAX_TERMS:  # the budget on the direct steps, as in digamma
+        if target - a > MAX_TERMS:  # the budget on the direct steps
             raise TruncationBudgetError("hurwitz_difference past MAX_TERMS", MAX_TERMS, math.inf)
         while w < target:
             direct -= w**-alpha * math.expm1(-alpha * math.log1p(d / w))
@@ -274,6 +240,13 @@ def hurwitz_difference(alpha: float, a: float, c: float) -> float:
         if TAIL_SAFETY * omitted <= REL_TOL * max(abs(value), ABS_FLOOR):
             return value
         target *= 2.0
+
+
+def digamma(z: float) -> float:
+    """psi(z) for z > 0: the order-1 Hurwitz difference psi(z) - psi(1), minus gamma."""
+    if not z > 0:
+        raise ValueError("digamma requires z > 0")
+    return hurwitz_difference(1.0, 1.0, z) - EULER_GAMMA
 
 
 def _pole_free_product(b: float, alpha: float, v: float) -> float:
@@ -294,22 +267,22 @@ def stirling_beta(x: float) -> float:
     """beta(x) = (psi((x+1)/2) - psi(x/2)) / 2 for x > 0."""
     if not x > 0:
         raise ValueError("stirling_beta requires x > 0")
-    return 0.5 * (digamma((x + 1.0) / 2.0) - digamma(x / 2.0))
+    return 0.5 * hurwitz_difference(1.0, x / 2.0, (x + 1.0) / 2.0)
 
 
 def alternating_hurwitz(alpha: float, w: float) -> float:
-    """sum_{n>=1} (-1)^n / (w+n)^alpha for alpha > 0, w > 0.
+    """sum_{n>=1} (-1)^n / (w+n)^alpha for alpha > 0, w >= 0.
 
     Splitting the sum into even and odd n gives
     2^(-alpha) [zeta(alpha, w/2 + 1) - zeta(alpha, (w+1)/2)], a
     hurwitz_difference, so alpha = 1 takes the same pole-free pass; the
     even/odd split fixes the bracket order (checked against the direct
-    alternating sum in the tests).
+    alternating sum in the tests).  At w = 0 the sum is -eta(alpha).
     """
     if not alpha > 0:
         raise ValueError("alternating_hurwitz requires alpha > 0")
-    if not 0 < w < math.inf:
-        raise ValueError("alternating_hurwitz requires finite w > 0")
+    if not 0 <= w < math.inf:
+        raise ValueError("alternating_hurwitz requires finite w >= 0")
     return 2.0 ** (-alpha) * hurwitz_difference(alpha, w / 2.0 + 1.0, (w + 1.0) / 2.0)
 
 

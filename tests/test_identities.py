@@ -286,6 +286,19 @@ class TestDoubleSumAlternate:
                     worst = max(worst, rel_err(got, want))
         assert worst < 1e-9
 
+    @pytest.mark.parametrize("fn", [binary_corollary_closed, double_sum_alternate])
+    @pytest.mark.parametrize(
+        "args, message",
+        [
+            ((0, 2.0, 0.5), "p must be"),
+            ((3, 0.0, 0.5), "alpha must be"),
+            ((3, 2.0, -1.0), "z must be"),
+        ],
+    )
+    def test_base_two_forms_share_the_finite_sum_domain(self, fn, args, message):
+        with pytest.raises(ValueError, match=message):
+            fn(*args)
+
     @given(
         p=st.integers(min_value=1, max_value=4),
         alpha=st.sampled_from([0.5, 1.0, 2.0, 3.5]),
@@ -316,7 +329,7 @@ class TestJRecurrence:
         assert rel_err(report.rhs, 5.0 / 6.0) < 1e-13
 
     @pytest.mark.parametrize(
-        "N,x", [(3, 0.7), (7, 2.5), (15, 0.0), (12, 1.25), (1, 1000.0)]
+        "N,x", [(3, 0.7), (7, 2.5), (15, 0.0), (12, 1.25), (1, 1000.0), (12, 1e5)]
     )
     def test_recurrence_holds(self, N, x):
         report = self.report(N, x)

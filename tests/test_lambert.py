@@ -144,6 +144,22 @@ class TestLambertGFFinite:
         # takes 40 steps
         assert lambert_gf_finite(2, 40, -1.0) == -(2.0**39)
 
+    @pytest.mark.parametrize(
+        "b, p, z, bound",
+        [(2, 10, 1.9, 1e-15), (2, 10, -1.9, 1e-15), (2, 6, 1.05, 2e-15), (3, 5, -2.5, 1e-15)],
+    )
+    def test_outside_the_unit_disk_by_reflection(self, b, p, z, bound):
+        # the 60-digit sum at the double z; at (2, 10, 1.9) the value is 2.9e286,
+        # where a rank kernel's power z^(b^l + b^(l+1)) is past the float range
+        with mp.workdps(60):
+            want = mp.fsum(digit_sum(n, b) * mp.mpf(z) ** n for n in range(1, b**p))
+            assert abs(lambert_gf_finite(b, p, z) - want) <= bound * abs(want)
+
+    @pytest.mark.parametrize("b, p, z", [(2, 1100, 0.5), (3, 700, -0.5)])
+    def test_window_past_the_float_range_inside_the_disk(self, b, p, z):
+        # b^p is past the float range, and every power z^(b^l) that large is 0
+        assert abs(lambert_gf_finite(b, p, z) - lambert_gf(b, z)) <= 1e-15 * abs(lambert_gf(b, z))
+
     @pytest.mark.parametrize("p, z", [(10, 2.0), (60, 1.0000001), (1100, 1.0)])
     def test_past_the_float_range_is_a_value_error(self, p, z):
         with pytest.raises(ValueError, match="past the float range"):

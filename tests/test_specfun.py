@@ -185,16 +185,16 @@ class TestTermBudget:
 
     @pytest.mark.parametrize("fn", [digamma])
     def test_budget_counts_recurrence_steps_only(self, monkeypatch, fn):
-        # past SHIFT_THRESHOLD no recurrence step is taken, so one step of budget
-        # gives the default value; below it, 15 steps do not reach 16 from 0.5
-        far, near = fn(100.0), fn(0.5)
-        monkeypatch.setattr(specfun, "MAX_TERMS", 1)
-        assert fn(100.0) == far
-        monkeypatch.setattr(specfun, "MAX_TERMS", 16)
-        assert fn(0.5) == near
-        monkeypatch.setattr(specfun, "MAX_TERMS", 15)
+        # digamma is hurwitz_difference(1, 1, z) - gamma, whose direct steps run
+        # from a = 1 to DIFFERENCE_SHIFT = 24 at every z >= 1: 23 steps of budget
+        # give the default value, 22 raise
+        steps = int(specfun.DIFFERENCE_SHIFT) - 1
+        want = fn(100.0)
+        monkeypatch.setattr(specfun, "MAX_TERMS", steps)
+        assert fn(100.0) == want
+        monkeypatch.setattr(specfun, "MAX_TERMS", steps - 1)
         with pytest.raises(TruncationBudgetError):
-            fn(0.5)
+            fn(100.0)
 
 
 class TestDigamma:
@@ -218,10 +218,26 @@ class TestDigamma:
         np.testing.assert_allclose(digamma(z), oracle, rtol=1e-6)
 
     def test_against_mpmath_grid(self):
-        for z in [0.05, 0.31, 1.0, 2.5, 7.3, 15.99, 16.0, 42.7, 300.0]:
-            np.testing.assert_allclose(
-                digamma(z), float(mp.digamma(z)), rtol=1e-12, atol=1e-14
-            )
+        # 40-digit references from the exact doubles, out to v = 1e15, where a
+        # difference of two psi values would lose log10(v) digits
+        grid = [0.05, 0.31, 1.0, 2.5, 7.3, 15.99, 16.0, 42.7, 300.0]
+        grid += [float(v) for v in np.geomspace(0.5, 1e15, 64)]
+        with mp.workdps(40):
+            for z in grid:
+                want = mp.digamma(mp.mpf(z))
+                assert abs(digamma(z) - want) <= 2e-15 * max(abs(want), 1), z
+
+    def test_one_hurwitz_difference_per_call(self, monkeypatch):
+        # psi and beta are each one order-1 difference, not two psi values
+        calls = []
+        real = specfun.hurwitz_difference
+        monkeypatch.setattr(
+            specfun, "hurwitz_difference", lambda *args: calls.append(args) or real(*args)
+        )
+        for fn, x in [(digamma, 2.5), (stirling_beta, 0.5), (stirling_beta, 1e4)]:
+            calls.clear()
+            fn(x)
+            assert len(calls) == 1, (fn.__name__, x)
 
     def test_rejects_nonpositive(self):
         with pytest.raises(ValueError):
@@ -418,6 +434,14 @@ class TestStirlingBeta:
         oracle = averaged_alternating((-1.0) ** k / (x + k))
         np.testing.assert_allclose(stirling_beta(x), oracle, rtol=1e-12)
 
+    @pytest.mark.parametrize("x", [1e3, 1e4, 1e5, 1e6])
+    def test_large_argument_against_mpmath(self, x):
+        # beta(x) ~ 1/(2x): two psi values of size log x would lose log10(x) digits
+        with mp.workdps(40):
+            X = mp.mpf(x)
+            want = (mp.digamma((X + 1) / 2) - mp.digamma(X / 2)) / 2
+            assert abs(stirling_beta(x) - want) <= 1e-14 * want
+
 
 class TestAlternatingHurwitz:
     def test_shifted_eta_anchor(self):
@@ -433,6 +457,14 @@ class TestAlternatingHurwitz:
     def test_rejects_infinite_shift(self):
         with pytest.raises(ValueError, match="finite"):
             alternating_hurwitz(2.0, math.inf)
+        with pytest.raises(ValueError, match="w >= 0"):
+            alternating_hurwitz(2.0, -0.5)
+
+    @pytest.mark.parametrize("alpha", [0.5, 1.0, 1.5, 2.0, 3.0])
+    def test_zero_shift_is_minus_eta(self, alpha):
+        with mp.workdps(40):
+            want = -mp.altzeta(mp.mpf(alpha))
+            assert abs(alternating_hurwitz(alpha, 0.0) - want) <= 2e-15 * abs(want)
 
     def test_accelerated_oracle_slow_decay(self):
         w = 1.0
