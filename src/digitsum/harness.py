@@ -45,7 +45,7 @@ from .identities import (
 )
 from .lambert import finite_gf_coefficients, lambert_gf, rankwise_coefficients
 from .solver import SequenceFn
-from .specfun import dirichlet_eta
+from .specfun import REL_TOL, dirichlet_eta
 
 __all__ = [
     "Criterion",
@@ -117,7 +117,6 @@ def build_report(
     lhs: float,
     rhs: float,
     rel_tol: float,
-    abs_tol: float = 0.0,
     terms: int = 0,
     tail_bound: float = 0.0,
     scale: float = 0.0,
@@ -127,15 +126,17 @@ def build_report(
 
     abs_err is |lhs - rhs|.  rel_err is the worst of |lhs - rhs| over
     max(scale, |rhs|) and, for each further leg (value, reference, leg_scale)
-    the runner compares, |value - reference| over leg_scale.  The point
-    passes if either error budget is met; the absolute one counts only while
-    abs_tol < |rhs|: a wider bracket would admit any lhs of the right size."""
+    the runner compares, |value - reference| over leg_scale.  The point passes
+    within rel_tol, or within the absolute budget tail_bound + REL_TOL |lhs|, the
+    stated truncation plus the evaluators' rounding, while tail_bound > 0 and the
+    budget is below |rhs|: a wider one would admit any lhs of the right size."""
     abs_err = abs(lhs - rhs)
     rel_err = max(
         [abs_err / max(scale, abs(rhs), 1e-300)]
         + [abs(value - ref) / max(leg_scale, 1e-300) for value, ref, leg_scale in legs]
     )
-    criterion = Criterion(rel_tol, abs_tol if abs_tol < abs(rhs) else 0.0)
+    budget = tail_bound + REL_TOL * abs(lhs) if tail_bound > 0 else 0.0
+    criterion = Criterion(rel_tol, budget if budget < abs(rhs) else 0.0)
     return IdentityReport(
         identity_id, params, lhs, rhs, abs_err, rel_err, criterion, terms, tail_bound
     )
@@ -148,13 +149,6 @@ def exact_report(
     abs_err = 0.0 if matched else abs(float(lhs) - float(rhs))
     rel_err = 0.0 if matched else 1.0
     return IdentityReport(identity_id, params, lhs, rhs, abs_err, rel_err, Criterion(0.0), terms)
-
-
-def _bracket_report(identity_id, params, lhs, bracket, rel_tol, terms=_ORACLE_TERMS):
-    """Judge lhs against an oracle bracket (mid, half): within rel_tol of mid,
-    or inside the bracket widened by 1e-9 of the value for rounding."""
-    mid, half = bracket
-    return build_report(identity_id, params, lhs, mid, rel_tol, half + 1e-9 * abs(lhs), terms, half)
 
 
 # ---------------------------------------------------------------------------
@@ -232,8 +226,8 @@ def _run_thm31(params):
 def _run_jinfty(params):
     b, x = params["b"], params["x"]
     lhs = j_infinity(b, x)
-    bracket = direct_j_infinity(b, x, _ORACLE_TERMS)
-    return [_bracket_report("jinfty", params, lhs, bracket, 1e-12)]
+    mid, half = direct_j_infinity(b, x, _ORACLE_TERMS)
+    return [build_report("jinfty", params, lhs, mid, 1e-12, _ORACLE_TERMS, half)]
 
 
 def _run_j_recurrence(params):
@@ -248,20 +242,11 @@ def _run_inf_product(params):
     b, z = params["b"], params["z"]
     lhs = infinite_product(b, z)
     log_mid, log_half = direct_product_log(b, z, _ORACLE_TERMS)
+    # the log bracket in value units: exp(log_mid +- log_half) is within
+    # rhs expm1(log_half) of rhs
     rhs = math.exp(log_mid)
-    abs_tol = abs(rhs) * math.expm1(log_half) + 1e-9 * abs(rhs)
-    return [
-        build_report(
-            "inf-product",
-            params,
-            lhs,
-            rhs,
-            rel_tol=1e-12,
-            abs_tol=abs_tol,
-            terms=_ORACLE_TERMS,
-            tail_bound=log_half,
-        )
-    ]
+    half = rhs * math.expm1(log_half)
+    return [build_report("inf-product", params, lhs, rhs, 1e-12, _ORACLE_TERMS, half)]
 
 
 def _run_pi_over_2(params):
@@ -279,15 +264,15 @@ def _run_thm29_finite(params):
 def _run_thm29_infinite(params):
     b, alpha, z = params["b"], params["alpha"], params["z"]
     lhs = infinite_barnes(b, alpha, z)
-    bracket = direct_digit_zeta(b, alpha, z, _ORACLE_TERMS)
-    return [_bracket_report("thm29-infinite", params, lhs, bracket, 1e-9)]
+    mid, half = direct_digit_zeta(b, alpha, z, _ORACLE_TERMS)
+    return [build_report("thm29-infinite", params, lhs, mid, 1e-9, _ORACLE_TERMS, half)]
 
 
 def _run_cor30(params):
     b, z = params["b"], params["z"]
     lhs = digit_zeta_2(b, z)
-    bracket = direct_digit_zeta(b, 2.0, z, _ORACLE_TERMS)
-    return [_bracket_report("cor30", params, lhs, bracket, 0.0)]
+    mid, half = direct_digit_zeta(b, 2.0, z, _ORACLE_TERMS)
+    return [build_report("cor30", params, lhs, mid, 0.0, _ORACLE_TERMS, half)]
 
 
 def _run_thm41(params):
@@ -297,7 +282,7 @@ def _run_thm41(params):
     rhs = digit_weighted_sum(cut + 1, b, lambda n, out: np.power(z, n, out=out), 0.0)
     digits_per_term = (b - 1) * (math.log(cut) / math.log(b) + 2.0)
     tail = digits_per_term * abs(z) ** (cut + 1) / (1.0 - abs(z)) ** 2
-    return [_bracket_report("thm4.1", params, lhs, (rhs, tail), 1e-12, terms=cut)]
+    return [build_report("thm4.1", params, lhs, rhs, 1e-12, cut, tail)]
 
 
 def _run_lambert_finite(params):
@@ -358,11 +343,8 @@ def _run_eta_bridge(params):
     mid, half = lambert.eta_dirichlet_bridge_check(s, terms)
     eta = dirichlet_eta(s)
     lhs = 1.0 / (1.0 - 2.0**-s)
-    # the tail bracket carried through the division, plus 1e-12 relative
-    # for rounding: the accuracy REL_TOL promises for eta(s), well
-    # above the float64 rounding of the partial sum (about 1e-14 relative)
-    budget = half / abs(eta) + 1e-12 * abs(lhs)
-    return [build_report("eta-bridge", params, lhs, mid / eta, 0.0, budget, terms, half)]
+    # the tail bracket carried through the division by eta
+    return [build_report("eta-bridge", params, lhs, mid / eta, 0.0, terms, half / abs(eta))]
 
 
 def _run_thm51(params):
@@ -506,12 +488,11 @@ def _run_recover_jinfty(params):
     x = params["x"]
     lhs, terms, tail = solver.recover_j_infinity_check(x)
     rhs = j_infinity(2, x)
-    # neither side is the reference, so the larger one scales the error
-    return [
-        build_report(
-            "recover-jinfty", params, lhs, rhs, 1e-9, terms=terms, tail_bound=tail, scale=abs(lhs)
-        )
-    ]
+    # neither side is the reference, so the larger one scales the error.  The
+    # tail bounds the levels lhs leaves out, not an oracle's; it is at most
+    # 0.1 REL_TOL |lhs|, so its budget of at most 1.1e-12 |lhs| can pass no
+    # point that the 1e-9 relative rule fails
+    return [build_report("recover-jinfty", params, lhs, rhs, 1e-9, terms, tail, abs(lhs))]
 
 
 @dataclass(frozen=True)

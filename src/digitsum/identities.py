@@ -400,13 +400,8 @@ def direct_digit_zeta(b: int, alpha: float, z: float, limit: int) -> tuple[float
 def direct_j_infinity(b: int, x: float, limit: int) -> tuple[float, float]:
     """Partial sum of s_b(n)/((x+n)(x+n+1)) with mid-tail model."""
     _check_oracle_shift(x)
-
-    def fill(y, out):
-        np.add(y, 1.0, out=out)
-        out *= y
-        np.divide(1.0, out, out=out)
-
-    partial = digit_weighted_sum(limit, b, fill, x)
+    # 1/((x+n)(x+n+1)) is the order-1 difference (x+n)^-1 - (x+n+1)^-1
+    partial = digit_weighted_sum(limit, b, _difference_weight(1.0), x)
     edge = float(limit) + x
     low = 1.0 / edge
     high = (b - 1.0) * (math.log(limit) / math.log(b) + 1.0 + 1.0 / math.log(b)) / edge

@@ -10,7 +10,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .digitseq import digit_sum
-from .specfun import REL_TOL, TAIL_SAFETY, TruncationBudgetError, hurwitz_zeta
+from .specfun import REL_TOL, TAIL_SAFETY, TruncationBudgetError, _level_series, hurwitz_zeta
 
 __all__ = [
     "SequenceFn",
@@ -191,15 +191,14 @@ def recover_j_infinity_check(x: float) -> tuple[float, int, float]:
         raise ValueError("x must be positive")
     inner_terms = 256
     n = np.arange(1.0, inner_terms + 1.0)
-    total = 0.0
-    terms_used = 0
-    tail_bound = 0.0
-    for k in range(200):
+    levels = []
+
+    def term(k: int) -> float:
+        levels.append(k)
         w = x / 2.0 ** (k + 1)
         # the window added term by term in n order, as np.add.accumulate adds
         window = w + n
         inner = float(np.add.accumulate(1.0 / ((window - 0.5) * window))[-1])
-        terms_used += inner_terms
         # remainder past the direct window, expanded in half-integer shifts:
         # sum_{r>=0} 2^-r zeta(r+2, w + M + 1)
         edge = w + inner_terms + 1.0
@@ -208,10 +207,9 @@ def recover_j_infinity_check(x: float) -> tuple[float, int, float]:
             inner += piece
             if piece <= 1e-18 * inner:
                 break
-        contribution = 2.0 ** (-k - 2) * inner
-        total += contribution
-        # every remaining inner sum is below the w -> 0 limit of 4 log 2
-        tail_bound = 2.0 ** (-k - 2) * (4.0 * math.log(2.0) + 1.0)
-        if tail_bound <= 0.05 * REL_TOL * abs(total):
-            break
-    return total, terms_used, tail_bound
+        return 2.0 ** (-k - 2) * inner
+
+    # every remaining inner sum is below the w -> 0 limit of 4 log 2
+    tail = lambda k, t: 2.0 ** (-k - 2) * (4.0 * math.log(2.0) + 1.0)
+    total = _level_series("recover_j_infinity_check", 2, term, tail, 0, 0.0)
+    return total, inner_terms * len(levels), tail(levels[-1], 0.0)

@@ -83,6 +83,14 @@ def _check_rounding(name: str, magnitude: float, size: float, terms: int) -> Non
         raise TruncationBudgetError(message, terms, rounding)
 
 
+def _check_power_range(name: str, w: float, alpha: float) -> None:
+    """Raise ValueError if w^-alpha, the first term of a direct sum, is past the float range."""
+    try:
+        w**-alpha
+    except OverflowError:
+        raise ValueError(f"{name}: the power {w!r}^-{alpha!r} is past the float range") from None
+
+
 def _level_series(
     name: str, b: int, term: Callable[[int], float], tail: Callable[[int, float], float],
     start: int, total: float, scale: float | None = None,
@@ -170,6 +178,7 @@ def hurwitz_zeta(alpha: float, z: float) -> float:
         raise ValueError("hurwitz_zeta requires alpha > 0")
     if not z > 0:
         raise ValueError("hurwitz_zeta requires z > 0")
+    _check_power_range("hurwitz_zeta", z, alpha)
     coef = _EM_COEFFICIENTS
     half = EM_ORDER // 2
 
@@ -214,6 +223,7 @@ def hurwitz_difference(alpha: float, a: float, c: float) -> float:
         raise ValueError("hurwitz_difference requires finite alpha > 0 and a, c > 0")
     if c < a:  # pair from the smaller argument: w + d = c + n keeps its digits
         return -hurwitz_difference(alpha, c, a)
+    _check_power_range("hurwitz_difference", a, alpha)
     coef = _EM_COEFFICIENTS
     half = EM_ORDER // 2
     d = c - a

@@ -22,6 +22,7 @@ from digitsum.harness import (
     run_suite,
 )
 from digitsum.lambert import lambert_gf, lambert_gf_finite
+from digitsum.specfun import REL_TOL
 
 EXPECTED_IDS = [
     "thm2.1",
@@ -264,6 +265,26 @@ class TestPassRule:
         assert {r.identity_id for r in rows} >= {"thm3.1", "thm5.1", "mgf-consistency"}
         for report in rows:
             assert report.abs_err == abs(report.lhs - report.rhs), report
+
+    def test_the_tail_bound_is_the_only_absolute_budget(self):
+        # abs is tail_bound + REL_TOL |lhs| while that is below |rhs|, else 0
+        bracketed = set()
+        for report in run_all().reports:
+            budget = report.tail_bound + REL_TOL * abs(report.lhs)
+            if report.tail_bound > 0 and budget < abs(report.rhs):
+                bracketed.add(report.identity_id)
+                assert report.criterion.abs == budget, report
+            else:
+                assert report.criterion.abs == 0.0, report
+        oracles = {"jinfty", "inf-product", "thm29-infinite", "cor30", "thm4.1", "eta-bridge"}
+        assert bracketed == oracles | {"recover-jinfty"}
+
+    def test_lambert_gf_off_by_1e10_fails_a_thm41_point(self, monkeypatch):
+        # the oracle's tail is about |z|^601, so the budget is about REL_TOL |lhs|
+        # and a 1e-10 error in the closed form must fail a point
+        real = harness.lambert_gf
+        monkeypatch.setattr(harness, "lambert_gf", lambda b, z: real(b, z) * (1.0 + 1e-10))
+        assert run_suite(GridSpec("thm4.1", {})).summary["fail"] >= 1
 
     def test_prouhet_counts_the_checks_that_hold(self, monkeypatch):
         # a check that calls everything annihilated fails the survivor check only

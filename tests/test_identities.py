@@ -114,11 +114,12 @@ class TestCriterion:
         assert exact_report("prouhet", {}, True, 0, 0, 4).passed
 
     def test_abs_leg_counts_only_inside_the_value(self):
-        # a bracket as wide as |rhs| would admit any lhs of the right size
-        inside = build_report("x", {}, 1.5, 1.0, rel_tol=1e-12, abs_tol=0.75)
-        assert inside.criterion == Criterion(1e-12, 0.75) and inside.passed
-        for abs_tol in (1.0, 4.0):
-            wide = build_report("x", {}, 1.5, 1.0, rel_tol=1e-12, abs_tol=abs_tol)
+        # the tail bound plus REL_TOL |lhs| is the absolute budget; a budget as
+        # wide as |rhs| would admit any lhs of the right size
+        inside = build_report("x", {}, 1.5, 1.0, rel_tol=1e-12, tail_bound=0.75)
+        assert inside.criterion == Criterion(1e-12, 0.75 + REL_TOL * 1.5) and inside.passed
+        for tail_bound in (1.0, 4.0):
+            wide = build_report("x", {}, 1.5, 1.0, rel_tol=1e-12, tail_bound=tail_bound)
             assert wide.criterion == Criterion(1e-12) and not wide.passed
 
     @pytest.mark.parametrize("b, z", [(2, 0.999999), (3, -0.999999)])

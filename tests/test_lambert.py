@@ -31,7 +31,7 @@ from digitsum.lambert import (
     partition_convolution_check,
     rankwise_coefficients,
 )
-from digitsum.specfun import dirichlet_eta
+from digitsum.specfun import REL_TOL, dirichlet_eta
 
 
 def rel_err(got: float, want: float) -> float:
@@ -390,9 +390,12 @@ class TestEtaDirichletBridge:
 
     @pytest.mark.parametrize("s", [1.5, 2.0, 3.0])
     def test_criterion_is_the_tail_bracket(self, s):
+        # the tail bound is the bracket carried through the division by eta,
+        # in the units of the value, and the budget adds REL_TOL |lhs|
         (report,) = self.reports([s])
-        eta = dirichlet_eta(s)
-        budget = report.tail_bound / eta + 1e-12 * report.lhs
+        half = eta_dirichlet_bridge_check(s, report.terms)[1]
+        assert report.tail_bound == half / dirichlet_eta(s)
+        budget = report.tail_bound + REL_TOL * report.lhs
         assert report.criterion == Criterion(0.0, budget)
         assert report.abs_err <= budget
 

@@ -162,7 +162,7 @@ def test_scan_sees_defaulted_parameters():
         for function, position, name in _defaulted_parameters(path)
     }
     assert ("_level_series", 6, "scale") in found
-    assert ("build_report", 5, "abs_tol") in found
+    assert ("build_report", 5, "terms") in found
 
 
 def test_every_defaulted_parameter_is_set_somewhere():

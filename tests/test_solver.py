@@ -1,5 +1,7 @@
+import json
 import math
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -18,6 +20,10 @@ from digitsum.solver import (
     weighted_digit_sum,
 )
 from digitsum.specfun import REL_TOL, TAIL_SAFETY, TruncationBudgetError, hurwitz_zeta
+
+FAR_POINTS = json.loads(
+    (Path(__file__).resolve().parent / "golden" / "j_infinity_mpmath.json").read_text()
+)["far_points"]
 
 
 def telescoping_pair():
@@ -368,8 +374,9 @@ class TestRecoverJInfinity:
 
     @pytest.mark.parametrize("x", [0.1, 0.3, 1.0, 7.7, 100.0])
     def test_bitwise_equals_scalar_loop(self, x):
-        # the inner window added one term at a time, as np.add.accumulate adds
-        total, terms_used, tail_bound = 0.0, 0, 0.0
+        # the inner window added one term at a time, as np.add.accumulate adds,
+        # and the levels stopped by the _level_series rule
+        total, terms_used = 0.0, 0
         for k in range(200):
             w = x / 2.0 ** (k + 1)
             inner = 0.0
@@ -383,10 +390,18 @@ class TestRecoverJInfinity:
                     break
             total += 2.0 ** (-k - 2) * inner
             tail_bound = 2.0 ** (-k - 2) * (4.0 * math.log(2.0) + 1.0)
-            if tail_bound <= 0.05 * REL_TOL * abs(total):
+            if TAIL_SAFETY * tail_bound <= REL_TOL * abs(total):
                 break
         got = recover_j_infinity_check(x)
         assert (got[0].hex(), got[1], got[2].hex()) == (total.hex(), terms_used, tail_bound.hex())
+
+    @pytest.mark.parametrize("x, want", FAR_POINTS)
+    def test_far_arguments_against_references(self, x, want):
+        # 60-digit values from tests/golden/j_infinity_mpmath.json.  The value
+        # is about log2(x)/(2x), so from x = 1e60 on the levels run past 200
+        value, terms, tail = recover_j_infinity_check(x)
+        assert abs(value - float(want)) <= 1e-13 * float(want)
+        assert tail <= REL_TOL / TAIL_SAFETY * value
 
     def test_rejects_nonpositive(self):
         with pytest.raises(ValueError):

@@ -382,6 +382,28 @@ class TestHurwitzDifference:
             hurwitz_difference(alpha, a, c)
 
 
+class TestFloatRange:
+    """A direct sum whose first term w^-alpha is past the float range."""
+
+    @pytest.mark.parametrize(
+        "fn, args",
+        [
+            (hurwitz_zeta, (2.0, 1e-200)),
+            (hurwitz_difference, (2.0, 1e-200, 1.0)),
+            (digamma, (1e-310,)),
+            (stirling_beta, (1e-310,)),
+        ],
+    )
+    def test_is_a_named_value_error(self, fn, args):
+        # not a bare OverflowError from the power
+        with pytest.raises(ValueError, match="past the float range"):
+            fn(*args)
+
+    def test_digamma_inside_the_range_answers(self):
+        # psi(z) ~ -1/z, and 1/1e-300 still fits
+        assert digamma(1e-300) == -9.999999999999999e299
+
+
 class TestRiemannZetaAndEta:
     def test_eta_at_one(self):
         assert dirichlet_eta(1.0) == math.log(2.0)
