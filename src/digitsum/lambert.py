@@ -39,19 +39,29 @@ _PARTITION_BUDGET = 400
 # ---------------------------------------------------------------------------
 
 
-def _rank_kernel(b: int, u: float) -> float:
-    """(u - b u^b + (b-1) u^(b+1)) / ((1-u)(1-u^b)), one digit rank's share."""
-    ub = u**b
-    return (u - b * ub + (b - 1) * u * ub) / ((1.0 - u) * (1.0 - ub))
+def _rank_polynomials(b: int, u: float) -> tuple[float, float]:
+    """P(u) = sum_{d<b} u^d and Q(u) = sum_{k<=b-2} (k+1) u^k, which factor the
+    rank kernel (u - b u^b + (b-1) u^(b+1)) / ((1-u)(1-u^b)) as u Q(u) / P(u).
+
+    Q goes by Horner's rule; P as (b mod 2) + (1+u) u^(b mod 2) sum_{k<b/2} u^(2k),
+    whose one cancellation as u -> -1 is in 1 + u.  Int literals let a symbol u pass.
+    """
+    q = 0
+    for k in range(b - 1, 0, -1):
+        q = q * u + k
+    odd, pairs = b % 2, 0
+    for _ in range(b // 2):
+        pairs = pairs * u * u + 1
+    return odd + (1 + u) * u**odd * pairs, q
 
 
 def lambert_gf(b: int, z: float) -> float:
     """sum_{n>=1} s_b(n) z^n for |z| < 1, one closed term per digit rank.
 
-    (1/(1-z)) sum_{l>=0} kernel(z^(b^l)); the levels decay doubly
-    exponentially and kernel(u) ~ u for small u, so the rest past level l
-    is below 2 |z|^(b^(l+1)), a tail held to the relative rule of
-    _level_series.
+    (1/(1-z)) sum_{l>=0} u Q(u) / P(u) at u = z^(b^l), its sign from the int b^l;
+    the levels decay doubly exponentially and the kernel is ~ u for small u, so
+    the rest past level l is below 2 |z|^(b^(l+1)), a tail held to the relative
+    rule of _level_series.
     """
     if b < 2:
         raise ValueError("base must be >= 2")
@@ -59,7 +69,12 @@ def lambert_gf(b: int, z: float) -> float:
         raise ValueError("lambert_gf requires |z| < 1")
     if z == 0.0:
         return 0.0
-    term = lambda l: _rank_kernel(b, z ** (b**l))
+
+    def term(l: int) -> float:
+        u = math.copysign(abs(z) ** (b**l), z if b**l % 2 else 1.0)
+        P, Q = _rank_polynomials(b, u)
+        return u * Q / P
+
     tail = lambda l, t: 2.0 * abs(z) ** (b ** (l + 1))
     return _level_series("lambert_gf", b, term, tail, 0, 0.0) / (1.0 - z)
 
@@ -109,18 +124,15 @@ def finite_gf_coefficients(b: int, p: int) -> list[int]:
 
 
 def lambert_gf_finite(b: int, p: int, z) -> float:
-    """sum_{n=1}^{b^p-1} s_b(n) z^n, valid for every finite z including |z| > 1.
+    """sum_{n=1}^{b^p-1} s_b(n) z^n, for every finite z.
 
-    F(z) = ((1 - z^(b^p)) / (1 - z)) sum_{l=0}^{p-1} kernel(z^(b^l)) for
-    |z| < 1, where a power past 2^1022 is 0 and its int exponent is capped
-    there.  For |z| > 1 the reflection n -> b^p - 1 - n, with
-    s_b(b^p - 1 - n) = p (b-1) - s_b(n), gives
-    F(z) = z^(b^p - 1) [p (b-1) (1 - w^(b^p)) / (1 - w) - F(w)] at w = 1/z,
-    so every kernel stays inside the unit disk.  A kernel denominator vanishes
-    at z = +-1 only; there the sum is exact in integers, by the leading digit:
-    n = d b^k + m with m < b^k gives S_(k+1) = sum_(d<b) u^d (d W_k + S_k)
-    and W_(k+1) = sum_(d<b) u^d W_k, from S_0 = 0 and W_0 = 1, with
-    u = z^(b^k) = +-1.
+    The paper's window ((1 - z^(b^p)) / (1 - z)) sum_{l<p} kernel(z^(b^l)), with
+    each P(z^(b^l)) of _rank_polynomials cancelled, is the leading-digit
+    recursion: s_b(d b^k + m) = d + s_b(m) for m < b^k gives
+    S_(k+1) = P(u) S_k + u Q(u) W_k and W_(k+1) = P(u) W_k at u = z^(b^k), from
+    S_0 = 0 and W_0 = 1.  It divides by nothing, so it holds at z = +-1 and
+    |z| > 1 too.  The sign of u comes from the parity of the int b^k, its size
+    from |z|^(b^k) with the exponent capped at 2^1022, where |z| < 1 gives 0.
     """
     if b < 2:
         raise ValueError("base must be >= 2")
@@ -129,33 +141,20 @@ def lambert_gf_finite(b: int, p: int, z) -> float:
     zf = float(z)
     if not math.isfinite(zf):
         raise ValueError("lambert_gf_finite needs a finite z")
-    top = b**p
-    power = lambda u, e: u ** min(e, 2**1022)  # |u| < 1, so u^e is 0 past 2^1022
-    inside = lambda u: (1.0 - power(u, top)) / (1.0 - u) * sum(
-        _rank_kernel(b, power(u, b**l)) for l in range(p)
-    )
+    total, width = 0.0, 1.0
     try:
-        if abs(zf) == 1.0:
-            total, width = 0, 1
-            for k in range(p):
-                # z^(b^k) is -1 when z is and b^k is odd
-                u = -1 if zf < 0 and (b % 2 == 1 or k == 0) else 1
-                total = sum(u**d * (d * width + total) for d in range(b))
-                width *= sum(u**d for d in range(b))
-            return float(total)
-        if abs(zf) < 1.0:
-            value = inside(zf)
-        else:
-            w = 1.0 / zf
-            value = zf ** (top - 1) * (p * (b - 1) * (1.0 - power(w, top)) / (1.0 - w) - inside(w))
+        for k in range(p):
+            u = math.copysign(abs(zf) ** min(b**k, 2**1022), zf if b**k % 2 else 1.0)
+            P, Q = _rank_polynomials(b, u)
+            total, width = P * total + u * Q * width, P * width
     except OverflowError:
-        value = math.inf
-    if not math.isfinite(value):
+        total = math.inf
+    if not math.isfinite(total):
         raise ValueError(
             f"lambert_gf_finite: a power of z = {zf} or the sum at b = {b}, p = {p}"
             " is past the float range"
         )
-    return value
+    return total
 
 
 # ---------------------------------------------------------------------------

@@ -196,9 +196,9 @@ def recover_j_infinity_check(x: float) -> tuple[float, int, float]:
     def term(k: int) -> float:
         levels.append(k)
         w = x / 2.0 ** (k + 1)
-        # the window added term by term in n order, as np.add.accumulate adds
+        # n order, as np.add.accumulate adds; two reciprocals: (w+n-1/2)(w+n) overflows past 1e154
         window = w + n
-        inner = float(np.add.accumulate(1.0 / ((window - 0.5) * window))[-1])
+        inner = float(np.add.accumulate(1.0 / (window - 0.5) * (1.0 / window))[-1])
         # remainder past the direct window, expanded in half-integer shifts:
         # sum_{r>=0} 2^-r zeta(r+2, w + M + 1)
         edge = w + inner_terms + 1.0

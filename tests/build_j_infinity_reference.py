@@ -30,7 +30,7 @@ import mpmath as mp
 
 BASES = (2, 3, 10, 16)
 ARGUMENTS = (1e-9, 1e-7, 1e-6, 1e-3, 0.3, 0.5, 1.0, 2.0, 7.5, 100.0)
-FAR_ARGUMENTS = (1e10, 1e40, 1e60, 1e100)
+FAR_ARGUMENTS = (1e10, 1e40, 1e60, 1e100, 1e200)
 OUT = Path(__file__).resolve().parent / "golden" / "j_infinity_mpmath.json"
 
 

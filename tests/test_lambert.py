@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import math
+import sys
 
 import mpmath as mp
 import numpy as np
@@ -42,6 +43,90 @@ def direct_gf(b: int, z: float, terms: int) -> float:
     return sum(digit_sum(n, b) * z**n for n in range(1, terms))
 
 
+def printed_kernel(b, u):
+    # the paper's rank kernel as printed, numerator subtraction and all
+    return (u - b * u**b + (b - 1) * u ** (b + 1)) / ((1 - u) * (1 - u**b))
+
+
+def printed_series(b: int, z: float) -> mp.mpf:
+    """(1/(1-z)) sum_l kernel(z^(b^l)) at 80 digits on the exact double z.
+
+    The kernel's subtraction costs at most 2 log10(1/(1-|z|)) + 2 of the 80
+    digits here; the sum stops once z^(b^l) is below 1e-70 of the total, which
+    leaves a rest below 2 |z|^(b^(l+1)).
+    """
+    with mp.workdps(80):
+        x, total, l = mp.mpf(z), mp.mpf(0), 0
+        while True:
+            u = x ** (b**l)
+            total += printed_kernel(b, u)
+            if abs(u) < mp.mpf(10) ** -70 * abs(total):
+                return total / (1 - x)
+            l += 1
+
+
+def printed_window(b: int, p: int, z: float) -> mp.mpf:
+    """((1 - z^(b^p)) / (1 - z)) sum_{l<p} kernel(z^(b^l)) at 60 digits on the
+    exact double z, for z != +-1."""
+    with mp.workdps(60):
+        x = mp.mpf(z)
+        return (1 - x ** (b**p)) / (1 - x) * mp.fsum(printed_kernel(b, x ** (b**l)) for l in range(p))
+
+
+def unit_rank_sum(b: int, p: int, s: int) -> int:
+    """The rank polynomials' sum at z = s = +-1, exact in integers: rank l is
+    (sum_{j<b^l} s^j) (sum_{d<b} d s^(d b^l)) (sum_{m<b^(p-l-1)} s^(m b^(l+1)))."""
+
+    def geometric(count: int, step: int) -> int:  # sum_{m<count} s^(m step)
+        return count if s == 1 or step % 2 == 0 else count % 2
+
+    return sum(
+        geometric(b**l, 1)
+        * sum(d * s ** (d * b**l) for d in range(b))
+        * geometric(b ** (p - l - 1), b ** (l + 1))
+        for l in range(p)
+    )
+
+
+U = sympy.Symbol("u")
+
+
+class TestRankPolynomials:
+    """P(u) = sum_{d<b} u^d and Q(u) = sum_{k<=b-2} (k+1) u^k as integer
+    coefficient lists, from the code's own operations on a symbol u."""
+
+    @staticmethod
+    def read_back(b: int) -> tuple[sympy.Poly, sympy.Poly]:
+        return tuple(sympy.Poly(value, U) for value in lambert._rank_polynomials(b, U))
+
+    @pytest.mark.parametrize("b", range(2, 17))
+    def test_coefficient_lists(self, b):
+        P, Q = self.read_back(b)
+        assert P.all_coeffs() == [1] * b
+        assert Q.all_coeffs() == list(range(b - 1, 0, -1))
+
+    @pytest.mark.parametrize("b", range(2, 17))
+    def test_they_factor_the_printed_kernel(self, b):
+        # (1-u) P = 1 - u^b and u (1-u)^2 Q = u - b u^b + (b-1) u^(b+1)
+        P, Q = self.read_back(b)
+        assert sympy.Poly(1 - U, U) * P == sympy.Poly(1 - U**b, U)
+        numerator = sympy.Poly(U - b * U**b + (b - 1) * U ** (b + 1), U)
+        assert sympy.Poly(U * (1 - U) ** 2, U) * Q == numerator
+
+    @pytest.mark.parametrize("b", range(2, 17))
+    def test_paired_form_of_p(self, b):
+        # (b mod 2) + (1+u) u^(b mod 2) sum_{k<b/2} u^(2k) = sum_{d<b} u^d
+        odd = b % 2
+        paired = odd + (1 + U) * U**odd * sum(U ** (2 * k) for k in range(b // 2))
+        assert sympy.Poly(paired, U).all_coeffs() == [1] * b
+
+
+GF_GRID = [0.15, -0.148, 0.3, -0.3, 0.5, -0.5, 0.9, -0.9, 0.99, -0.99]
+GF_GRID += [0.9999, -0.9999, 0.999999, -0.999999, 1e-8, -1e-5]
+WINDOW_GRID = [0.3, -0.3, 0.9, -0.9, 0.999999, -0.999, -0.999999]
+WINDOW_GRID += [1.0, -1.0, 1.05, -1.05, 1.5, -2.5]
+
+
 class TestLambertGF:
     """Closed rank-telescoped power series against direct partial sums."""
 
@@ -74,6 +159,29 @@ class TestLambertGF:
                 want += digit_sum(n, b) * x**n
                 n += 1
             assert float(abs(lambert_gf(b, z) - want) / abs(want)) < bound
+
+    @pytest.mark.parametrize("b, z", [(2, 0.999999), (3, 0.999999), (10, 0.9999)])
+    def test_near_one_against_the_printed_series(self, b, z):
+        # the printed numerator is O((1-u)^2) here, so formed by subtraction
+        # it loses up to 1e-5; as u (1-u)^2 Q(u) it cancels before any rounding
+        want = printed_series(b, z)
+        assert abs(lambert_gf(b, z) - want) <= 1e-15 * abs(want)
+
+    @pytest.mark.parametrize("b", [2, 3, 4, 5, 10, 15, 16])
+    def test_grid_against_the_printed_series(self, b):
+        # the level series promises REL_TOL
+        for z in GF_GRID:
+            want = printed_series(b, z)
+            assert abs(lambert_gf(b, z) - want) <= REL_TOL * abs(want), z
+
+    @pytest.mark.parametrize("b", [3, 5, 15])
+    @pytest.mark.parametrize("z", [-0.9999999999999999, -0.999999999999999])
+    def test_odd_base_next_to_minus_one(self, b, z):
+        # the levels run past b^l = 2^53 before |z|^(b^l) is negligible, and
+        # the float of an odd b^l that large is even: the sign of z^(b^l) must
+        # come from the int
+        want = printed_series(b, z)
+        assert abs(lambert_gf(b, z) - want) <= 1e-14 * abs(want)
 
     def test_triple_sum_rearrangement_binary_half(self):
         # enumerate exponents 2^(k+1) n + 2^k + l <= cutoff; each integer m
@@ -111,7 +219,7 @@ class TestLambertGF:
 
 
 class TestLambertGFFinite:
-    """Windowed finite form, and its exact sums at z = +-1."""
+    """Windowed finite form by the leading-digit recursion, at every finite z."""
 
     def test_matches_printed_three_rank_factorization(self):
         for z in (0.37, -0.6, 2.0, 5.5):
@@ -130,14 +238,38 @@ class TestLambertGFFinite:
         assert rel_err(lambert_gf_finite(3, 2, -0.7), want) < 1e-14
 
     def test_leading_digit_sums_at_plus_minus_one(self):
-        # z = 1 and z = -1 zero out kernel denominators; the leading-digit
-        # recursion must give the rank polynomials' values there
-        for b in range(2, 6):
+        # z = 1 and z = -1 zero out the printed kernel's denominators; the
+        # recursion must give the rank polynomials' integer sums there, which
+        # are checked against the coefficient lists where those are short
+        for b in range(2, 17):
             for p in range(1, 5):
-                coeffs = finite_gf_coefficients(b, p)
                 for z in (1, -1):
-                    want = sum(c * z**n for n, c in enumerate(coeffs))
+                    want = unit_rank_sum(b, p, z)
+                    if b <= 5:
+                        coeffs = finite_gf_coefficients(b, p)
+                        assert want == sum(c * z**n for n, c in enumerate(coeffs))
                     assert lambert_gf_finite(b, p, float(z)) == want, (b, p, z)
+
+    @pytest.mark.parametrize("p", [40, 700])
+    def test_minus_one_in_an_odd_base(self, p):
+        # every 3^k is odd, so every level has u = -1 and adds 1; past 2^53 the
+        # float of 3^k is even, so the sign of u must come from the int
+        assert lambert_gf_finite(3, p, -1.0) == float(p)
+
+    @pytest.mark.parametrize("b", [2, 3, 4, 5, 10, 16])
+    def test_window_grid_against_mpmath(self, b):
+        # the printed window at 60 digits on the exact double, or the integer
+        # sum at z = +-1; a value past the float range must raise instead
+        for p in (1, 2, 3, 5, 8):
+            if b**p > 2**40:
+                continue
+            for z in WINDOW_GRID:
+                want = unit_rank_sum(b, p, int(z)) if abs(z) == 1.0 else printed_window(b, p, z)
+                if abs(want) > sys.float_info.max:
+                    with pytest.raises(ValueError, match="past the float range"):
+                        lambert_gf_finite(b, p, z)
+                else:
+                    assert abs(lambert_gf_finite(b, p, z) - want) <= 2e-15 * abs(want), (p, z)
 
     def test_minus_one_at_a_long_window(self):
         # the rank polynomials have 2^40 coefficients here; the recursion
@@ -148,9 +280,9 @@ class TestLambertGFFinite:
         "b, p, z, bound",
         [(2, 10, 1.9, 1e-15), (2, 10, -1.9, 1e-15), (2, 6, 1.05, 2e-15), (3, 5, -2.5, 1e-15)],
     )
-    def test_outside_the_unit_disk_by_reflection(self, b, p, z, bound):
+    def test_outside_the_unit_disk_against_the_direct_sum(self, b, p, z, bound):
         # the 60-digit sum at the double z; at (2, 10, 1.9) the value is 2.9e286,
-        # where a rank kernel's power z^(b^l + b^(l+1)) is past the float range
+        # and the recursion reaches it with no partial sum past the float range
         with mp.workdps(60):
             want = mp.fsum(digit_sum(n, b) * mp.mpf(z) ** n for n in range(1, b**p))
             assert abs(lambert_gf_finite(b, p, z) - want) <= bound * abs(want)

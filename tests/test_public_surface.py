@@ -2,15 +2,15 @@
 every defaulted parameter is passed by some caller, and a closed form and
 its oracle share no code.
 
-The entry points are ``src/digitsum/cli.py`` and ``scripts/*.py``.  The roots
-are their decorated definitions, which the decorators register as commands,
-and every top-level statement that defines nothing, in any module, since it
-runs on import.  A definition is reached when a root, or the body of a
-definition already reached, loads its name, as a bare name or as an
-attribute.  The scan follows names, not imports, so a name defined in two
-modules is reached in both once either is.  A use inside the tests does not
-count, and a name used only inside its own definition is not reached.
-The independence rule follows names from one definition by the same scan.
+The entry point is ``src/digitsum/cli.py``.  The roots are its decorated
+definitions, which the decorators register as commands, and every top-level
+statement that defines nothing, in any module, since it runs on import.  A
+definition is reached when a root, or the body of a definition already
+reached, loads its name, as a bare name or as an attribute.  The scan
+follows names, not imports, so a name defined in two modules is reached in
+both once either is.  A use inside the tests does not count, and a name used
+only inside its own definition is not reached.  The independence rule
+follows names from one definition by the same scan.
 """
 
 from __future__ import annotations
@@ -24,8 +24,7 @@ from digitsum import identities
 
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "digitsum"
-SCRIPTS = sorted((ROOT / "scripts").glob("*.py"))
-ENTRY_POINTS = [PACKAGE / "cli.py", *SCRIPTS]
+ENTRY_POINT = PACKAGE / "cli.py"
 
 
 def _defined_name(node: ast.stmt):
@@ -52,10 +51,10 @@ def _loads(node: ast.AST) -> set[str]:
 
 
 def _statements() -> list[tuple[Path, ast.stmt, str | None]]:
-    """(file, top-level statement, the name it defines or None), package and scripts."""
+    """(file, top-level statement, the name it defines or None), package-wide."""
     return [
         (path, statement, _defined_name(statement))
-        for path in sorted(PACKAGE.glob("*.py")) + SCRIPTS
+        for path in sorted(PACKAGE.glob("*.py"))
         for statement in ast.parse(path.read_text(), filename=str(path)).body
     ]
 
@@ -71,7 +70,7 @@ def unreached_definitions() -> set[tuple[str, str]]:
     reached = {
         (path.name, name)
         for path, statement, name in statements
-        if name is not None and path in ENTRY_POINTS and getattr(statement, "decorator_list", [])
+        if name is not None and path == ENTRY_POINT and getattr(statement, "decorator_list", [])
     }
     pending = set().union(
         *(_loads(defs[key]) for key in reached),
@@ -137,11 +136,10 @@ def _passes(call: ast.Call, position: int | None, name: str) -> bool:
 
 def never_set_parameters() -> set[tuple[str, str, str]]:
     """(file name, function, parameter) of every defaulted parameter of the
-    package that no call in the package or the scripts passes.  Calls match
-    by the called name, bare or as an attribute; calls in the tests do not
-    count."""
+    package that no call in the package passes.  Calls match by the called
+    name, bare or as an attribute; calls in the tests do not count."""
     calls: dict[str, list[ast.Call]] = {}
-    for path in sorted(PACKAGE.glob("*.py")) + SCRIPTS:
+    for path in sorted(PACKAGE.glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
             if isinstance(node, ast.Call):
                 func = node.func
@@ -204,7 +202,7 @@ CLOSED_FORMS = [
     ("identities.py", name)
     for name in identities.__all__
     if ("identities.py", name) not in ORACLES
-] + [("lambert.py", "lambert_gf")]
+] + [("lambert.py", "lambert_gf"), ("lambert.py", "lambert_gf_finite")]
 KERNEL = {"digit_weighted_sum", "digit_sum_range", "_inverse_power"}
 
 

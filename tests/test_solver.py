@@ -381,7 +381,7 @@ class TestRecoverJInfinity:
             w = x / 2.0 ** (k + 1)
             inner = 0.0
             for n in range(1, 257):
-                inner += 1.0 / ((w + n - 0.5) * (w + n))
+                inner += 1.0 / (w + n - 0.5) * (1.0 / (w + n))
             terms_used += 256
             for r in range(64):
                 piece = 2.0**-r * hurwitz_zeta(r + 2.0, w + 256 + 1.0)
