@@ -3,7 +3,10 @@
 Every evaluator here computes one side of a published-style identity:
 finite telescoped sums over n < b^p weighted by the base-b digit sum,
 their p -> infinity limits, the associated infinite products, and the
-order-2 family assembled from the two-parameter Barnes zeta.  The
+order-2 family assembled from the two-parameter Barnes zeta.  The digit
+zeta takes its near levels as Barnes values and sums every level from the
+first h = b^l >= 32 max(z, 1) on at once, as geometric series over Riemann
+zeta values.  The
 difference-kernel family takes each level as one pole-free
 hurwitz_difference, so its order-1 member, the harmonic-difference sum
 j_infinity, is no separate case.  Each closed form has a brute-force
@@ -15,6 +18,7 @@ independent end to end.
 from __future__ import annotations
 
 import math
+import sys
 
 import numpy as np
 
@@ -24,7 +28,16 @@ from .digitseq import _difference_weight, _power_weight, digit_sum, digit_weight
 # in perfbench/tests checks that it is wrapped under this module's name too
 from .digitseq import digit_sum_range  # noqa: F401
 from .specfun import (
+    ABS_FLOOR,
+    EM_ORDER,
+    EULER_GAMMA,
+    REL_TOL,
+    SHIFT_THRESHOLD,
+    TAIL_SAFETY,
+    TruncationBudgetError,
+    _EM_COEFFICIENTS,
     _check_rounding,
+    _level_cap,
     _level_series,
     _pole_free_product,
     alternating_hurwitz,
@@ -325,31 +338,119 @@ def finite_barnes_closed(b: int, p: int, alpha: float, z: float) -> float:
     return sum(brackets[:p]) - b * sum(brackets[1:])
 
 
+def _closed_tail(
+    b: int, alpha: float, z: float, L: int, zetas: list[float]
+) -> tuple[float, float, float]:
+    """sum_{l>=L} (1-b) zeta_2(alpha, z+h, (1,h)), h = b^l, in one pass, for b^L >= 32 max(z, 1).
+
+    Returns (tail, magnitude, bound): the tail, the sum of |piece| it adds,
+    and a bound on what it leaves out.  At these h barnes_zeta2 stops at
+    M = 0: level l is (1-b) sum_i a_i h^(-s_i) zeta(s_i, 1+w), w = z/h, over its
+    Euler-Maclaurin pieces s_i = alpha-1+n_i, with a_i = 1/(alpha-1) at
+    n_i = 0, 1/2 at n_i = 1 and B_2j/(2j)! (alpha)_(2j-1) at n_i = 2j.  By
+    zeta(s, 1+w) = sum_k C(-s, k) zeta(s+k) w^k (Abramowitz-Stegun 6.3.14)
+    each power h^(-s-k) sums over l >= L to H^(-s-k)/(1 - b^(-s-k)), H = b^L:
+    the tail is one series in n = n_i + k over zeta(alpha-1+n), at w = z/H.
+    At alpha = 2 the integral piece is the finite part -(1 + l log b +
+    psi(1+w))/h, and psi(1+w) = -gamma - sum_{k>=1} (-1)^k zeta(k+1) w^k gives
+    the same terms for k >= 1; its k = 0 term sums (gamma - 1 - l log b) b^-l.
+
+    zetas holds zeta(alpha-1+n, 1), from n = 1 at alpha = 2, and grows as the
+    series needs it; the caller keeps it for one evaluation.  Once every
+    piece has started, the series stops when TAIL_SAFETY times its rest is at
+    most 2^-52 magnitude.  A piece's rest is its next term over 1 - r, with r
+    bounding the ratio of its terms from there on.  The bound is that rest
+    plus the first omitted Euler-Maclaurin piece, n = 10, summed the same way.
+    """
+    H = float(b) ** L
+    w = z / H
+    log_b = math.log(b)
+    first = 1 if alpha == 2 else 0  # zetas[0] is zeta(alpha - 1 + first): zeta(1) is a pole
+
+    def zeta(n: int) -> float:  # zeta(alpha-1+n, 1) / (1 - b^-(alpha-1+n))
+        while len(zetas) <= n - first:
+            zetas.append(hurwitz_zeta(alpha - 1.0 + first + len(zetas), 1.0))
+        return -zetas[n - first] / math.expm1(-(alpha - 1.0 + n) * log_b)
+
+    # each piece as [n_i, a_i H^-n_i C(-s_i, k) w^k], at k = n - n_i
+    half = EM_ORDER // 2
+    pieces = [[0, 1.0 / (alpha - 1.0)], [1, 0.5 / H]]
+    poch = alpha
+    for j in range(1, half + 1):
+        pieces.append([2 * j, _EM_COEFFICIENTS[j] * poch * H ** (-2 * j)])
+        poch *= (alpha + 2 * j - 1) * (alpha + 2 * j)
+    omitted = abs(_EM_COEFFICIENTS[half + 1]) * poch * H ** (-2 * half - 2) * zeta(2 * half + 2)
+
+    total = magnitude = 0.0
+    if first:  # the finite part at k = 0: sum_{l>=L} (gamma - 1 - l log b) b^(L-l)
+        level_sum = b / (b - 1.0)
+        log_sum = log_b * (L + 1.0 / (b - 1.0)) * level_sum
+        total = (EULER_GAMMA - 1.0) * level_sum - log_sum
+        magnitude = (1.0 - EULER_GAMMA) * level_sum + log_sum
+        pieces[0][1] = -w  # a_0 C(-1, 1) w, its k = 1 term
+    n = first
+    while True:
+        this, following = zeta(n), zeta(n + 1)
+        rest = 0.0
+        for piece in pieces:
+            n_i, c = piece
+            if n_i <= n:
+                total += c * this
+                magnitude += abs(c) * this
+                k, s = n - n_i, alpha - 1.0 + n_i
+                piece[1] = -c * (s + k) / (k + 1) * w
+                r = (s + k + 1) / (k + 2) * w
+                rest += abs(piece[1]) * following / (1.0 - r) if r < 1.0 else math.inf
+        n += 1
+        if n > 2 * half and TAIL_SAFETY * rest <= 2.0**-52 * magnitude:
+            break
+    scale = (b - 1) * H ** (1.0 - alpha)
+    return -scale * total, scale * magnitude, scale * (rest + omitted)
+
+
 def _digit_zeta(b: int, alpha: float, z: float) -> float:
     """sum_{n>=1} s_b(n)/(n+z)^alpha for alpha >= 2 and z >= 0: level 0
     zeta(a-1, z+1) - z zeta(a, z+1), level l >= 1 (1-b) zeta_2(a, z+b^l, (1,b^l)).
 
-    For a > 2 level l is (1-b) sum_{m>=1} zeta(a, z + b^l m), over positive
-    decreasing values, and level l+1 keeps every b-th of them: |t_(l+1)| <=
-    |t_l|/b at every l and z, so the rest past level l is at most |t_l|/(b-1).
     At a = 2 the zeta_2 are finite parts, barnes_zeta2(2.0, ...), and level 0
     is -psi(z+1) - z zeta(2, z+1): the term-by-term limit, where the poles
-    cancel as (1-b) sum_{l>=1} b^-l = -1.  The finite parts change sign at
-    small h, so the tail is not built on |t|: the terms decay like
-    (1 + l log b) b^-l, and (2 + (l+1) log b) b^-l is b times the next one.
+    cancel as (1-b) sum_{l>=1} b^-l = -1.  The levels l < L are barnes_zeta2
+    calls, L the first level with b^L >= 2 SHIFT_THRESHOLD max(z, 1); every
+    level from L on is summed at once by _closed_tail.  The sum stops once
+    TAIL_SAFETY times the tail's bound is at most REL_TOL of the total, and L
+    grows by one level until it is; at the stop the head, every level and
+    every tail piece pass _check_rounding.  An L past _level_cap(b), or a sum
+    below the normal float range, raises TruncationBudgetError.
     """
     if b < 2:
         raise ValueError("base must be >= 2")
+    name = "digit_zeta_2" if alpha == 2 else "infinite_barnes"
+    last, reach = _level_cap(b), 2.0 * SHIFT_THRESHOLD * max(z, 1.0)
+    L = 1
+    while float(b) ** L < reach:
+        if L == last:
+            raise TruncationBudgetError(f"{name}: no convergence by level {last}", L, math.inf)
+        L += 1
     if alpha == 2:
-        name = "digit_zeta_2"
-        total = -digamma(z + 1.0) - z * hurwitz_zeta(2.0, z + 1.0)
-        tail = lambda l, t: (2.0 + (l + 1) * math.log(b)) / float(b) ** l
+        head = -digamma(z + 1.0) - z * hurwitz_zeta(2.0, z + 1.0)
     else:
-        name = "infinite_barnes"
-        total = -z * hurwitz_zeta(alpha, z + 1.0) + hurwitz_zeta(alpha - 1.0, z + 1.0)
-        tail = lambda l, t: abs(t) / (b - 1)
-    term = lambda l: (1 - b) * barnes_zeta2(alpha, z + float(b) ** l, b**l)
-    return _level_series(name, b, term, tail, 1, total)
+        head = -z * hurwitz_zeta(alpha, z + 1.0) + hurwitz_zeta(alpha - 1.0, z + 1.0)
+    level = lambda l: (1 - b) * barnes_zeta2(alpha, z + float(b) ** l, b**l)
+    levels = [level(l) for l in range(1, L)]
+    zetas: list[float] = []  # zeta(alpha-1+n, 1) for every tail of this call
+    while True:
+        tail, magnitude, bound = _closed_tail(b, alpha, z, L, zetas)
+        total = sum(levels, head) + tail
+        size = max(abs(total), ABS_FLOOR)
+        if TAIL_SAFETY * bound <= REL_TOL * size:
+            _check_rounding(name, abs(head) + sum(map(abs, levels)) + magnitude, size, L)
+            if abs(total) < sys.float_info.min:  # a sum of positive terms, underflowed
+                raise TruncationBudgetError(f"{name}: the sum is below the float range", L, bound)
+            return total
+        if L == last:
+            raise TruncationBudgetError(f"{name}: no convergence by level {last}", L, bound)
+        levels.append(level(L))
+        L += 1
 
 
 def infinite_barnes(b: int, alpha: float, z: float) -> float:

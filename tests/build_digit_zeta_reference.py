@@ -1,5 +1,6 @@
 """Rebuild tests/golden/digit_zeta_mpmath.json, the 40-digit references of
-infinite_barnes(b, alpha, z) that test_identities.py checks.
+infinite_barnes(b, alpha, z) and, at alpha = 2, digit_zeta_2(b, z) that
+test_identities.py checks.
 
 Run from the repository root:
 
@@ -18,6 +19,12 @@ every order in the grid.  T(b^(l+1)) keeps only the q divisible by b of a sum
 of decreasing terms, so T(b^(l+1)) <= T(b^l)/b: the levels after l add at
 most (b-1) T(b^l)/(b-1) = T(b^l) to the total, and the sum stops once that is
 below 10^-45 of it.
+At a = 2 every T(c) diverges and is taken as its finite part: the integral
+term c^(1-a) zeta(a-1, v)/(a-1) becomes -(1 + log c + psi(v))/c, and the head
+is -psi(1+z) - z zeta(2, 1+z), where the poles cancel as
+(1-b) sum_{l>=1} b^-l = -1.  These levels change sign, so the sum stops on
+their decay law instead: past level l they add at most
+(2 + (l+1) log b)/b^l, and the sum stops once that is below 10^-45 of it.
 No Barnes zeta and no level-series code of the package is involved.
 """
 
@@ -39,19 +46,31 @@ POINTS = [(b, alpha, z) for b in (2, 3) for alpha in (2.5, 3.5) for z in (0.5, 1
     (2, 4.0, 1e4),
     (16, 7.0, 0.0),
 ]
+# digit_zeta_2: the default cor30 grid, then a shift that is not dyadic, base 16
+# past its first level, a shift near 0, and a shift past the first 14 levels
+POINTS += [(b, 2.0, z) for b in (2, 3) for z in (0.25, 1.0, 2.0)] + [
+    (10, 2.0, 0.3),
+    (16, 2.0, 5.0),
+    (3, 2.0, 0.01),
+    (2, 2.0, 1e3),
+]
 X0 = 64
 EM_TERMS = 20
 OUT = Path(__file__).resolve().parent / "golden" / "digit_zeta_mpmath.json"
 
 
 def level(a: mp.mpf, z: mp.mpf, c: mp.mpf) -> mp.mpf:
-    """T(c) = sum_{q>=1} zeta(a, z + q c)."""
+    """T(c) = sum_{q>=1} zeta(a, z + q c), its finite part at a = 2."""
     q, part = 1, mp.mpf(0)
     while z + q * c < X0:
         part += mp.zeta(a, z + q * c)
         q += 1
     v = q + z / c
-    part += c ** (1 - a) * mp.zeta(a - 1, v) / (a - 1) + c**-a * mp.zeta(a, v) / 2
+    if a == 2:
+        part += -(1 + mp.log(c) + mp.digamma(v)) / c
+    else:
+        part += c ** (1 - a) * mp.zeta(a - 1, v) / (a - 1)
+    part += c**-a * mp.zeta(a, v) / 2
     for k in range(1, EM_TERMS + 1):
         t = a + 2 * k - 1
         weight = mp.bernoulli(2 * k) / mp.factorial(2 * k) * mp.rf(a, 2 * k - 1)
@@ -62,13 +81,17 @@ def level(a: mp.mpf, z: mp.mpf, c: mp.mpf) -> mp.mpf:
 def reference(b: int, alpha: float, z: float) -> mp.mpf:
     with mp.workdps(40):
         a, shift = mp.mpf(alpha), mp.mpf(z)  # mpf of a double is the double exactly
-        head = mp.zeta(a - 1, 1 + shift) - shift * mp.zeta(a, 1 + shift)
+        if a == 2:
+            head = -mp.digamma(1 + shift) - shift * mp.zeta(2, 1 + shift)
+        else:
+            head = mp.zeta(a - 1, 1 + shift) - shift * mp.zeta(a, 1 + shift)
         levels, l = mp.mpf(0), 1
         while True:
             t = level(a, shift, mp.mpf(b) ** l)
             levels += t
             total = head - (b - 1) * levels
-            if t < mp.mpf(10) ** -45 * abs(total):
+            rest = (2 + (l + 1) * mp.log(b)) / mp.mpf(b) ** l if a == 2 else t
+            if rest < mp.mpf(10) ** -45 * abs(total):
                 return total
             l += 1
 
