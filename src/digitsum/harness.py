@@ -642,46 +642,39 @@ def _params_json(params: dict) -> str:
     return "{" + inner + "}"
 
 
-def _report_json(report: IdentityReport) -> str:
-    return (
-        "{"
-        + f'"identity":{json.dumps(report.identity_id)},'
-        + f'"params":{_params_json(report.params)},'
-        + f'"lhs":{_fmt_value(report.lhs)},'
-        + f'"rhs":{_fmt_value(report.rhs)},'
-        + f'"abs_err":{_fmt_value(report.abs_err)},'
-        + f'"rel_err":{_fmt_value(report.rel_err)},'
-        + '"truncation":{'
-        + f'"terms":{report.terms},'
-        + f'"tail_bound":{_fmt_value(report.tail_bound)}'
-        + "},"
-        + f'"pass":{"true" if report.passed else "false"}'
-        + "}"
-    )
+def _report_cells(report: IdentityReport) -> list[str]:
+    # the report's fields in order, each as its JSON text
+    return [
+        json.dumps(report.identity_id),
+        _params_json(report.params),
+        _fmt_value(report.lhs),
+        _fmt_value(report.rhs),
+        _fmt_value(report.abs_err),
+        _fmt_value(report.rel_err),
+        str(report.terms),
+        _fmt_value(report.tail_bound),
+        "true" if report.passed else "false",
+    ]
 
 
+_JSON_ROW = (
+    '{{"identity":{},"params":{},"lhs":{},"rhs":{},"abs_err":{},"rel_err":{},'
+    '"truncation":{{"terms":{},"tail_bound":{}}},"pass":{}}}'
+)
 _CSV_HEADER = "identity,params,lhs,rhs,abs_err,rel_err,terms,tail_bound,pass"
 
 
-def _csv_field(text: str) -> str:
-    if any(c in text for c in ',"\n'):
-        return '"' + text.replace('"', '""') + '"'
-    return text
+def _report_json(report: IdentityReport) -> str:
+    return _JSON_ROW.format(*_report_cells(report))
 
 
 def _report_csv(report: IdentityReport) -> str:
-    cells = [
-        report.identity_id,
-        _params_json(report.params),
-        _fmt_value(report.lhs).strip('"'),
-        _fmt_value(report.rhs).strip('"'),
-        _fmt_value(report.abs_err).strip('"'),
-        _fmt_value(report.rel_err).strip('"'),
-        str(report.terms),
-        _fmt_value(report.tail_bound).strip('"'),
-        "true" if report.passed else "false",
-    ]
-    return ",".join(_csv_field(cell) for cell in cells)
+    # a cell is its JSON text unquoted, quoted again CSV-style if it must be
+    cells = (cell.strip('"') for cell in _report_cells(report))
+    return ",".join(
+        '"' + cell.replace('"', '""') + '"' if any(c in cell for c in ',"\n') else cell
+        for cell in cells
+    )
 
 
 def emit_report(run: RunReport, format: str = "json") -> bytes:

@@ -137,15 +137,18 @@ def double_sum_alternate(p: int, alpha: float, z: float) -> float:
     """Alternating double-sum form of the base-2 finite closed sum.
 
     sum_{l=0}^{p-1} sum_{n>=1} (-1)^n [(z + 2^p + n 2^l)^-a - (z + n 2^l)^-a],
-    each inner sum h^-a alternating_hurwitz(a, c/h) at h = 2^l, c = z + 2^p or z.
+    each inner sum h^-a alternating_hurwitz(a, c/h) at h = 2^l, c = z + 2^p or z;
+    inner sums that cancel raise TruncationBudgetError (_check_rounding).
     """
     _check_finite_sum(2, p, alpha, z)
     top = float(2**p)
-    total = 0.0
+    total = magnitude = 0.0
     for l in range(p):
         h = float(2**l)
         far, near = (h**-alpha * alternating_hurwitz(alpha, c / h) for c in (z + top, z))
         total += far - near
+        magnitude += abs(far) + abs(near)
+    _check_rounding("double_sum_alternate", magnitude, abs(total), p)
     return total
 
 
@@ -318,6 +321,7 @@ def finite_barnes_closed(b: int, p: int, alpha: float, z: float) -> float:
     sum_{k=1}^{b^(p-l)} zeta(a, z + k h).  A level with fewer than
     _BRACKET_TERMS such values is summed that way, with one correctly rounded
     sum; a level with more takes the difference of its two Barnes values.
+    Brackets that cancel raise TruncationBudgetError (_check_rounding).
     """
     _check_finite_sum(b, p, alpha, z)
     if not alpha > 2:
@@ -335,12 +339,13 @@ def finite_barnes_closed(b: int, p: int, alpha: float, z: float) -> float:
 
     # levels 1 .. p-1 enter both sums: evaluate each bracket once
     brackets = [bracket(l) for l in range(p + 1)]
-    return sum(brackets[:p]) - b * sum(brackets[1:])
+    total = sum(brackets[:p]) - b * sum(brackets[1:])
+    magnitude = sum(map(abs, brackets[:p])) + b * sum(map(abs, brackets[1:]))
+    _check_rounding("finite_barnes_closed", magnitude, abs(total), 2 * p)
+    return total
 
 
-def _closed_tail(
-    b: int, alpha: float, z: float, L: int, zetas: list[float]
-) -> tuple[float, float, float]:
+def _closed_tail(b: int, alpha: float, z: float, L: int) -> tuple[float, float, float]:
     """sum_{l>=L} (1-b) zeta_2(alpha, z+h, (1,h)), h = b^l, in one pass, for b^L >= 32 max(z, 1).
 
     Returns (tail, magnitude, bound): the tail, the sum of |piece| it adds,
@@ -355,17 +360,18 @@ def _closed_tail(
     psi(1+w))/h, and psi(1+w) = -gamma - sum_{k>=1} (-1)^k zeta(k+1) w^k gives
     the same terms for k >= 1; its k = 0 term sums (gamma - 1 - l log b) b^-l.
 
-    zetas holds zeta(alpha-1+n, 1), from n = 1 at alpha = 2, and grows as the
-    series needs it; the caller keeps it for one evaluation.  Once every
-    piece has started, the series stops when TAIL_SAFETY times its rest is at
-    most 2^-52 magnitude.  A piece's rest is its next term over 1 - r, with r
-    bounding the ratio of its terms from there on.  The bound is that rest
-    plus the first omitted Euler-Maclaurin piece, n = 10, summed the same way.
+    The series takes zeta(alpha-1+n, 1), from n = 1 at alpha = 2, once each
+    as it needs them.  Once every piece has started, the series stops when
+    TAIL_SAFETY times its rest is at most 2^-52 magnitude.  A piece's rest is
+    its next term over 1 - r, with r bounding the ratio of its terms from
+    there on.  The bound is that rest plus the first omitted Euler-Maclaurin
+    piece, n = 10, summed the same way.
     """
     H = float(b) ** L
     w = z / H
     log_b = math.log(b)
     first = 1 if alpha == 2 else 0  # zetas[0] is zeta(alpha - 1 + first): zeta(1) is a pole
+    zetas: list[float] = []
 
     def zeta(n: int) -> float:  # zeta(alpha-1+n, 1) / (1 - b^-(alpha-1+n))
         while len(zetas) <= n - first:
@@ -416,41 +422,32 @@ def _digit_zeta(b: int, alpha: float, z: float) -> float:
     is -psi(z+1) - z zeta(2, z+1): the term-by-term limit, where the poles
     cancel as (1-b) sum_{l>=1} b^-l = -1.  The levels l < L are barnes_zeta2
     calls, L the first level with b^L >= 2 SHIFT_THRESHOLD max(z, 1); every
-    level from L on is summed at once by _closed_tail.  The sum stops once
-    TAIL_SAFETY times the tail's bound is at most REL_TOL of the total, and L
-    grows by one level until it is; at the stop the head, every level and
-    every tail piece pass _check_rounding.  An L past _level_cap(b), or a sum
-    below the normal float range, raises TruncationBudgetError.
+    level from L on is summed at once by _closed_tail.  The head, every level
+    and every tail piece pass _check_rounding.  No such L up to _level_cap(b),
+    a tail whose bound times TAIL_SAFETY passes REL_TOL of the total, or a sum
+    below the normal float range raises TruncationBudgetError.
     """
     if b < 2:
         raise ValueError("base must be >= 2")
     name = "digit_zeta_2" if alpha == 2 else "infinite_barnes"
     last, reach = _level_cap(b), 2.0 * SHIFT_THRESHOLD * max(z, 1.0)
-    L = 1
-    while float(b) ** L < reach:
-        if L == last:
-            raise TruncationBudgetError(f"{name}: no convergence by level {last}", L, math.inf)
-        L += 1
+    L = next((l for l in range(1, last + 1) if float(b) ** l >= reach), None)
+    if L is None:
+        raise TruncationBudgetError(f"{name}: no convergence by level {last}", last, math.inf)
     if alpha == 2:
         head = -digamma(z + 1.0) - z * hurwitz_zeta(2.0, z + 1.0)
     else:
         head = -z * hurwitz_zeta(alpha, z + 1.0) + hurwitz_zeta(alpha - 1.0, z + 1.0)
-    level = lambda l: (1 - b) * barnes_zeta2(alpha, z + float(b) ** l, b**l)
-    levels = [level(l) for l in range(1, L)]
-    zetas: list[float] = []  # zeta(alpha-1+n, 1) for every tail of this call
-    while True:
-        tail, magnitude, bound = _closed_tail(b, alpha, z, L, zetas)
-        total = sum(levels, head) + tail
-        size = max(abs(total), ABS_FLOOR)
-        if TAIL_SAFETY * bound <= REL_TOL * size:
-            _check_rounding(name, abs(head) + sum(map(abs, levels)) + magnitude, size, L)
-            if abs(total) < sys.float_info.min:  # a sum of positive terms, underflowed
-                raise TruncationBudgetError(f"{name}: the sum is below the float range", L, bound)
-            return total
-        if L == last:
-            raise TruncationBudgetError(f"{name}: no convergence by level {last}", L, bound)
-        levels.append(level(L))
-        L += 1
+    levels = [(1 - b) * barnes_zeta2(alpha, z + float(b) ** l, b**l) for l in range(1, L)]
+    tail, magnitude, bound = _closed_tail(b, alpha, z, L)
+    total = sum(levels, head) + tail
+    size = max(abs(total), ABS_FLOOR)
+    if not TAIL_SAFETY * bound <= REL_TOL * size:
+        raise TruncationBudgetError(f"{name}: the tail from level {L} misses its budget", L, bound)
+    _check_rounding(name, abs(head) + sum(map(abs, levels)) + magnitude, size, L)
+    if abs(total) < sys.float_info.min:  # a sum of positive terms, underflowed
+        raise TruncationBudgetError(f"{name}: the sum is below the float range", L, bound)
+    return total
 
 
 def infinite_barnes(b: int, alpha: float, z: float) -> float:

@@ -168,9 +168,11 @@ def hurwitz_zeta(alpha: float, z: float) -> float:
     """zeta(alpha, z) for alpha > 0, alpha != 1, z > 0 by Euler-Maclaurin.
 
     Direct sum over z..z+N-1, integral term w^(1-alpha)/(alpha-1) at
-    w = z+N, half term, and Bernoulli corrections up to EM_ORDER.  N
-    grows until the first omitted correction clears REL_TOL; for
-    alpha in (0,1) this is the analytic continuation.
+    w = z+N, half term, and Bernoulli corrections up to EM_ORDER.  The
+    expansion point z+N starts at SHIFT_THRESHOLD and doubles until the first
+    omitted correction clears REL_TOL; a pass whose point lies more than
+    MAX_TERMS steps past z raises, as in hurwitz_difference.  For alpha in
+    (0,1) this is the analytic continuation.
     """
     if alpha == 1:
         raise ValueError("hurwitz_zeta has a pole at alpha = 1")
@@ -183,20 +185,15 @@ def hurwitz_zeta(alpha: float, z: float) -> float:
     half = EM_ORDER // 2
 
     direct = 0.0
-    n_used = 0
     w = z
     target = SHIFT_THRESHOLD
     while True:
+        if target - z > MAX_TERMS:  # the budget on the direct steps
+            message = "hurwitz_zeta direct sum exhausted MAX_TERMS"
+            raise TruncationBudgetError(message, MAX_TERMS, math.inf)
         while w < target:
             direct += w ** (-alpha)
             w += 1.0
-            n_used += 1
-            if n_used > MAX_TERMS:
-                raise TruncationBudgetError(
-                    "hurwitz_zeta direct sum exhausted MAX_TERMS",
-                    n_used,
-                    w ** (1.0 - alpha) / abs(alpha - 1.0),
-                )
         value = direct + w ** (1.0 - alpha) / (alpha - 1.0) + 0.5 * w ** (-alpha)
         poch = alpha
         wp = w ** (-alpha - 1.0)

@@ -223,11 +223,17 @@ class TestFiniteClosedForm:
 
     @pytest.mark.parametrize(
         "fn, args",
-        [(finite_zeta_diff_closed, (2, 4, 2.0, 1e6)), (binary_corollary_closed, (4, 2.0, 1e6))],
+        [
+            (finite_zeta_diff_closed, (2, 4, 2.0, 1e6)),
+            (binary_corollary_closed, (4, 2.0, 1e6)),
+            (finite_barnes_closed, (2, 7, 3.0, 1e8)),
+            (double_sum_alternate, (3, 0.5, 1e8)),
+        ],
     )
     def test_cancelling_levels_raise(self, fn, args):
-        # far from the origin the levels are 6.3e4 (half-shift) to 9.4e5 times
-        # their sum, so their rounding passes REL_TOL of it
+        # far from the origin the levels are 6.3e4 (half-shift) to 5.7e7 (Barnes
+        # brackets) times their sum, so their rounding passes REL_TOL of it.
+        # Without the check the two z = 1e8 forms were 1.3e-3 and 1.2e-9 off
         with pytest.raises(TruncationBudgetError, match=f"{fn.__name__}: the levels cancel"):
             fn(*args)
 
@@ -774,26 +780,26 @@ class TestInfiniteBarnes:
                 levels.append((1 - b) * barnes_zeta2(alpha, z + float(b) ** l, b**l))
             except TruncationBudgetError:
                 break
-        tail = identities._closed_tail(b, alpha, z, L, [])[0]
+        tail = identities._closed_tail(b, alpha, z, L)[0]
         rest = abs(levels[-1]) / (b - 1)
         gap = abs(tail - math.fsum(levels))
         assert gap <= REL_TOL * sum(map(abs, levels)) + rest, (tail, levels)
 
-    def test_a_tail_over_budget_starts_one_level_later(self, monkeypatch):
-        # no measured point needs a second start: the first tail's bound is far
-        # inside the budget.  Made to miss once, the sum takes level 5 from
-        # barnes_zeta2, the tail from level 6, and keeps its value
+    def test_a_tail_over_budget_raises(self, monkeypatch):
+        # no measured point misses it: the first tail's bound is far inside
+        # the budget.  Made to miss, the sum raises after one tail, from L = 5
         real, starts = identities._closed_tail, []
 
-        def first_misses(b, alpha, z, L, zetas):
+        def misses(b, alpha, z, L):
             starts.append(L)
-            tail, magnitude, bound = real(b, alpha, z, L, zetas)
-            return tail, magnitude, math.inf if len(starts) == 1 else bound
+            return real(b, alpha, z, L)[:2] + (math.inf,)
 
-        want = infinite_barnes(2, 2.5, 0.5)
-        monkeypatch.setattr(identities, "_closed_tail", first_misses)
-        assert rel_err(infinite_barnes(2, 2.5, 0.5), want) <= REL_TOL
-        assert starts == [5, 6]
+        monkeypatch.setattr(identities, "_closed_tail", misses)
+        message = "infinite_barnes: the tail from level 5 misses its budget"
+        with pytest.raises(TruncationBudgetError, match=message) as info:
+            infinite_barnes(2, 2.5, 0.5)
+        assert info.value.terms_used == 5
+        assert starts == [5]
 
     def test_past_the_float_range_raises(self):
         # at z = 1e300 the sums are below the float range (about 3e-448 at

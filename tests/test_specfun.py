@@ -183,18 +183,25 @@ class TestTermBudget:
         with pytest.raises(TruncationBudgetError):
             call()
 
-    @pytest.mark.parametrize("fn", [digamma])
-    def test_budget_counts_recurrence_steps_only(self, monkeypatch, fn):
+    @pytest.mark.parametrize(
+        "call, steps",
+        [
+            (lambda: digamma(100.0), int(specfun.DIFFERENCE_SHIFT) - 1),
+            (lambda: hurwitz_zeta(2.0, 1.0), int(specfun.SHIFT_THRESHOLD) - 1),
+        ],
+        ids=["digamma", "hurwitz_zeta"],
+    )
+    def test_budget_counts_recurrence_steps_only(self, monkeypatch, call, steps):
         # digamma is hurwitz_difference(1, 1, z) - gamma, whose direct steps run
         # from a = 1 to DIFFERENCE_SHIFT = 24 at every z >= 1: 23 steps of budget
-        # give the default value, 22 raise
-        steps = int(specfun.DIFFERENCE_SHIFT) - 1
-        want = fn(100.0)
+        # give the default value, 22 raise.  hurwitz_zeta(2, 1) steps from 1 to
+        # SHIFT_THRESHOLD = 16 and stops there: 15 give its value, 14 raise
+        want = call()
         monkeypatch.setattr(specfun, "MAX_TERMS", steps)
-        assert fn(100.0) == want
+        assert call() == want
         monkeypatch.setattr(specfun, "MAX_TERMS", steps - 1)
         with pytest.raises(TruncationBudgetError):
-            fn(100.0)
+            call()
 
 
 class TestDigamma:
