@@ -624,8 +624,6 @@ def run_all(tol: Optional[float] = None) -> RunReport:
 def _fmt_value(v) -> str:
     # report values: floats as bare 17-significant-digit numbers, exact
     # integers and rationals as quoted decimal strings
-    if isinstance(v, bool):
-        return "true" if v else "false"
     if isinstance(v, float):
         return format(v, ".17g")
     if isinstance(v, (int, Fraction)):

@@ -298,47 +298,22 @@ def product_special_values(case: str) -> tuple[float, float]:
 # ---------------------------------------------------------------------------
 
 
-# a level bracket with fewer Hurwitz values than this is summed as them; one
-# with more takes the difference of its two Barnes values.  The sum costs its
-# count of values, the difference about 14-29 at every h (M + 7 per Barnes
-# value, M <= 15).  Timed for b = 2, 3, 4, 10 and 16 at alpha = 2.5 and 4,
-# z = 0.5, h = b^l for l <= 2 and counts up to 1024 (2-core Xeon VM, Python
-# 3.11, best of 5), the sum took 0.03-1.01 times the difference's time below
-# 64 values and 1.4-49 times from 64 on, so 64 takes the cheaper route on
-# every timed bracket but one tie (1.01, at 32 values).  Against a 30-digit
-# reference the sums were within 4.0e-14, the differences from 64 values on
-# within 8.4e-14
-_BRACKET_TERMS = 64
-
-
 def finite_barnes_closed(b: int, p: int, alpha: float, z: float) -> float:
     """sum_{n=1}^{b^p-1} s_b(n)/(n+z)^alpha via two-dimensional telescoping.
 
     sum_{l=0}^{p-1} [zeta_2(a, z+b^l, (1,b^l)) - zeta_2(a, z+b^l+b^p, (1,b^l))]
     - b sum_{l=1}^{p} [same].
 
-    With h = b^l the bracket of level l is exactly the finite sum
-    sum_{k=1}^{b^(p-l)} zeta(a, z + k h).  A level with fewer than
-    _BRACKET_TERMS such values is summed that way, with one correctly rounded
-    sum; a level with more takes the difference of its two Barnes values.
-    Brackets that cancel raise TruncationBudgetError (_check_rounding).
+    With h = b^l the bracket of level l is exactly the first b^(p-l) rows
+    sum_{k=1}^{b^(p-l)} zeta(a, z + k h) of zeta_2(a, z+h, (1,h)): one
+    barnes_zeta2 call with that row count, which subtracts no two infinite
+    values.  Brackets that cancel raise TruncationBudgetError (_check_rounding).
     """
     _check_finite_sum(b, p, alpha, z)
     if not alpha > 2:
         raise ValueError("alpha must exceed 2")
-    top = float(b**p)
-
-    def bracket(l: int) -> float:
-        step = float(b) ** l
-        count = b ** (p - l)
-        if count < _BRACKET_TERMS:
-            return math.fsum(hurwitz_zeta(alpha, z + k * step) for k in range(1, count + 1))
-        left = barnes_zeta2(alpha, z + step, b**l)
-        right = barnes_zeta2(alpha, z + step + top, b**l)
-        return left - right
-
     # levels 1 .. p-1 enter both sums: evaluate each bracket once
-    brackets = [bracket(l) for l in range(p + 1)]
+    brackets = [barnes_zeta2(alpha, z + float(b) ** l, b**l, b ** (p - l)) for l in range(p + 1)]
     total = sum(brackets[:p]) - b * sum(brackets[1:])
     magnitude = sum(map(abs, brackets[:p])) + b * sum(map(abs, brackets[1:]))
     _check_rounding("finite_barnes_closed", magnitude, abs(total), 2 * p)

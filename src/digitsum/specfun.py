@@ -5,8 +5,9 @@ hurwitz_zeta(s, 1)), the difference of two Hurwitz zetas in one pole-free
 pass through alpha = 1, the one psi route (digamma is the order-1 difference
 psi(z) - psi(1) minus gamma, Stirling beta one such difference), Dirichlet
 eta, log-gamma, the Barnes double zeta at the periods (1, h) for an integer
-h and order alpha >= 2 (at alpha = 2 the finite part of its pole), exact
-even-index Bernoulli numbers, and the complete elliptic integral K.
+h and order alpha >= 2 (at alpha = 2 the finite part of its pole) or its
+first rows, exact even-index Bernoulli numbers, and the complete elliptic
+integral K.
 
 Everything works in native double precision under one fixed policy.  Each
 evaluator truncates by an explicit first-omitted-correction estimate and
@@ -329,25 +330,31 @@ def log_gamma(z: float) -> float:
 # ---------------------------------------------------------------------------
 
 
-def barnes_zeta2(alpha: float, x: float, h: int) -> float:
-    """zeta_2(alpha; x; (1, h)) = sum_{m1,m2>=0} (x + m1 + h m2)^(-alpha).
+def barnes_zeta2(alpha: float, x: float, h: int, rows: int | None = None) -> float:
+    """zeta_2(alpha; x; (1, h)) = sum_{m1,m2>=0} (x + m1 + h m2)^(-alpha), or its first rows.
 
     For alpha >= 2, x > 0 and an integer period h >= 1; at alpha = 2 the
     value is the finite part of the pole 1/(h (alpha-2)), the constant term
     of the Laurent expansion.  The m1 sum of each row is the Hurwitz value
-    zeta(alpha, x + h m2).  The rows m2 < M are summed directly; the rest is
-    the Euler-Maclaurin sum in m2 of the rows' own expansion, again Hurwitz
+    zeta(alpha, x + h m2); an integer rows >= 1 stops the m2 sum at m2 < rows,
+    a finite sum with no pole.  The rows m2 < M are summed directly; the rest
+    is the Euler-Maclaurin sum in m2 of the rows' own expansion, again Hurwitz
     values, at v = x/h + M:
         h^(1-alpha) zeta(alpha-1, v)/(alpha-1) + h^(-alpha) zeta(alpha, v)/2
         + sum_j B_2j/(2j)! (alpha)_(2j-1) h^(1-alpha-2j) zeta(alpha+2j-1, v).
-    At alpha = 2 the integral term has the finite part
-    -(1 + log h + psi(v))/h.  M starts where x + h M reaches SHIFT_THRESHOLD,
-    which is M = 0 for x >= SHIFT_THRESHOLD, and doubles until the first
-    omitted correction clears REL_TOL.  An h whose power h^(alpha+EM_ORDER+1)
-    passes the float range raises TruncationBudgetError.
+    With rows each zeta(s, v) is the difference zeta(s, v) - zeta(s, x/h +
+    rows), a hurwitz_difference.  Without, at alpha = 2 the integral term has
+    the finite part -(1 + log h + psi(v))/h.  M starts where x + h M reaches
+    SHIFT_THRESHOLD, which is M = 0 for x >= SHIFT_THRESHOLD, and doubles until
+    the first omitted correction clears REL_TOL; rows left past M that are no
+    more than the EM_ORDER/2 + 3 values of one pass are summed directly.  An
+    expansion at an h whose power h^(alpha+EM_ORDER+1) passes the float range
+    raises TruncationBudgetError.
     """
     if not (h >= 1 and h % 1 == 0):
         raise ValueError("h must be an integer >= 1")
+    if rows is not None and not (rows >= 1 and rows % 1 == 0):
+        raise ValueError("rows must be an integer >= 1")
     if not x > 0:
         raise ValueError("x must be positive")
     if not alpha >= 2:
@@ -355,34 +362,45 @@ def barnes_zeta2(alpha: float, x: float, h: int) -> float:
     h = float(h)
     coef = _EM_COEFFICIENTS
     half = EM_ORDER // 2
-    try:
-        h_last = h ** (alpha + 2 * half + 1)  # the largest power the corrections form
-    except OverflowError:
-        message = f"barnes_zeta2: h = {h:.17g} puts h^(alpha + EM_ORDER + 1) past the float range"
-        raise TruncationBudgetError(message, 0, math.inf) from None
+    end = math.inf if rows is None else rows
 
     M = max(0, math.ceil((SHIFT_THRESHOLD - x) / h))
     direct = 0.0
     m_done = 0
     while True:
+        if end - M <= half + 3:  # no more rows left than one pass takes values
+            M = end
         while m_done < M:
             direct += hurwitz_zeta(alpha, x + h * m_done)
             m_done += 1
+        if M == end:
+            return direct
+        try:
+            h_last = h ** (alpha + 2 * half + 1)  # the largest power the corrections form
+        except OverflowError:
+            message = (
+                f"barnes_zeta2: h = {h:.17g} puts h^(alpha + EM_ORDER + 1) past the float range"
+            )
+            raise TruncationBudgetError(message, m_done, math.inf) from None
         v = x / h + M
-        if alpha == 2:
+        if rows is None:
+            zeta = lambda s: hurwitz_zeta(s, v)
+        else:
+            zeta = lambda s: hurwitz_difference(s, v, x / h + rows)
+        if alpha == 2 and rows is None:
             tail = -(1.0 + math.log(h) + digamma(v)) / h
         else:
-            tail = h ** (1.0 - alpha) * hurwitz_zeta(alpha - 1.0, v) / (alpha - 1.0)
-        tail += 0.5 * h ** (-alpha) * hurwitz_zeta(alpha, v)
+            tail = h ** (1.0 - alpha) * zeta(alpha - 1.0) / (alpha - 1.0)
+        tail += 0.5 * h ** (-alpha) * zeta(alpha)
         poch = alpha
         for j in range(1, half + 1):
-            tail += coef[j] * poch / h ** (alpha + 2 * j - 1) * hurwitz_zeta(alpha + 2 * j - 1, v)
+            tail += coef[j] * poch / h ** (alpha + 2 * j - 1) * zeta(alpha + 2 * j - 1)
             poch *= (alpha + 2 * j - 1) * (alpha + 2 * j)
-        omitted = abs(coef[half + 1]) * poch / h_last * hurwitz_zeta(alpha + 2 * half + 1, v)
+        omitted = abs(coef[half + 1]) * poch / h_last * zeta(alpha + 2 * half + 1)
         value = direct + tail
         if TAIL_SAFETY * omitted <= REL_TOL * max(abs(value), ABS_FLOOR):
             return value
-        M = max(1, 2 * M)
+        M = min(end, max(1, 2 * M))
         if M > MAX_TERMS:
             raise TruncationBudgetError(
                 "barnes_zeta2 outer sum exhausted MAX_TERMS", m_done, abs(tail)

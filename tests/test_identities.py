@@ -47,6 +47,7 @@ from digitsum.specfun import (
 
 J_INFINITY_REFERENCE = Path(__file__).resolve().parent / "golden" / "j_infinity_mpmath.json"
 DIGIT_ZETA_REFERENCE = Path(__file__).resolve().parent / "golden" / "digit_zeta_mpmath.json"
+BARNES_ROWS_REFERENCE = Path(__file__).resolve().parent / "golden" / "barnes_rows_mpmath.json"
 
 
 def rel_err(got: float, want: float) -> float:
@@ -693,9 +694,9 @@ class TestFiniteBarnes:
 
     @pytest.mark.parametrize("b, p", [(2, 1), (2, 4), (3, 3), (10, 3)])
     def test_each_level_bracket_once(self, monkeypatch, b, p):
-        # a level below the switch sums its b^(p-l) Hurwitz values and makes no
-        # Barnes call; a level above it takes two distinct Barnes values
-        alpha, z, top = 3.0, 0.5, float(b**p)
+        # level l is one barnes_zeta2 call for its first b^(p-l) rows; the
+        # closed form takes no Hurwitz value of its own
+        alpha, z = 3.0, 0.5
         real_barnes, real_hurwitz = identities.barnes_zeta2, identities.hurwitz_zeta
         barnes, hurwitz = [], []
 
@@ -710,31 +711,35 @@ class TestFiniteBarnes:
         monkeypatch.setattr(identities, "barnes_zeta2", counted_barnes)
         monkeypatch.setattr(identities, "hurwitz_zeta", counted_hurwitz)
         finite_barnes_closed(b, p, alpha, z)
-        want_hurwitz, want_barnes = [], []
-        for l in range(p + 1):
-            step, count = float(b) ** l, b ** (p - l)
-            if count < identities._BRACKET_TERMS:
-                want_hurwitz += [z + k * step for k in range(1, count + 1)]
-            else:
-                want_barnes += [
-                    (alpha, z + step, b**l),
-                    (alpha, z + step + top, b**l),
-                ]
-        assert sorted(hurwitz) == sorted(want_hurwitz)
-        assert barnes == want_barnes  # two distinct values per level above the switch
-        assert bool(want_barnes) == (b**p >= identities._BRACKET_TERMS)
+        assert barnes == [(alpha, z + float(b) ** l, b**l, b ** (p - l)) for l in range(p + 1)]
+        assert hurwitz == []
 
     @pytest.mark.parametrize(
         "b, p, alpha, z", [(10, 3, 2.5, 0.5), (10, 3, 4.0, 0.0), (16, 4, 3.0, 0.0)]
     )
-    def test_both_routes_against_mpmath(self, b, p, alpha, z):
-        # the low levels take the Barnes difference, the high ones the finite
-        # sum; the bound is the evaluators' rel_tol, fixed before measuring
+    def test_long_and_short_brackets_against_mpmath(self, b, p, alpha, z):
+        # below the top level the brackets are strips of 10 to 65,536 rows,
+        # which take the expansion past their direct rows; the top level's one
+        # row is summed directly.  The bound is the evaluators' rel_tol, fixed
+        # before measuring
         with mp.workdps(30):
             x, a = mp.mpf(z), mp.mpf(alpha)
             want = mp.fsum(digit_sum(n, b) * (n + x) ** -a for n in range(1, b**p))
         got = finite_barnes_closed(b, p, alpha, z)
         assert abs(got - want) <= REL_TOL * abs(want), float(abs(got - want) / want)
+
+    def test_cancelling_brackets_against_references(self):
+        # 60-digit sums from tests/golden/barnes_rows_mpmath.json, rebuilt by
+        # tests/build_barnes_reference.py, where the brackets are 1,600 to
+        # 4,100 times their sum.  Taking a bracket of 64 or more values as the
+        # difference of two infinite Barnes values leaves these 2.7e-11 to
+        # 9.8e-11 off.  The bound, REL_TOL, was fixed before measuring
+        points = json.loads(BARNES_ROWS_REFERENCE.read_text())["finite_barnes_closed"]
+        assert len(points) == 3
+        for b, p, alpha, z, want in points:
+            got, want = finite_barnes_closed(b, p, alpha, z), float(want)
+            error = abs(got - want) / abs(want)
+            assert error <= REL_TOL, (b, p, alpha, z, error)
 
 
 class TestInfiniteBarnes:

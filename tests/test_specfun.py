@@ -48,6 +48,7 @@ mp.mp.dps = 30
 
 BARNES_REFERENCE = Path(__file__).resolve().parent / "golden" / "barnes_zeta2_mpmath.json"
 LEVEL_REFERENCE = Path(__file__).resolve().parent / "golden" / "barnes_level_mpmath.json"
+ROWS_REFERENCE = Path(__file__).resolve().parent / "golden" / "barnes_rows_mpmath.json"
 
 EULER_GAMMA = 0.57721566490153286
 
@@ -721,6 +722,73 @@ class TestBarnesDirection:
         assert len(seen) > EM_ORDER // 2 + 3
         want = _LEVEL_VALUES[(3.0, SHIFT_THRESHOLD, 32)]
         assert abs(value - want) <= LEVEL_BOUND * abs(want)
+
+
+class TestBarnesRows:
+    """The first rows of the double sum, sum_{m<rows} zeta(alpha, x + h m)."""
+
+    @pytest.mark.parametrize("rows", [0, -2, 1.5, math.inf, math.nan])
+    def test_rows_must_be_an_integer_at_least_one(self, rows):
+        with pytest.raises(ValueError, match="rows must be an integer >= 1"):
+            barnes_zeta2(3.0, 1.5, 2, rows)
+
+    def test_strips_against_mpmath(self):
+        # 60-digit strips from tests/golden/barnes_rows_mpmath.json, each the
+        # difference of two multiplication-formula values; rebuild them with
+        # tests/build_barnes_reference.py.  The bound, REL_TOL, was fixed
+        # before measuring
+        points = json.loads(ROWS_REFERENCE.read_text())["strips"]
+        assert len(points) == 54
+        for alpha, x, h, rows, want in points:
+            want = float(want)
+            got = barnes_zeta2(alpha, x, h, rows)
+            error = abs(got - want) / abs(want)
+            assert error <= REL_TOL, (alpha, x, h, rows, error)
+
+    def _counted(self, monkeypatch, *args):
+        rows, differences = [], []
+
+        def counted(alpha, u):
+            rows.append(u)
+            return hurwitz_zeta(alpha, u)
+
+        def counted_difference(alpha, a, c):
+            differences.append((a, c))
+            return hurwitz_difference(alpha, a, c)
+
+        monkeypatch.setattr(specfun, "hurwitz_zeta", counted)
+        monkeypatch.setattr(specfun, "hurwitz_difference", counted_difference)
+        barnes_zeta2(*args)
+        return rows, differences
+
+    @pytest.mark.parametrize(
+        "x, h, rows", [(20.0, 1, 7), (10.0, 1, 13), (1.5, 1, 3), (1e5 + 3, 3, 1), (17.0, 16, 7)]
+    )
+    def test_a_short_strip_is_summed_row_by_row(self, monkeypatch, x, h, rows):
+        # no more rows past the direct ones than the EM_ORDER/2 + 3 values of
+        # one expansion pass: the rows themselves, and no difference
+        seen, differences = self._counted(monkeypatch, 3.0, x, h, rows)
+        assert seen == [x + h * m for m in range(rows)]
+        assert differences == []
+
+    @pytest.mark.parametrize("x, h, rows", [(20.0, 1, 8), (10.0, 1, 14), (1.5, 1, 2**20)])
+    def test_a_long_strip_takes_one_expansion(self, monkeypatch, x, h, rows):
+        # converging at its first M: the direct rows up to SHIFT_THRESHOLD, then
+        # the EM_ORDER/2 + 3 differences of one pass between v = x/h + M and
+        # the end x/h + rows, at any length
+        m = max(0, math.ceil((SHIFT_THRESHOLD - x) / h))
+        seen, differences = self._counted(monkeypatch, 3.0, x, h, rows)
+        assert seen == [x + h * k for k in range(m)]
+        assert differences == [(x / h + m, x / h + rows)] * (EM_ORDER // 2 + 3)
+
+    @pytest.mark.parametrize("alpha, x, h", [(2.0, 1.5, 1), (2.5, 3.0, 3), (7.0, 16.5, 16)])
+    def test_strip_and_rest_make_the_whole(self, alpha, x, h):
+        # the first R rows plus the sum from row R on are the whole double sum,
+        # the finite part at alpha = 2 as well
+        for rows in (1, 8, 1000):
+            parts = barnes_zeta2(alpha, x, h, rows) + barnes_zeta2(alpha, x + h * rows, h)
+            whole = barnes_zeta2(alpha, x, h)
+            assert abs(parts - whole) <= 2 * REL_TOL * abs(whole), (rows, parts, whole)
 
 
 class TestBarnesFinitePart:
