@@ -274,16 +274,20 @@ def _plain_zeta_tail(M: int, s: float) -> tuple[float, float]:
 
 
 def _increment_series_tail(N: int, s: float) -> tuple[float, float]:
-    """Tail of sum (1 - nu_2(n)) n^-s past n = N, via 2-adic layers."""
+    """Tail of sum (1 - nu_2(n)) n^-s past n = N, via 2-adic layers: layer j
+    is 2^-js sum_{m > N >> j} m^-s, and every layer with N >> j = 0 is
+    2^-js zeta(s), so those are summed at once as a geometric series."""
     mid, half = _plain_zeta_tail(N, s)
-    for j in range(1, 64):
+    j = 1
+    while N >> j:
         layer_mid, layer_half = _plain_zeta_tail(N >> j, s)
         weight = 2.0 ** (-j * s)
         mid -= weight * layer_mid
         half += weight * layer_half
-        if weight * (layer_mid + layer_half) < 1e-18:
-            break
-    return mid, half
+        j += 1
+    layer_mid, layer_half = _plain_zeta_tail(0, s)
+    weight = 2.0 ** (-j * s) / (1.0 - 2.0**-s)
+    return mid - weight * layer_mid, half + weight * layer_half
 
 
 def _increment_dirichlet_partial(limit: int, s: float) -> float:

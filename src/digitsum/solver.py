@@ -10,7 +10,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .digitseq import digit_sum
-from .specfun import REL_TOL, TAIL_SAFETY, TruncationBudgetError, _level_series, hurwitz_zeta
+from .specfun import TruncationBudgetError, _level_series, hurwitz_zeta
 
 __all__ = [
     "SequenceFn",
@@ -29,10 +29,11 @@ class SequenceFn:
     solver sums eval term by term in the arithmetic eval returns, so a
     Fraction-valued g is solved exactly.  Decay: decay = (C, beta) promises
     |g(n)| <= C * n^-beta with beta > 1, and requires partial_sum, which
-    returns sum_{t=a}^{c-1} g(t) in closed form.  The decay solver calls it
-    elementwise on float64 arrays a, c holding the exact block bounds (each
-    rounded once to float64), so it must be written in numpy-compatible
-    arithmetic.  When both are given, the finite support is used.
+    returns sum_{t=a}^{c-1} g(t) in closed form.  The decay solver is
+    level-major: it calls partial_sum once a level, elementwise on float64
+    arrays a, c of the exact block bounds of all its start points (each
+    rounded once), so it must be written in numpy-compatible arithmetic.
+    When both are given, the finite support is used.
     """
 
     eval: Callable
@@ -51,14 +52,10 @@ class SequenceFn:
                 raise ValueError("decay needs a partial_sum")
 
 
-_MAX_LEVELS = 60  # the decay series gives up after levels 0 .. _MAX_LEVELS
-# outer terms of the first round of the decay route's doubling extrapolation
-_OUTER_TERMS = 1500
-
-
 def solve_implicit(b: int, g: SequenceFn, n: int):
     """f(n) = sum_{k>=0} sum_{l<b^k} g(b^k n + l), the series inverse of
-    g(n) = f(n) - sum_{j<b} f(bn+j)."""
+    g(n) = f(n) - sum_{j<b} f(bn+j); for a decay g, _level_major with the one
+    start point n and weight 1."""
     if b < 2:
         raise ValueError("base must be >= 2")
     if n < 1:
@@ -73,7 +70,7 @@ def solve_implicit(b: int, g: SequenceFn, n: int):
         return total
     if g.decay is None:
         raise ValueError("g needs support_bound or decay for the series solution")
-    return float(_solve_series(b, g, np.array([n]))[0])
+    return _level_major("solve_implicit", b, g, np.array([n]), np.ones(1))
 
 
 def _level_bounds(scale: int, ns: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -88,39 +85,41 @@ def _level_bounds(scale: int, ns: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     )
 
 
-def _solve_series(b: int, g: SequenceFn, ns: np.ndarray) -> np.ndarray:
-    """The decay series of solve_implicit for every start point in ns at once.
+def _level_major(name: str, b: int, g: SequenceFn, ns: np.ndarray, weights: np.ndarray) -> float:
+    """sum_i w_i f(n_i) for the decay series f of solve_implicit, level-major.
 
-    Level k adds the block [b^k n, b^k (n+1)) to each point still active; a
-    point leaves at the first level whose tail bound meets the tolerance, so
-    its value does not depend on which other points share the call.
+    Level k sums w_i partial_sum(b^k n_i, b^k (n_i+1)) over every start point
+    at once.  The levels past k are at most floor ratio^(k+1) / (1 - ratio),
+    floor = sum_i w_i C n_i^-beta and ratio = b^(1-beta), and floor is the
+    _level_series scale, so the level count depends on b and beta alone.
     """
     c, beta = g.decay
     ratio = float(b) ** (1.0 - beta)
-    # python floats, not np.power, whose last bit can differ from libm pow
-    floors = np.array([c * float(n) ** (-beta) for n in ns.tolist()], dtype=np.float64)
-    totals = np.zeros(len(ns))
-    # the active points, compacted: their place in ns, start, running total and floor
-    index, starts, running = np.arange(len(ns)), ns, np.zeros(len(ns))
-    for k in range(_MAX_LEVELS + 1):
-        running = running + g.partial_sum(*_level_bounds(b**k, starts))
-        tail = floors * ratio ** (k + 1) / (1.0 - ratio)
-        done = TAIL_SAFETY * tail <= REL_TOL * np.maximum(np.abs(running), floors)
-        totals[index[done]] = running[done]
-        keep = ~done
-        index, starts, running, floors = index[keep], starts[keep], running[keep], floors[keep]
-        if index.size == 0:
-            return totals
-    raise TruncationBudgetError(
-        f"decay bound not met within {_MAX_LEVELS} levels",
-        _MAX_LEVELS + 1,
-        float(floors[0]) * ratio ** (_MAX_LEVELS + 1) / (1.0 - ratio),
-    )
+    floor = float(np.sum(weights * (c * ns.astype(np.float64) ** -beta)))
+    tail = lambda k, t: floor * ratio ** (k + 1) / (1.0 - ratio)
+
+    def term(k: int) -> float:
+        try:
+            bounds = _level_bounds(b**k, ns)
+        except OverflowError:
+            message = f"{name}: block bounds past the float range at level {k}"
+            raise TruncationBudgetError(message, k, tail(k - 1, 0.0)) from None
+        return float(np.sum(weights * g.partial_sum(*bounds)))
+
+    return _level_series(name, b, term, tail, 0, 0.0, scale=floor)
 
 
 def weighted_digit_sum(b: int, g: SequenceFn):
     """sum_{n>=1} (digit sum of n in base b) * g(n), evaluated through the
-    series inverse as sum_{j=1}^{b-1} j sum_{n>=0} f(bn+j)."""
+    series inverse as sum_{j=1}^{b-1} j sum_{n>=0} f(bn+j).
+
+    For a decay g the outer sum over n is cut at M = 1500, 3000 and 6000, each
+    round one level-major series over its new start points bn + j with
+    weights j, and extrapolated by two rounds of doubling.  That
+    extrapolation states no bound: it assumes the outer tail is a power
+    series in 1/M, nothing checks that, and a g off it can miss REL_TOL
+    without raising.
+    """
     if b < 2:
         raise ValueError("base must be >= 2")
     if g.support_bound is not None:
@@ -131,23 +130,16 @@ def weighted_digit_sum(b: int, g: SequenceFn):
         return total
     if g.decay is None:
         raise ValueError("g needs support_bound or decay for the series solution")
+    digits = np.arange(1, b, dtype=np.int64)
 
-    def outer_partial(count: int, start: int, acc):
-        # one series call per round over the start points b*n + j, n-major;
-        # the terms j f(bn+j) go onto acc one at a time in that order, as
-        # np.add.accumulate adds, since a pairwise np.sum would round
-        # differently and change the reported value
-        digits = np.arange(1, b, dtype=np.int64)
-        ms = (b * np.arange(start, count, dtype=np.int64)[:, None] + digits).ravel()
-        terms = np.tile(digits, count - start) * _solve_series(b, g, ms)
-        return float(np.add.accumulate(np.concatenate(([acc], terms)))[-1])
+    def outer_partial(start: int, count: int) -> float:
+        ns = (b * np.arange(start, count, dtype=np.int64)[:, None] + digits).ravel()
+        return _level_major("weighted_digit_sum", b, g, ns, np.tile(digits, count - start))
 
-    # the outer tail behaves like a power series in 1/M, so two rounds of
-    # doubling extrapolation strip the 1/M and 1/M^2 parts
-    m0 = _OUTER_TERMS
-    s1 = outer_partial(m0, 0, 0.0)
-    s2 = outer_partial(2 * m0, m0, s1)
-    s4 = outer_partial(4 * m0, 2 * m0, s2)
+    m0 = 1500
+    s1 = outer_partial(0, m0)
+    s2 = s1 + outer_partial(m0, 2 * m0)
+    s4 = s2 + outer_partial(2 * m0, 4 * m0)
     a1 = 2.0 * s2 - s1
     a2 = 2.0 * s4 - s2
     return (4.0 * a2 - a1) / 3.0

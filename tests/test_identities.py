@@ -614,8 +614,11 @@ class TestInfiniteProduct:
         assert abs(math.log(infinite_product(3, 0.3)) - mid) < half
 
     def test_rejects_z_at_or_below_minus_one(self):
-        with pytest.raises(ValueError):
+        # at z = -1 itself the domain test must raise, not log_gamma(0)
+        with pytest.raises(ValueError, match="z must exceed -1"):
             infinite_product(2, -1.0)
+        with pytest.raises(ValueError, match="z must exceed -1"):
+            infinite_product(2, -1.5)
 
     @pytest.mark.parametrize("b, z", [(2, 1.0), (3, 0.3), (2, -0.6), (10, 500.0)])
     def test_each_level_log_gamma_once(self, monkeypatch, b, z):
@@ -789,6 +792,30 @@ class TestInfiniteBarnes:
         rest = abs(levels[-1]) / (b - 1)
         gap = abs(tail - math.fsum(levels))
         assert gap <= REL_TOL * sum(map(abs, levels)) + rest, (tail, levels)
+
+    @pytest.mark.parametrize("z", [0.0, 0.5, 1e4, 1e15])
+    @pytest.mark.parametrize("alpha", [2 + 1e-6, 2.01, 2.5, 4.0, 7.0])
+    @pytest.mark.parametrize("b", [2, 3, 10, 16])
+    def test_closed_tail_bound_is_what_it_leaves_out(self, monkeypatch, b, alpha, z):
+        # With 40-digit zetas the series' sums carry no rounding.  What its
+        # k-series leaves out is the magnitude that running it further adds,
+        # and what its Euler-Maclaurin pieces leave out is at most the first
+        # omitted piece, n = 10: (b-1) |B_10/10! (alpha)_9| sum_l h^-s
+        # zeta(s, 1 + z/h), s = alpha + 9, over the levels l >= L, h = b^l.
+        # The bound must cover both, and be within a factor 1.5 of them
+        # (1.28 at most here); 1e-12 allows for its float coefficients
+        L = next(l for l in itertools.count(1) if b**l >= 32 * max(z, 1))
+        monkeypatch.setattr(identities, "hurwitz_zeta", lambda a, w: mp.zeta(a, w))
+        with mp.workdps(40):
+            _, magnitude, bound = identities._closed_tail(b, alpha, z, L)
+            monkeypatch.setattr(identities, "TAIL_SAFETY", 1e40)
+            further = identities._closed_tail(b, alpha, z, L)[1]
+            s = mp.mpf(alpha) + 9
+            piece = abs(mp.bernoulli(10) / mp.factorial(10) * mp.rf(alpha, 9))
+            h = [mp.mpf(b) ** l for l in range(L, L + 12)]
+            omitted = (b - 1) * piece * sum(v**-s * mp.zeta(s, 1 + z / v) for v in h)
+            left = further - magnitude + omitted
+            assert left * (1 - 1e-12) <= bound <= 1.5 * left, (bound, left)
 
     def test_a_tail_over_budget_raises(self, monkeypatch):
         # no measured point misses it: the first tail's bound is far inside

@@ -3,13 +3,14 @@ import math
 from fractions import Fraction
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from digitsum.digitseq import digit_sum
 from digitsum.harness import GridSpec, run_suite
-from digitsum import solver
+from digitsum import solver, specfun
 from digitsum.identities import finite_zeta_diff_direct
 from digitsum.lambert import lambert_gf
 from digitsum.solver import (
@@ -52,33 +53,26 @@ def geometric(z):
 
 
 def scalar_series(b, g, n):
-    # the one-point level loop the batched solver must reproduce bit for bit
+    # the one-point level loop: levels until the decay bound on the rest meets
+    # REL_TOL of the floor C n^-beta, which the _level_series scale is
     c, beta = g.decay
     ratio = float(b) ** (1.0 - beta)
-    scale_floor = c * float(n) ** (-beta)
+    floor = c * float(n) ** (-beta)
     total = 0.0
-    for k in range(61):
+    for k in range(200):
         total = total + g.partial_sum(b**k * n, b**k * (n + 1))
-        tail = c * float(n) ** (-beta) * ratio ** (k + 1) / (1.0 - ratio)
-        if TAIL_SAFETY * tail <= REL_TOL * max(abs(total), scale_floor):
+        if TAIL_SAFETY * (floor * ratio ** (k + 1) / (1.0 - ratio)) <= REL_TOL * floor:
             return total
     raise AssertionError("reference loop ran out of levels")
 
 
-def scalar_weighted_sum(b, g):
-    def outer_partial(count, start, acc):
-        for n in range(start, count):
-            for j in range(1, b):
-                acc = acc + j * scalar_series(b, g, b * n + j)
-        return acc
-
-    m0 = 1500
-    s1 = outer_partial(m0, 0, 0.0)
-    s2 = outer_partial(2 * m0, m0, s1)
-    s4 = outer_partial(4 * m0, 2 * m0, s2)
-    a1 = 2.0 * s2 - s1
-    a2 = 2.0 * s4 - s2
-    return (4.0 * a2 - a1) / 3.0
+def slow_decay():
+    # beta = 1.001: the levels shrink by 2^-0.001, so no level cap is enough
+    return SequenceFn(
+        eval=lambda n: 1.0 / (n * (n + 1.0)),
+        decay=(1.0, 1.001),
+        partial_sum=lambda a, c: 1.0 / a - 1.0 / c,
+    )
 
 
 class TestSequenceFn:
@@ -123,9 +117,10 @@ class TestSolveImplicit:
             solve_implicit(2, bare, 1)
 
     def test_level_budget_raises(self, monkeypatch):
-        # the tail halves per level, so 1e-30 is out of reach within 60 levels
-        monkeypatch.setattr(solver, "REL_TOL", 1e-30)
-        with pytest.raises(TruncationBudgetError, match="within 60 levels"):
+        # with no tolerance the stop rule never holds: the series runs to the
+        # _level_cap of base 2, the last level whose bound 2^1023 is a float
+        monkeypatch.setattr(specfun, "REL_TOL", 0.0)
+        with pytest.raises(TruncationBudgetError, match="no convergence by level 1022"):
             solve_implicit(2, reciprocal_product(), 1)
 
     def test_rejects_bad_arguments(self):
@@ -136,15 +131,9 @@ class TestSolveImplicit:
             solve_implicit(2, g, 0)
 
 
-class TestBatchedSeries:
-    # the batched level loop hands partial_sum float64 arrays; the reference
-    # hands it python ints, as the one-point loop did
-
-    @pytest.mark.parametrize("b", [2, 3, 10])
-    def test_weighted_sum_bitwise_equals_scalar_loop(self, b):
-        # 1/a - 1/c uses only correctly rounded operations, so no ulp may move
-        got = weighted_digit_sum(b, reciprocal_product())
-        assert got.hex() == scalar_weighted_sum(b, reciprocal_product()).hex()
+class TestLevelMajorSeries:
+    # the level-major series hands partial_sum float64 arrays; the reference
+    # hands it python ints
 
     @pytest.mark.parametrize("n", [1, 2, 3, 7, 10, 11, 100, 12345])
     def test_power_partial_sum_matches_scalar_loop(self, n):
@@ -152,9 +141,15 @@ class TestBatchedSeries:
         got = solve_implicit(2, telescoping_pair(), n)
         assert got == pytest.approx(scalar_series(2, telescoping_pair(), n), rel=4e-16)
 
-    def test_geometric_weighted_sum_matches_scalar_loop(self):
-        got = weighted_digit_sum(2, geometric(0.5))
-        assert got == pytest.approx(scalar_weighted_sum(2, geometric(0.5)), rel=4e-16)
+    @pytest.mark.parametrize("b", [2, 3, 10])
+    def test_weighted_levels_match_point_sum(self, b):
+        # one weighted level sum over 40 (b - 1) start points, against the
+        # points solved one at a time and summed exactly
+        ns = [b * n + j for n in range(40) for j in range(1, b)]
+        weights = [j for n in range(40) for j in range(1, b)]
+        got = solver._level_major("t", b, reciprocal_product(), np.array(ns), np.array(weights))
+        want = math.fsum(w * scalar_series(b, reciprocal_product(), m) for w, m in zip(weights, ns))
+        assert got == pytest.approx(want, rel=1e-14)
 
     @pytest.mark.parametrize("b, n", [(2, 2**40 + 1), (3, 3**25 + 1)])
     def test_level_bounds_past_int64(self, b, n):
@@ -164,9 +159,21 @@ class TestBatchedSeries:
         assert got.hex() == scalar_series(b, reciprocal_product(), n).hex()
 
     def test_level_budget_raises_from_weighted_sum(self, monkeypatch):
-        monkeypatch.setattr(solver, "REL_TOL", 1e-30)
-        with pytest.raises(TruncationBudgetError):
+        # with no tolerance the levels run until b^k (n + 1) of the largest
+        # start point passes the float range, below the level cap
+        monkeypatch.setattr(specfun, "REL_TOL", 0.0)
+        with pytest.raises(TruncationBudgetError, match="past the float range"):
             weighted_digit_sum(2, reciprocal_product())
+
+    @pytest.mark.parametrize("route", [
+        lambda g: solve_implicit(2, g, 1),
+        lambda g: solve_implicit(3, g, 5),
+        lambda g: weighted_digit_sum(2, g),
+    ])
+    def test_slow_decay_raises_budget_error(self, route):
+        # never an OverflowError from a block bound past the float range
+        with pytest.raises(TruncationBudgetError):
+            route(slow_decay())
 
 
 class TestFixedPoint:
@@ -228,13 +235,13 @@ class TestOperatorFold:
 class TestWeightedDigitSum:
     def test_reciprocal_product_base_two(self):
         got = weighted_digit_sum(2, reciprocal_product())
-        assert got == pytest.approx(2.0 * math.log(2.0), rel=1e-10)
+        assert got == pytest.approx(2.0 * math.log(2.0), rel=1e-12)
 
     @pytest.mark.parametrize("b", [3, 10])
     def test_reciprocal_product_general_base(self, b):
         got = weighted_digit_sum(b, reciprocal_product())
         want = b / (b - 1.0) * math.log(b)
-        assert got == pytest.approx(want, rel=1e-10)
+        assert got == pytest.approx(want, rel=1e-12)
 
     def test_geometric_matches_generating_function(self):
         got = weighted_digit_sum(2, geometric(0.5))
