@@ -98,15 +98,16 @@ def finite_zeta_diff_closed(b: int, p: int, alpha: float, z: float) -> float:
     """Telescoped closed form of finite_zeta_diff_direct, on the same domain.
 
     sum_{l=0}^{p-1} b^(-a l) D_l - sum_{l=1}^{p} b^(1-a l) D_l with
-    D_l = zeta(a, 1 + z/b^l) - zeta(a, 1 + (z+b^p)/b^l), a hurwitz_difference,
-    pole-free at a = 1 as well; terms that cancel raise (_check_rounding).
+    D_l = zeta(a, 1 + z/b^l) - zeta(a, 1 + (z+b^p)/b^l), a hurwitz_difference
+    at the gap b^(p-l), pole-free at a = 1 as well; terms that cancel raise
+    (_check_rounding).
     """
     _check_finite_sum(b, p, alpha, z)
     top = float(b**p)
 
     def diff(l: int) -> float:
         scale = float(b) ** l
-        return hurwitz_difference(alpha, 1.0 + z / scale, 1.0 + (z + top) / scale)
+        return hurwitz_difference(alpha, 1.0 + z / scale, top / scale)
 
     # levels 1 .. p-1 enter both sums: compute each difference once
     diffs = [diff(l) for l in range(p + 1)]
@@ -118,15 +119,16 @@ def finite_zeta_diff_closed(b: int, p: int, alpha: float, z: float) -> float:
 
 
 def binary_corollary_closed(p: int, alpha: float, z: float) -> float:
-    """Base-2 half-shift form of the finite closed sum; near and far
-    differences that cancel raise TruncationBudgetError (_check_rounding)."""
+    """Base-2 half-shift form of the finite closed sum: per level a near and a far
+    difference, each at the gap 1/2; where they cancel it raises
+    TruncationBudgetError (_check_rounding)."""
     _check_finite_sum(2, p, alpha, z)
     top = float(2**p)
     total = magnitude = 0.0
     for l in range(p):
         scale = float(2 ** (l + 1))
-        near = hurwitz_difference(alpha, 0.5 + z / scale, 1.0 + z / scale)
-        far = hurwitz_difference(alpha, 0.5 + (z + top) / scale, 1.0 + (z + top) / scale)
+        near = hurwitz_difference(alpha, 0.5 + z / scale, 0.5)
+        far = hurwitz_difference(alpha, 0.5 + (z + top) / scale, 0.5)
         total += scale**-alpha * (near - far)
         magnitude += scale**-alpha * (abs(near) + abs(far))
     _check_rounding("binary_corollary_closed", magnitude, abs(total), p)
@@ -192,9 +194,10 @@ def infinite_zeta_diff(b: int, alpha: float, z: float) -> float:
     The level series zeta(a, 1+z) + (1-b) sum_{l>=1} b^(-l a) zeta(a, v_l),
     v_l = 1 + z/b^l, summed by parts: (1 - b^(1-a)) zeta(a, 1+z)/(1 - b^-a)
     plus (1-b) b^(-l a)/(1 - b^-a) [zeta(a, v_l) - zeta(a, v_(l-1))] for l >= 1,
-    one hurwitz_difference each, so no pole forms at a = 1 (j_infinity).  Once
-    z/b^l < 1 the terms shrink like b^-(a+1).  Where the levels cancel,
-    _level_series raises TruncationBudgetError.
+    one hurwitz_difference each, from v_l at the gap (b-1) z/b^l, so no pole
+    forms at a = 1 (j_infinity).  Once z/b^l < 1 the terms shrink like
+    b^-(a+1).  Where the levels cancel, _level_series raises
+    TruncationBudgetError.
     """
     if b < 2:
         raise ValueError("base must be >= 2")
@@ -203,12 +206,12 @@ def infinite_zeta_diff(b: int, alpha: float, z: float) -> float:
     if not 0 <= z < math.inf:
         raise ValueError("z must be >= 0 and finite")
     ratio = -math.expm1(-alpha * math.log(b))  # 1 - b^-a
-    v = [1.0 + z]  # the level boundaries v_l so far, each formed once
-    head = _pole_free_product(b, alpha, v[0]) / ratio
+    head = _pole_free_product(b, alpha, 1.0 + z) / ratio
 
     def term(l: int) -> float:
-        v.append(1.0 + z / float(b) ** l)
-        return (1 - b) * float(b) ** (-l * alpha) / ratio * hurwitz_difference(alpha, v[-1], v[-2])
+        u = z / float(b) ** l
+        weight = (1 - b) * float(b) ** (-l * alpha) / ratio
+        return weight * hurwitz_difference(alpha, 1.0 + u, (b - 1) * u)
 
     tail = lambda l, t: abs(t) / (b ** (alpha + 1.0) - 1.0) if z / float(b) ** l < 1.0 else math.inf
     return _level_series("infinite_zeta_diff", b, term, tail, 1, head)

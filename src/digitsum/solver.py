@@ -4,13 +4,14 @@ support, by a level series over base-b blocks for a decaying g."""
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
 
 from .digitseq import digit_sum
-from .specfun import TruncationBudgetError, _level_series, hurwitz_zeta
+from .specfun import TruncationBudgetError, _level_series, hurwitz_difference
 
 __all__ = [
     "SequenceFn",
@@ -31,8 +32,9 @@ class SequenceFn:
     |g(n)| <= C * n^-beta with beta > 1, and requires partial_sum, which
     returns sum_{t=a}^{c-1} g(t) in closed form.  The decay solver is
     level-major: it calls partial_sum once a level, elementwise on float64
-    arrays a, c of the exact block bounds of all its start points (each
-    rounded once), so it must be written in numpy-compatible arithmetic.
+    arrays a, c of the block bounds b^k n and b^k (n+1) of all its start
+    points, each the product of float(b^k) and an integer, so it must be
+    written in numpy-compatible arithmetic.
     When both are given, the finite support is used.
     """
 
@@ -73,18 +75,6 @@ def solve_implicit(b: int, g: SequenceFn, n: int):
     return _level_major("solve_implicit", b, g, np.array([n]), np.ones(1))
 
 
-def _level_bounds(scale: int, ns: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """float64 of the exact integers scale*n and scale*(n+1), each rounded once."""
-    if scale * (int(ns.max()) + 1) < 2**63:  # the int64 products cannot wrap
-        lo = ns * scale
-        return lo.astype(np.float64), (lo + scale).astype(np.float64)
-    exact = [scale * n for n in ns.tolist()]
-    return (
-        np.array([float(v) for v in exact]),
-        np.array([float(v + scale) for v in exact]),
-    )
-
-
 def _level_major(name: str, b: int, g: SequenceFn, ns: np.ndarray, weights: np.ndarray) -> float:
     """sum_i w_i f(n_i) for the decay series f of solve_implicit, level-major.
 
@@ -98,13 +88,16 @@ def _level_major(name: str, b: int, g: SequenceFn, ns: np.ndarray, weights: np.n
     floor = float(np.sum(weights * (c * ns.astype(np.float64) ** -beta)))
     tail = lambda k, t: floor * ratio ** (k + 1) / (1.0 - ratio)
 
+    top = int(ns.max()) + 1
+
     def term(k: int) -> float:
-        try:
-            bounds = _level_bounds(b**k, ns)
-        except OverflowError:
+        if b**k * top > sys.float_info.max:  # int-to-float comparisons are exact
             message = f"{name}: block bounds past the float range at level {k}"
-            raise TruncationBudgetError(message, k, tail(k - 1, 0.0)) from None
-        return float(np.sum(weights * g.partial_sum(*bounds)))
+            raise TruncationBudgetError(message, k, tail(k - 1, 0.0))
+        # float(b^k) and n are exact at every level the grids reach, so each
+        # bound is its exact integer rounded once
+        scale = float(b**k)
+        return float(np.sum(weights * g.partial_sum(scale * ns, scale * (ns + 1))))
 
     return _level_series(name, b, term, tail, 0, 0.0, scale=floor)
 
@@ -176,32 +169,19 @@ def recover_j_infinity_check(x: float) -> tuple[float, int, float]:
     rebuilt from the series inverse of g(n) = 1/((x+n)(x+n+1)).
 
     The solved form collapses to
-    sum_{k>=0} 2^(-k-2) sum_{n>=1} 1/((w+n-1/2)(w+n)), w = x/2^(k+1).
-    Returns (value, inner terms summed directly, bound on the omitted levels).
+    sum_{k>=0} 2^(-k-2) sum_{n>=1} 1/((w+n-1/2)(w+n)), w = x/2^(k+1), and each
+    inner sum is 2 (psi(w+1) - psi(w+1/2)), one hurwitz_difference at the gap
+    1/2.  Returns (value, levels summed, bound on the omitted levels).
     """
     if not x > 0:
         raise ValueError("x must be positive")
-    inner_terms = 256
-    n = np.arange(1.0, inner_terms + 1.0)
     levels = []
 
     def term(k: int) -> float:
         levels.append(k)
-        w = x / 2.0 ** (k + 1)
-        # n order, as np.add.accumulate adds; two reciprocals: (w+n-1/2)(w+n) overflows past 1e154
-        window = w + n
-        inner = float(np.add.accumulate(1.0 / (window - 0.5) * (1.0 / window))[-1])
-        # remainder past the direct window, expanded in half-integer shifts:
-        # sum_{r>=0} 2^-r zeta(r+2, w + M + 1)
-        edge = w + inner_terms + 1.0
-        for r in range(64):
-            piece = 2.0**-r * hurwitz_zeta(r + 2.0, edge)
-            inner += piece
-            if piece <= 1e-18 * inner:
-                break
-        return 2.0 ** (-k - 2) * inner
+        return 2.0 ** (-k - 1) * hurwitz_difference(1.0, x / 2.0 ** (k + 1) + 0.5, 0.5)
 
     # every remaining inner sum is below the w -> 0 limit of 4 log 2
     tail = lambda k, t: 2.0 ** (-k - 2) * (4.0 * math.log(2.0) + 1.0)
     total = _level_series("recover_j_infinity_check", 2, term, tail, 0, 0.0)
-    return total, inner_terms * len(levels), tail(levels[-1], 0.0)
+    return total, len(levels), tail(levels[-1], 0.0)

@@ -208,23 +208,23 @@ def hurwitz_zeta(alpha: float, z: float) -> float:
         target *= 2.0
 
 
-def hurwitz_difference(alpha: float, a: float, c: float) -> float:
-    """zeta(alpha, a) - zeta(alpha, c) for alpha > 0 and a, c > 0, with no pole at alpha = 1.
+def hurwitz_difference(alpha: float, a: float, d: float) -> float:
+    """zeta(alpha, a) - zeta(alpha, a + d) for finite alpha > 0, a > 0 and a gap d >= 0.
 
-    One Euler-Maclaurin pass over the pairs (w, w + d), d = c - a >= 0 (F. Johansson,
-    Numer. Algorithms 69, 2015).  With L = log1p(d/w), w^-s - (w+d)^-s is
-    -w^-s expm1(-s L) in the direct, half and Bernoulli terms, and the integral
-    term is w^(1-alpha) L E((1-alpha) L), E(t) = expm1(t)/t: log1p(d/w) at alpha = 1.
-    The expansion engages at DIFFERENCE_SHIFT.
+    At alpha = 1 it is the limit psi(a + d) - psi(a), with no pole.  One
+    Euler-Maclaurin pass over the pairs (w, w + d) (F. Johansson, Numer.
+    Algorithms 69, 2015), which reads the gap only as d/w, so a + d is never
+    formed and a gap far below a keeps its digits.  With L = log1p(d/w),
+    w^-s - (w+d)^-s is -w^-s expm1(-s L) in the direct, half and Bernoulli
+    terms, and the integral term is w^(1-alpha) L E((1-alpha) L), E(t) =
+    expm1(t)/t: log1p(d/w) at alpha = 1.  The expansion engages at
+    DIFFERENCE_SHIFT.
     """
-    if not (0 < alpha < math.inf and 0 < a < math.inf and 0 < c < math.inf):
-        raise ValueError("hurwitz_difference requires finite alpha > 0 and a, c > 0")
-    if c < a:  # pair from the smaller argument: w + d = c + n keeps its digits
-        return -hurwitz_difference(alpha, c, a)
+    if not (0 < alpha < math.inf and 0 < a < math.inf and 0 <= d < math.inf):
+        raise ValueError("hurwitz_difference requires finite alpha > 0, a > 0 and d >= 0")
     _check_power_range("hurwitz_difference", a, alpha)
     coef = _EM_COEFFICIENTS
     half = EM_ORDER // 2
-    d = c - a
     pair = lambda s: -(w**-s) * math.expm1(-s * L)  # w^-s - (w+d)^-s at the current w and L
 
     direct = 0.0
@@ -251,10 +251,16 @@ def hurwitz_difference(alpha: float, a: float, c: float) -> float:
 
 
 def digamma(z: float) -> float:
-    """psi(z) for z > 0: the order-1 Hurwitz difference psi(z) - psi(1), minus gamma."""
+    """psi(z) for z > 0: the order-1 Hurwitz difference psi(z) - psi(1), minus gamma.
+
+    The pairs start from the smaller of 1 and z: the gap z - 1 from 1 for
+    z >= 1, else 1 - z from z, negated.
+    """
     if not z > 0:
         raise ValueError("digamma requires z > 0")
-    return hurwitz_difference(1.0, 1.0, z) - EULER_GAMMA
+    if z >= 1:
+        return hurwitz_difference(1.0, 1.0, z - 1.0) - EULER_GAMMA
+    return -hurwitz_difference(1.0, z, 1.0 - z) - EULER_GAMMA
 
 
 def _pole_free_product(b: float, alpha: float, v: float) -> float:
@@ -272,26 +278,27 @@ def dirichlet_eta(alpha: float) -> float:
 
 
 def stirling_beta(x: float) -> float:
-    """beta(x) = (psi((x+1)/2) - psi(x/2)) / 2 for x > 0."""
+    """beta(x) = (psi((x+1)/2) - psi(x/2)) / 2 for x > 0, one difference at the gap 1/2."""
     if not x > 0:
         raise ValueError("stirling_beta requires x > 0")
-    return 0.5 * hurwitz_difference(1.0, x / 2.0, (x + 1.0) / 2.0)
+    return 0.5 * hurwitz_difference(1.0, x / 2.0, 0.5)
 
 
 def alternating_hurwitz(alpha: float, w: float) -> float:
     """sum_{n>=1} (-1)^n / (w+n)^alpha for alpha > 0, w >= 0.
 
     Splitting the sum into even and odd n gives
-    2^(-alpha) [zeta(alpha, w/2 + 1) - zeta(alpha, (w+1)/2)], a
-    hurwitz_difference, so alpha = 1 takes the same pole-free pass; the
-    even/odd split fixes the bracket order (checked against the direct
-    alternating sum in the tests).  At w = 0 the sum is -eta(alpha).
+    2^(-alpha) [zeta(alpha, w/2 + 1) - zeta(alpha, (w+1)/2)], minus the
+    hurwitz_difference from (w+1)/2 at the gap 1/2, so alpha = 1 takes the
+    same pole-free pass; the even/odd split fixes the bracket order (checked
+    against the direct alternating sum in the tests).  At w = 0 the sum is
+    -eta(alpha).
     """
     if not alpha > 0:
         raise ValueError("alternating_hurwitz requires alpha > 0")
     if not 0 <= w < math.inf:
         raise ValueError("alternating_hurwitz requires finite w >= 0")
-    return 2.0 ** (-alpha) * hurwitz_difference(alpha, w / 2.0 + 1.0, (w + 1.0) / 2.0)
+    return -(2.0 ** (-alpha)) * hurwitz_difference(alpha, (w + 1.0) / 2.0, 0.5)
 
 
 # ---------------------------------------------------------------------------
@@ -343,8 +350,9 @@ def barnes_zeta2(alpha: float, x: float, h: int, rows: int | None = None) -> flo
         h^(1-alpha) zeta(alpha-1, v)/(alpha-1) + h^(-alpha) zeta(alpha, v)/2
         + sum_j B_2j/(2j)! (alpha)_(2j-1) h^(1-alpha-2j) zeta(alpha+2j-1, v).
     With rows each zeta(s, v) is the difference zeta(s, v) - zeta(s, x/h +
-    rows), a hurwitz_difference.  Without, at alpha = 2 the integral term has
-    the finite part -(1 + log h + psi(v))/h.  M starts where x + h M reaches
+    rows), a hurwitz_difference at the exact gap rows - M.  Without, at
+    alpha = 2 the integral term has the finite part -(1 + log h +
+    psi(v))/h.  M starts where x + h M reaches
     SHIFT_THRESHOLD, which is M = 0 for x >= SHIFT_THRESHOLD, and doubles until
     the first omitted correction clears REL_TOL; rows left past M that are no
     more than the EM_ORDER/2 + 3 values of one pass are summed directly.  An
@@ -386,7 +394,7 @@ def barnes_zeta2(alpha: float, x: float, h: int, rows: int | None = None) -> flo
         if rows is None:
             zeta = lambda s: hurwitz_zeta(s, v)
         else:
-            zeta = lambda s: hurwitz_difference(s, v, x / h + rows)
+            zeta = lambda s: hurwitz_difference(s, v, rows - M)
         if alpha == 2 and rows is None:
             tail = -(1.0 + math.log(h) + digamma(v)) / h
         else:

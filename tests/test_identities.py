@@ -517,8 +517,8 @@ class TestJInfinity:
 
     @pytest.mark.parametrize("b, x", [(2, 1.0), (3, 0.5), (10, 40.0), (2, 1e-6)])
     def test_each_level_difference_once(self, monkeypatch, b, x):
-        # level l >= 1 takes one difference at order 1 between the consecutive
-        # boundaries 1 + x / b^l and 1 + x / b^(l-1), none repeated
+        # level l >= 1 takes one difference at order 1 from the boundary
+        # 1 + x / b^l at the gap (b - 1) x / b^l up to 1 + x / b^(l-1), none repeated
         real, seen = identities.hurwitz_difference, []
 
         def counted(*call):
@@ -527,8 +527,8 @@ class TestJInfinity:
 
         monkeypatch.setattr(identities, "hurwitz_difference", counted)
         j_infinity(b, x)
-        v = [1.0 + x / float(b) ** l for l in range(len(seen) + 1)]
-        assert seen == [(1.0, v[l], v[l - 1]) for l in range(1, len(v))]
+        u = [x / float(b) ** l for l in range(1, len(seen) + 1)]
+        assert seen == [(1.0, 1.0 + v, (b - 1) * v) for v in u]
         assert len(set(seen)) == len(seen) > 1
 
 

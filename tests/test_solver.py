@@ -3,6 +3,7 @@ import math
 from fractions import Fraction
 from pathlib import Path
 
+import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -20,11 +21,13 @@ from digitsum.solver import (
     solve_implicit,
     weighted_digit_sum,
 )
-from digitsum.specfun import REL_TOL, TAIL_SAFETY, TruncationBudgetError, hurwitz_zeta
+from digitsum.specfun import REL_TOL, TAIL_SAFETY, TruncationBudgetError
 
-FAR_POINTS = json.loads(
+J_INFINITY_REFERENCE = json.loads(
     (Path(__file__).resolve().parent / "golden" / "j_infinity_mpmath.json").read_text()
-)["far_points"]
+)
+FAR_POINTS = J_INFINITY_REFERENCE["far_points"]
+NEAR_POINTS = [(x, want) for b, x, want in J_INFINITY_REFERENCE["points"] if b == 2]
 
 
 def telescoping_pair():
@@ -379,28 +382,14 @@ class TestRecoverJInfinity:
         assert report.tail_bound >= 0.0
         assert (report.lhs, report.terms, report.tail_bound) == recover_j_infinity_check(2.5)
 
-    @pytest.mark.parametrize("x", [0.1, 0.3, 1.0, 7.7, 100.0])
-    def test_bitwise_equals_scalar_loop(self, x):
-        # the inner window added one term at a time, as np.add.accumulate adds,
-        # and the levels stopped by the _level_series rule
-        total, terms_used = 0.0, 0
-        for k in range(200):
-            w = x / 2.0 ** (k + 1)
-            inner = 0.0
-            for n in range(1, 257):
-                inner += 1.0 / (w + n - 0.5) * (1.0 / (w + n))
-            terms_used += 256
-            for r in range(64):
-                piece = 2.0**-r * hurwitz_zeta(r + 2.0, w + 256 + 1.0)
-                inner += piece
-                if piece <= 1e-18 * inner:
-                    break
-            total += 2.0 ** (-k - 2) * inner
-            tail_bound = 2.0 ** (-k - 2) * (4.0 * math.log(2.0) + 1.0)
-            if TAIL_SAFETY * tail_bound <= REL_TOL * abs(total):
-                break
-        got = recover_j_infinity_check(x)
-        assert (got[0].hex(), got[1], got[2].hex()) == (total.hex(), terms_used, tail_bound.hex())
+    @pytest.mark.parametrize("x, want", NEAR_POINTS)
+    def test_matches_j_infinity_references(self, x, want):
+        # the 40-digit b = 2 values of tests/golden/j_infinity_mpmath.json; the
+        # count is of levels, each one order-1 difference, and the tail bounds
+        # the levels after the last
+        value, levels, tail = recover_j_infinity_check(x)
+        assert abs(value - float(want)) <= 1e-13 * float(want)
+        assert tail == 2.0 ** (-levels - 1) * (4.0 * math.log(2.0) + 1.0)
 
     @pytest.mark.parametrize("x, want", FAR_POINTS)
     def test_far_arguments_against_references(self, x, want):
@@ -413,3 +402,17 @@ class TestRecoverJInfinity:
     def test_rejects_nonpositive(self):
         with pytest.raises(ValueError):
             recover_j_infinity_check(0.0)
+
+
+class TestTelescopingRow:
+    @pytest.mark.parametrize("n", [1, 2, 3, 10, 2**20 + 1, 10**6 + 7, 2**40 + 1, 2**50 + 1])
+    def test_both_sides_against_mpmath(self, n):
+        # f(n) = (n^-2 - (n+1)^-2) / (1 - 2^-2) at 60 digits.  The float
+        # difference n^-2 - (n+1)^-2 loses log10(n) digits, and two sides that
+        # both took it would agree on the same wrong value
+        (report,) = run_suite(GridSpec("thm6.2", {"n": [n]})).reports
+        with mp.workdps(60):
+            m = mp.mpf(n)
+            want = (m**-2 - (m + 1) ** -2) / mp.mpf(0.75)
+        for value in (report.lhs, report.rhs):
+            assert abs(value - want) <= 1e-13 * want, (n, value)

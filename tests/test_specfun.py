@@ -171,7 +171,7 @@ class TestTermBudget:
             lambda: barnes_zeta2(2.0, 0.5, 2),
             lambda: hurwitz_zeta(2.0, 0.5),
             lambda: barnes_zeta2(3.0, 0.5, 32),
-            lambda: hurwitz_difference(1.0, 0.5, 1.5),
+            lambda: hurwitz_difference(1.0, 0.5, 1.0),
         ],
         ids=[
             "digamma", "barnes_zeta2-finite-part", "hurwitz_zeta", "barnes_zeta2",
@@ -193,7 +193,7 @@ class TestTermBudget:
         ids=["digamma", "hurwitz_zeta"],
     )
     def test_budget_counts_recurrence_steps_only(self, monkeypatch, call, steps):
-        # digamma is hurwitz_difference(1, 1, z) - gamma, whose direct steps run
+        # digamma is hurwitz_difference(1, 1, z - 1) - gamma, whose direct steps run
         # from a = 1 to DIFFERENCE_SHIFT = 24 at every z >= 1: 23 steps of budget
         # give the default value, 22 raise.  hurwitz_zeta(2, 1) steps from 1 to
         # SHIFT_THRESHOLD = 16 and stops there: 15 give its value, 14 raise
@@ -317,61 +317,69 @@ class TestHurwitzZeta:
         np.testing.assert_allclose(lhs, hurwitz_zeta(alpha, z + 1.0), rtol=1e-10, atol=1e-13)
 
 
-def difference_reference(alpha: float, a: float, c: float) -> float:
-    """zeta(alpha, a) - zeta(alpha, c) in mpmath at 40 digits on the given doubles,
-    psi(c) - psi(a) at alpha = 1."""
+def difference_reference(alpha: float, a: float, d: float) -> float:
+    """zeta(alpha, a) - zeta(alpha, a + d) in mpmath at 40 digits on the exact
+    doubles a and a + d, psi(a + d) - psi(a) at alpha = 1."""
     with mp.workdps(40):
-        s, a, c = mp.mpf(alpha), mp.mpf(a), mp.mpf(c)
+        s, a = mp.mpf(alpha), mp.mpf(a)
+        c = a + mp.mpf(d)
         if alpha == 1:
             return float(mp.digamma(c) - mp.digamma(a))
         return float(mp.zeta(s, a) - mp.zeta(s, c))
 
 
+def pair_gap(x: float, y: float) -> tuple[float, float]:
+    """The smaller of two arguments and the double gap up to the larger."""
+    return min(x, y), abs(y - x)
+
+
 class TestHurwitzDifference:
     def test_generic_order_against_mpmath(self):
         for alpha in (0.5, 2.5):
-            for a, c in ((0.3, 2.5), (4.0, 1.25)):
-                want = difference_reference(alpha, a, c)
-                assert abs(hurwitz_difference(alpha, a, c) - want) <= 1e-13 * abs(want)
+            for a, d in (pair_gap(0.3, 2.5), pair_gap(4.0, 1.25)):
+                want = difference_reference(alpha, a, d)
+                assert abs(hurwitz_difference(alpha, a, d) - want) <= 1e-13 * abs(want)
 
     def test_near_order_one_against_mpmath(self):
         # the two zetas each carry the pole 1/(alpha-1); the pairs never form it,
         # so the difference keeps its digits at every alpha, large shifts included
         for alpha in (1 - 1e-4, 1 - 1e-8, 1.0, 1 + 1e-12, 1 + 1e-9, 1 + 1e-6, 1 + 1e-4):
-            for a in (0.5, 3.7, 1e6):
-                for d in (-0.25, 1e-3, 1.0, 1e3):
-                    c = a + d
-                    want = difference_reference(alpha, a, c)
-                    got = hurwitz_difference(alpha, a, c)
-                    assert abs(got - want) <= 1e-13 * abs(want), (alpha, a, c)
+            for x in (0.5, 3.7, 1e6):
+                for shift in (-0.25, 1e-3, 1.0, 1e3):
+                    a, d = pair_gap(x, x + shift)
+                    want = difference_reference(alpha, a, d)
+                    got = hurwitz_difference(alpha, a, d)
+                    assert abs(got - want) <= 1e-13 * abs(want), (alpha, a, d)
 
     def test_order_one_against_mpmath(self):
-        # the poles of the two zetas cancel: zeta(s, a) - zeta(s, c) -> psi(c) - psi(a)
-        for a, c in ((0.3, 2.5), (1.0, 1.5), (7.0, 0.05), (1e-3, 40.0)):
-            want = float(mp.digamma(c) - mp.digamma(a))
-            np.testing.assert_allclose(hurwitz_difference(1.0, a, c), want, rtol=1e-12)
+        # the poles of the two zetas cancel: zeta(s, a) - zeta(s, a + d) -> psi(a + d) - psi(a)
+        for x, y in ((0.3, 2.5), (1.0, 1.5), (7.0, 0.05), (1e-3, 40.0)):
+            a, d = pair_gap(x, y)
+            want = difference_reference(1.0, a, d)
+            np.testing.assert_allclose(hurwitz_difference(1.0, a, d), want, rtol=1e-12)
 
     @pytest.mark.parametrize("eps", [1e-6, -1e-6])
     def test_order_one_is_the_limit(self, eps):
-        at_one = hurwitz_difference(1.0, 0.75, 3.0)
-        np.testing.assert_allclose(hurwitz_difference(1.0 + eps, 0.75, 3.0), at_one, rtol=1e-5)
+        at_one = hurwitz_difference(1.0, 0.75, 2.25)
+        np.testing.assert_allclose(hurwitz_difference(1.0 + eps, 0.75, 2.25), at_one, rtol=1e-5)
 
     @pytest.mark.parametrize("alpha", [0.5, 1.0, 1 + 1e-9, 2.0, 4.0])
     def test_far_arguments_against_mpmath(self, alpha):
-        # the pairs start from the smaller argument, so c + n is never formed
-        # as a + d, which would keep only the digits of the larger argument
-        for a, c in ((40.0, 1e-3), (1e6, 1e-3), (1e300, 1e-3), (1e6, 0.7)):
-            for x, y in ((a, c), (c, a)):
-                want = difference_reference(alpha, x, y)
-                assert abs(hurwitz_difference(alpha, x, y) - want) <= 1e-13 * abs(want), (x, y)
+        # the pairs start from the smaller argument and step by the gap, so
+        # a + d + n is never formed, which would keep only the digits of the
+        # larger argument
+        for x, y in ((40.0, 1e-3), (1e6, 1e-3), (1e300, 1e-3), (1e6, 0.7)):
+            a, d = pair_gap(x, y)
+            want = difference_reference(alpha, a, d)
+            assert abs(hurwitz_difference(alpha, a, d) - want) <= 1e-13 * abs(want), (a, d)
 
     @pytest.mark.parametrize(
-        "alpha, a, c", [(2.0, 1.0, math.inf), (2.0, math.inf, math.inf), (math.inf, 1.0, 2.0)]
+        "alpha, a, d", [(2.0, 1.0, math.inf), (2.0, math.inf, math.inf), (math.inf, 1.0, 2.0)]
     )
-    def test_rejects_non_finite_arguments(self, alpha, a, c):
+    def test_rejects_non_finite_arguments(self, alpha, a, d):
         # inf - inf would make every step nan, and the stop rule would never hold
         with pytest.raises(ValueError, match="finite"):
-            hurwitz_difference(alpha, a, c)
+            hurwitz_difference(alpha, a, d)
 
     @pytest.mark.parametrize("alpha, unused", [(1.0, "hurwitz_zeta"), (2.5, "digamma")])
     def test_one_function_per_order(self, monkeypatch, alpha, unused):
@@ -383,11 +391,13 @@ class TestHurwitzDifference:
         assert math.isfinite(hurwitz_difference(alpha, 0.5, 2.0))
 
     @pytest.mark.parametrize(
-        "alpha, a, c", [(1.0, 0.0, 1.0), (1.0, 1.0, -2.0), (2.0, 0.0, 1.0), (-0.5, 1.0, 2.0)]
+        "alpha, a, d",
+        [(1.0, 0.0, 1.0), (1.0, 1.0, -2.0), (2.5, 3.0, -1e-300), (2.0, 0.0, 1.0), (-0.5, 1.0, 2.0)],
     )
-    def test_inherits_the_domain_checks(self, alpha, a, c):
+    def test_inherits_the_domain_checks(self, alpha, a, d):
+        # a is the smaller argument, so a negative gap d raises
         with pytest.raises(ValueError):
-            hurwitz_difference(alpha, a, c)
+            hurwitz_difference(alpha, a, d)
 
 
 class TestFloatRange:
@@ -464,13 +474,15 @@ class TestStirlingBeta:
         oracle = averaged_alternating((-1.0) ** k / (x + k))
         np.testing.assert_allclose(stirling_beta(x), oracle, rtol=1e-12)
 
-    @pytest.mark.parametrize("x", [1e3, 1e4, 1e5, 1e6])
+    @pytest.mark.parametrize("x", [1e3, 1e4, 1e5, 1e6, 1e16, 1e17, 1e100])
     def test_large_argument_against_mpmath(self, x):
-        # beta(x) ~ 1/(2x): two psi values of size log x would lose log10(x) digits
-        with mp.workdps(40):
+        # beta(x) ~ 1/(2x): two psi values of size log x would lose log10(x)
+        # digits, and past 2^53 (x+1)/2 rounds to x/2, so the gap 1/2 is passed
+        # as such, not formed from the two ends
+        with mp.workdps(2 * int(math.log10(x)) + 40):
             X = mp.mpf(x)
             want = (mp.digamma((X + 1) / 2) - mp.digamma(X / 2)) / 2
-            assert abs(stirling_beta(x) - want) <= 1e-14 * want
+            assert abs(stirling_beta(x) - want) <= 1e-15 * want
 
 
 class TestAlternatingHurwitz:
@@ -495,6 +507,19 @@ class TestAlternatingHurwitz:
         with mp.workdps(40):
             want = -mp.altzeta(mp.mpf(alpha))
             assert abs(alternating_hurwitz(alpha, 0.0) - want) <= 2e-15 * abs(want)
+
+    @pytest.mark.parametrize("alpha", [1.0, 2.5])
+    @pytest.mark.parametrize("w", [1e16, 1e17, 1e50])
+    def test_past_the_double_spacing_against_mpmath(self, alpha, w):
+        # the even and odd halves w/2 + 1 and (w+1)/2 are one double apart or
+        # less: the difference takes its gap 1/2 as given
+        with mp.workdps(2 * int(math.log10(w)) + 40):
+            s, W = mp.mpf(alpha), mp.mpf(w)
+            if alpha == 1:
+                want = (mp.digamma((W + 1) / 2) - mp.digamma(W / 2 + 1)) / 2
+            else:
+                want = 2**-s * (mp.zeta(s, W / 2 + 1) - mp.zeta(s, (W + 1) / 2))
+            assert abs(alternating_hurwitz(alpha, w) - want) <= 1e-15 * abs(want)
 
     def test_accelerated_oracle_slow_decay(self):
         w = 1.0
@@ -752,9 +777,9 @@ class TestBarnesRows:
             rows.append(u)
             return hurwitz_zeta(alpha, u)
 
-        def counted_difference(alpha, a, c):
-            differences.append((a, c))
-            return hurwitz_difference(alpha, a, c)
+        def counted_difference(alpha, a, d):
+            differences.append((a, d))
+            return hurwitz_difference(alpha, a, d)
 
         monkeypatch.setattr(specfun, "hurwitz_zeta", counted)
         monkeypatch.setattr(specfun, "hurwitz_difference", counted_difference)
@@ -774,12 +799,12 @@ class TestBarnesRows:
     @pytest.mark.parametrize("x, h, rows", [(20.0, 1, 8), (10.0, 1, 14), (1.5, 1, 2**20)])
     def test_a_long_strip_takes_one_expansion(self, monkeypatch, x, h, rows):
         # converging at its first M: the direct rows up to SHIFT_THRESHOLD, then
-        # the EM_ORDER/2 + 3 differences of one pass between v = x/h + M and
-        # the end x/h + rows, at any length
+        # the EM_ORDER/2 + 3 differences of one pass from v = x/h + M at the
+        # exact gap rows - M, at any length
         m = max(0, math.ceil((SHIFT_THRESHOLD - x) / h))
         seen, differences = self._counted(monkeypatch, 3.0, x, h, rows)
         assert seen == [x + h * k for k in range(m)]
-        assert differences == [(x / h + m, x / h + rows)] * (EM_ORDER // 2 + 3)
+        assert differences == [(x / h + m, rows - m)] * (EM_ORDER // 2 + 3)
 
     @pytest.mark.parametrize("alpha, x, h", [(2.0, 1.5, 1), (2.5, 3.0, 3), (7.0, 16.5, 16)])
     def test_strip_and_rest_make_the_whole(self, alpha, x, h):
